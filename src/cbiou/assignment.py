@@ -1,10 +1,10 @@
 """Optimal bipartite matching between tracks and detections, with gating.
 
-``solve`` maximizes total similarity (implemented as minimizing 1 - similarity
-via scipy's linear_sum_assignment) and breaks ties between equally good
-matchings toward the lexicographically smallest (row, col) pair list, so tied
-inputs always resolve the same way. ``gated_match`` then discards matched
-pairs whose similarity falls below a minimum.
+``solve`` maximizes total similarity with one call to scipy's
+linear_sum_assignment. No tie rule is imposed between equally good
+matchings: scipy is deterministic, so the same matrix always yields the same
+matching. ``gated_match`` then discards matched pairs whose similarity falls
+below a minimum.
 """
 
 from __future__ import annotations
@@ -39,18 +39,15 @@ def _validate(sim) -> np.ndarray:
 def solve(sim) -> list[tuple[int, int]]:
     """Return a maximum-total-similarity matching of size min(rows, cols).
 
-    Among equally good matchings the lexicographically smallest pair list is
-    returned (lowest row first, then lowest column). An empty matrix yields an
-    empty matching.
+    Pairs are sorted by row. Which of several equally good matchings is
+    returned is not specified, but the same matrix always gives the same
+    matching. An empty matrix yields an empty matching.
     """
     m = _validate(sim)
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
+    if m.size == 0:
         return []
-    ri, ci = linear_sum_assignment(1.0 - m)
-    witness = dict(zip(ri.tolist(), ci.tolist()))
-    best = math.fsum(m[r, c] for r, c in witness.items())
-    return _canonicalize(m, witness, best)
+    ri, ci = linear_sum_assignment(m, maximize=True)
+    return list(zip(ri.tolist(), ci.tolist()))
 
 
 def gated_match(sim, min_sim: float = DEFAULT_MIN_SIMILARITY) -> MatchResult:
@@ -67,57 +64,3 @@ def gated_match(sim, min_sim: float = DEFAULT_MIN_SIMILARITY) -> MatchResult:
         unmatched_rows=tuple(r for r in range(m.shape[0]) if r not in used_rows),
         unmatched_cols=tuple(c for c in range(m.shape[1]) if c not in used_cols),
     )
-
-
-def _canonicalize(m: np.ndarray, witness: dict[int, int], best: float) -> list[tuple[int, int]]:
-    """Rewrite an optimal assignment into the lexicographically smallest one.
-
-    Walks rows in order and tries to move each row's column as far left as an
-    optimal completion allows. Candidates are pruned with a cheap upper bound
-    (sum of the best remaining per-row values) and then verified exactly by
-    re-solving the remaining subproblem; totals are compared with fsum so two
-    matchings of truly equal value always compare equal.
-    """
-    rows, cols = m.shape
-    size = min(rows, cols)
-    avail = list(range(cols))
-    chosen: list[tuple[int, int]] = []
-    fixed_vals: list[float] = []
-    for r in range(rows):
-        if len(chosen) == size:
-            break
-        cur = witness.get(r)
-        limit = cur if cur is not None else cols
-        moved = False
-        for c in avail:
-            if c >= limit:
-                break
-            need = size - len(chosen) - 1
-            rem_rows = list(range(r + 1, rows))
-            rem_cols = [cc for cc in avail if cc != c]
-            if need == 0:
-                total = math.fsum(fixed_vals + [m[r, c]])
-                completion: list[tuple[int, int]] = []
-            else:
-                if len(rem_rows) < need or len(rem_cols) < need:
-                    continue
-                sub = m[np.ix_(rem_rows, rem_cols)]
-                row_best = np.sort(sub.max(axis=1))[-need:]
-                bound = math.fsum(fixed_vals + [m[r, c]] + row_best.tolist())
-                if bound < best:
-                    continue
-                si, sj = linear_sum_assignment(1.0 - sub)
-                completion = [(rem_rows[i], rem_cols[j]) for i, j in zip(si.tolist(), sj.tolist())]
-                total = math.fsum(fixed_vals + [m[r, c]] + [m[rr, cc] for rr, cc in completion])
-            if total == best:
-                chosen.append((r, c))
-                fixed_vals.append(m[r, c])
-                avail.remove(c)
-                witness = dict(completion)
-                moved = True
-                break
-        if not moved and cur is not None:
-            chosen.append((r, cur))
-            fixed_vals.append(m[r, cur])
-            avail.remove(cur)
-    return chosen

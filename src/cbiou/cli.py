@@ -32,9 +32,6 @@ EXIT_IO = 4
 CONFIG_ENV_VAR = "CBIOU_CONFIG"
 
 _CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(TrackerConfig)}
-_BOOL_FIELDS = {"cascade_enabled", "motion_enabled"}
-_INT_FIELDS = {"max_age", "n_max"}
-_STR_FIELDS = {"similarity_kind"}
 
 
 def load_config_file(path) -> dict:
@@ -52,7 +49,8 @@ def load_config_file(path) -> dict:
         value = value.strip()
         if key not in _CONFIG_FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _BOOL_FIELDS:
+        kind = _CONFIG_FIELD_TYPES[key]
+        if kind == "bool":
             lowered = value.lower()
             if lowered in ("true", "1", "yes"):
                 values[key] = True
@@ -60,9 +58,9 @@ def load_config_file(path) -> dict:
                 values[key] = False
             else:
                 raise ValueError(f"{path}:{lineno}: expected a boolean for {key}, got {value!r}")
-        elif key in _INT_FIELDS:
+        elif kind == "int":
             values[key] = int(value)
-        elif key in _STR_FIELDS:
+        elif kind == "str":
             values[key] = value
         else:
             values[key] = float(value)

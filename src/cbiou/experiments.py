@@ -59,10 +59,6 @@ def _pool_map(fn, items, jobs: int):
         return list(executor.map(fn, items))
 
 
-def _eval_config(config: TrackerConfig, det_seqs, gt_seqs) -> MetricsReport:
-    return track_and_evaluate(config, det_seqs, gt_seqs)
-
-
 def run_compare(
     base: TrackerConfig,
     det_seqs: Sequence[Mapping[int, Sequence[Detection]]],
@@ -72,7 +68,7 @@ def run_compare(
     """Evaluate the six tracker variants on the same inputs."""
     configs = variant_configs(base)
     ordered = [configs[name] for name in VARIANT_ORDER]
-    reports = _pool_map(partial(_eval_config, det_seqs=det_seqs, gt_seqs=gt_seqs), ordered, jobs)
+    reports = _pool_map(partial(track_and_evaluate, det_seqs=det_seqs, gt_seqs=gt_seqs), ordered, jobs)
     return dict(zip(VARIANT_ORDER, reports))
 
 
@@ -103,7 +99,7 @@ def run_grid(
     if not combos:
         raise ValueError("empty buffer grid")
     configs = [replace(base, b1=b1, b2=b2, similarity_kind="biou", cascade_enabled=True) for b1, b2 in combos]
-    reports = _pool_map(partial(_eval_config, det_seqs=det_seqs, gt_seqs=gt_seqs), configs, jobs)
+    reports = _pool_map(partial(track_and_evaluate, det_seqs=det_seqs, gt_seqs=gt_seqs), configs, jobs)
     scores = tuple((b1, b2, report) for (b1, b2), report in zip(combos, reports))
     best_idx = 0
     for i in range(1, len(scores)):

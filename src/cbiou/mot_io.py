@@ -3,12 +3,14 @@
 Detections: ``frame,id,x,y,w,h,conf,-1,-1,-1`` with id -1 for raw detector
 output. Ground truth: ``frame,id,x,y,w,h,active,class,visibility``. Readers
 tolerate 6 to 10 columns (missing conf and visibility default to 1.0) and
-CR/LF line endings; writers emit UTF-8 with LF endings, rows sorted by
-(frame, id), and coordinates at fixed 2-decimal precision.
+CR/LF line endings, and reject non-finite numbers as data errors; writers
+emit UTF-8 with LF endings, rows sorted by (frame, id), and coordinates at
+fixed 2-decimal precision.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -48,20 +50,21 @@ def _parse_int(path, lineno: int, name: str, field: str) -> int:
     try:
         return int(field)
     except ValueError:
-        try:
-            value = float(field)
-        except ValueError:
-            raise MotParseError(f"{name} is not a number: {field!r}", path, lineno) from None
-        if value != int(value):
-            raise MotParseError(f"{name} is not an integer: {field!r}", path, lineno) from None
-        return int(value)
+        pass
+    value = _parse_float(path, lineno, name, field)
+    if value != int(value):
+        raise MotParseError(f"{name} is not an integer: {field!r}", path, lineno)
+    return int(value)
 
 
 def _parse_float(path, lineno: int, name: str, field: str) -> float:
     try:
-        return float(field)
+        value = float(field)
     except ValueError:
         raise MotParseError(f"{name} is not a number: {field!r}", path, lineno) from None
+    if not math.isfinite(value):
+        raise MotDataError(f"{name} must be finite, got {field!r}", path, lineno)
+    return value
 
 
 def _parse_common(path, lineno: int, fields: list[str]):

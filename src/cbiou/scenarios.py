@@ -12,12 +12,16 @@ from .synth import OcclusionSpec, ScenarioSpec
 
 def non_overlap_scenario(seed: int = 5) -> ScenarioSpec:
     """Fast linear motion: every object moves farther than its own box width
-    per frame, so consecutive ground-truth boxes never overlap.
+    per frame, so consecutive ground-truth boxes do not overlap, except across
+    a wall reflection.
 
     Speeds are chosen so the displacement always exceeds the box diagonal
     reach (s >= sqrt(2) * side forces zero IoU for any heading) while staying
-    inside the round-1 buffered reach of 1.6 * side. The arena is huge so
-    objects do not hit a wall within the sequence.
+    inside the round-1 buffered reach of 1.6 * side. The arena is huge, so
+    few objects reach a wall, but one that starts near a wall does; the step
+    that reflects it is shorter, and its boxes may overlap. At the default
+    seed 5, object 2 reflects off y = 1e6 at frame 56, and its frame-55 and
+    frame-56 boxes overlap at IoU 0.347.
     """
     return ScenarioSpec(
         num_objects=20,
