@@ -3,15 +3,14 @@
 __version__ = "0.1.0"
 
 from .assignment import MatchResult, gated_match, solve
-from .geometry import BoundingBox, CornerBox, biou, buffer, diou, giou, iou
+from .geometry import BoundingBox, biou, buffer, diou, giou, iou
 from .metrics import MetricsReport, SequenceAnnotations, evaluate, evaluate_many
-from .motion import MotionHistory, Velocity, average_velocity, predict
+from .motion import average_velocity, predict
 from .synth import NoiseSpec, OcclusionSpec, ScenarioSpec, generate, oracle_detections, perturb
 from .tracker import (
     CBiouTracker,
     Detection,
     FrameOutput,
-    Track,
     TrackerConfig,
     cascade_match,
     run_sequence,
@@ -20,7 +19,6 @@ from .tracker import (
 __all__ = [
     "__version__",
     "BoundingBox",
-    "CornerBox",
     "buffer",
     "iou",
     "biou",
@@ -29,13 +27,10 @@ __all__ = [
     "MatchResult",
     "solve",
     "gated_match",
-    "MotionHistory",
-    "Velocity",
     "average_velocity",
     "predict",
     "TrackerConfig",
     "Detection",
-    "Track",
     "FrameOutput",
     "CBiouTracker",
     "cascade_match",

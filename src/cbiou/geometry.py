@@ -25,7 +25,8 @@ def _require_finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Box in top-left/width/height form; extents must be strictly positive."""
+    """Box in top-left/width/height form; extents must be strictly positive,
+    also after the corners x + w and y + h are rounded."""
 
     x: float
     y: float
@@ -35,8 +36,13 @@ class BoundingBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box extents must be positive, got w={self.w}, h={self.h}")
+        # Checked in corner form, which the matrix forms use: at large
+        # coordinates a positive w can still give x + w == x.
+        if self.x + self.w <= self.x or self.y + self.h <= self.y:
+            raise ValueError(
+                f"box extents must be positive in corner form, got "
+                f"x={self.x}, y={self.y}, w={self.w}, h={self.h}"
+            )
 
     @property
     def area(self) -> float:
@@ -45,46 +51,6 @@ class BoundingBox:
     @property
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-    def to_corners(self) -> "CornerBox":
-        return CornerBox(self.x, self.y, self.x + self.w, self.y + self.h)
-
-
-@dataclass(frozen=True)
-class CornerBox:
-    """Box in top-left/bottom-right corner form."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.x2 <= self.x1 or self.y2 <= self.y1:
-            raise ValueError(
-                f"corners must satisfy x2 > x1 and y2 > y1, got {(self.x1, self.y1, self.x2, self.y2)}"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    def to_tlwh(self) -> BoundingBox:
-        return BoundingBox(self.x1, self.y1, self.x2 - self.x1, self.y2 - self.y1)
 
 
 def buffer(box: BoundingBox, b: float) -> BoundingBox:
@@ -156,17 +122,10 @@ def diou(a: BoundingBox, b: BoundingBox) -> float:
 # Vectorized forms over (N, 4) arrays of [x1, y1, x2, y2] rows.
 
 
-def to_xyxy(boxes: Iterable[BoundingBox | CornerBox]) -> np.ndarray:
+def to_xyxy(boxes: Iterable[BoundingBox]) -> np.ndarray:
     """Stack boxes into an (N, 4) corner-form array."""
-    rows = []
-    for box in boxes:
-        if isinstance(box, BoundingBox):
-            rows.append((box.x, box.y, box.x + box.w, box.y + box.h))
-        else:
-            rows.append((box.x1, box.y1, box.x2, box.y2))
-    if not rows:
-        return np.zeros((0, 4), dtype=float)
-    return np.asarray(rows, dtype=float)
+    rows = [(box.x, box.y, box.x + box.w, box.y + box.h) for box in boxes]
+    return np.asarray(rows, dtype=float).reshape(-1, 4)
 
 
 def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:

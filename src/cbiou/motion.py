@@ -1,106 +1,52 @@
 """Kalman-free motion model: average recent per-frame displacements and
-extrapolate linearly in corner-form state space."""
+extrapolate linearly in corner-form state space.
+
+Both functions work on all alive tracks at once. A track's history is a
+window of its last ``n_max + 1`` matches, oldest first, each entry a row
+``[frame, x1, y1, x2, y2]``; a track born with one match fills every slot
+with that entry, so the oldest entry is always slot 0 and a frame span of 0
+means fewer than two matches.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .geometry import CornerBox
+import numpy as np
 
 
-@dataclass(frozen=True)
-class Velocity:
-    """Per-frame displacement of a corner-form state, in pixels/frame."""
+def average_velocity(history: np.ndarray) -> np.ndarray:
+    """Mean per-frame displacement over each track's history window.
 
-    dx1: float = 0.0
-    dy1: float = 0.0
-    dx2: float = 0.0
-    dy2: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("dx1", "dy1", "dx2", "dy2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"velocity component {name} must be finite")
-
-
-ZERO_VELOCITY = Velocity()
-
-
-class MotionHistory:
-    """Sliding window of (frame, box) pairs from a track's matched detections.
-
-    Keeps at most n_max + 1 entries, so at most n_max consecutive deltas ever
-    contribute to the velocity estimate; older entries are evicted.
+    ``history`` has shape (N, n_max + 1, 5); the result has shape (N, 4).
+    The total displacement between the oldest and newest entry is divided by
+    their frame span, which equals the mean of consecutive deltas when the
+    matched frames are consecutive and keeps pixels/frame units across gaps.
+    A track with fewer than two matches (span 0) has velocity 0.
     """
-
-    def __init__(self, n_max: int = 5):
-        if int(n_max) != n_max or n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
-        self.n_max = int(n_max)
-        self._entries: list[tuple[int, CornerBox]] = []
-
-    def append(self, frame: int, box: CornerBox) -> None:
-        if self._entries and frame <= self._entries[-1][0]:
-            raise ValueError(
-                f"history frames must strictly increase, got {frame} after {self._entries[-1][0]}"
-            )
-        self._entries.append((int(frame), box))
-        while len(self._entries) > self.n_max + 1:
-            self._entries.pop(0)
-
-    @property
-    def entries(self) -> tuple[tuple[int, CornerBox], ...]:
-        return tuple(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    change = history[:, -1] - history[:, 0]
+    return change[:, 1:] / np.maximum(change[:, :1], 1.0)
 
 
-def average_velocity(hist: MotionHistory) -> Velocity:
-    """Mean per-frame displacement over the history window.
-
-    With fewer than two entries there is nothing to estimate and the zero
-    velocity is returned. Otherwise the total displacement is divided by the
-    frame span, which equals the mean of consecutive deltas when the matched
-    frames are consecutive and keeps pixels/frame units across gaps.
-    """
-    if len(hist) < 2:
-        return ZERO_VELOCITY
-    (f0, b0) = hist.entries[0]
-    (f1, b1) = hist.entries[-1]
-    span = f1 - f0
-    return Velocity(
-        (b1.x1 - b0.x1) / span,
-        (b1.y1 - b0.y1) / span,
-        (b1.x2 - b0.x2) / span,
-        (b1.y2 - b0.y2) / span,
-    )
-
-
-def predict(state: CornerBox, velocity: Velocity, delta: int) -> tuple[CornerBox, bool]:
-    """Advance a corner-form state by ``delta`` frames of constant velocity.
+def predict(states: np.ndarray, velocities: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance (N, 4) corner-form states by ``delta`` frames of constant velocity.
 
     Applies the velocity once per frame (repeated addition), so advancing by
     a+b frames is bit-identical to advancing by a then by b. Returns the new
-    box and a degenerate flag: if an extent collapses, it is re-centered with
-    a 1-pixel minimum instead of failing.
+    states and an (N,) degenerate mask: an extent that collapses is
+    re-centered with a 1-pixel minimum instead of failing. A non-finite
+    predicted state raises ``ValueError``.
     """
     if int(delta) != delta or delta < 1:
         raise ValueError(f"delta must be a positive integer, got {delta!r}")
-    x1, y1, x2, y2 = state.x1, state.y1, state.x2, state.y2
+    out = states
     for _ in range(int(delta)):
-        x1 += velocity.dx1
-        y1 += velocity.dy1
-        x2 += velocity.dx2
-        y2 += velocity.dy2
-    degenerate = False
-    if x2 - x1 <= 0:
-        cx = (x1 + x2) / 2.0
-        x1, x2 = cx - 0.5, cx + 0.5
-        degenerate = True
-    if y2 - y1 <= 0:
-        cy = (y1 + y2) / 2.0
-        y1, y2 = cy - 0.5, cy + 0.5
-        degenerate = True
-    return CornerBox(x1, y1, x2, y2), degenerate
+        out = out + velocities
+    collapsed = out[:, 2:] - out[:, :2] <= 0
+    if collapsed.any():
+        for axis in (0, 1):
+            rows = collapsed[:, axis]
+            center = (out[rows, axis] + out[rows, axis + 2]) / 2.0
+            out[rows, axis] = center - 0.5
+            out[rows, axis + 2] = center + 0.5
+    if not np.isfinite(out).all():
+        raise ValueError("predicted state must be finite")
+    return out, collapsed.any(axis=1)

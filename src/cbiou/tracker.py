@@ -11,11 +11,13 @@ frame are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import assignment, geometry, motion
-from .geometry import SIMILARITY_KINDS, BoundingBox, CornerBox
+from .geometry import SIMILARITY_KINDS, BoundingBox
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,6 @@ class Detection:
             raise ValueError(f"confidence must be finite, got {self.confidence!r}")
 
 
-@dataclass
-class Track:
-    """A tracked identity and its mutable per-sequence state."""
-
-    id: int
-    state: CornerBox
-    age: int
-    history: motion.MotionHistory
-    last_conf: float
-    state_frame: int
-    degenerate: bool = False
-
-
 @dataclass(frozen=True)
 class FrameOutput:
     """Records reported for one frame: (track id, box, confidence) tuples."""
@@ -96,21 +85,20 @@ class FrameOutput:
 
 
 def cascade_match(
-    track_boxes: Sequence[CornerBox],
-    det_boxes: Sequence[BoundingBox],
+    t_xyxy: np.ndarray,
+    d_xyxy: np.ndarray,
     config: TrackerConfig,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two matching rounds: buffer b1 over everything, then b2 over leftovers.
 
+    Takes (N, 4) track states and (M, 4) detection boxes in corner form.
     Returns (matches, unmatched track indices, unmatched detection indices);
     the two rounds' matches are disjoint in both tracks and detections. With
     cascading disabled this is a single gated round with b1.
     """
-    n_tracks, n_dets = len(track_boxes), len(det_boxes)
+    n_tracks, n_dets = len(t_xyxy), len(d_xyxy)
     if n_tracks == 0 or n_dets == 0:
         return [], list(range(n_tracks)), list(range(n_dets))
-    t_xyxy = geometry.to_xyxy(track_boxes)
-    d_xyxy = geometry.to_xyxy(det_boxes)
     sim1 = geometry.similarity_matrix(config.similarity_kind, t_xyxy, d_xyxy, config.b1)
     round1 = assignment.gated_match(sim1, config.min_sim)
     matches = list(round1.pairs)
@@ -131,23 +119,41 @@ def cascade_match(
 class CBiouTracker:
     """State machine over one sequence; feed frames in strictly increasing order.
 
+    Alive tracks are held as arrays in creation order: ids (N,), corner-form
+    states (N, 4), ages (N,) in frames since the last match, and each track's
+    history window (N, n_max + 1, 5) as laid out in ``motion``.
+
     Instances are single-threaded; independent instances may run on different
     sequences concurrently.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
-        self._tracks: list[Track] = []
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._states = np.zeros((0, 4))
+        self._ages = np.zeros(0, dtype=np.int64)
+        self._history = np.zeros((0, self.config.n_max + 1, 5))
         self._next_id = 1
         self._last_frame: int | None = None
 
     @property
-    def tracks(self) -> tuple[Track, ...]:
-        """Alive tracks, in creation order."""
-        return tuple(self._tracks)
+    def tracks(self) -> tuple[tuple[int, tuple[float, float, float, float], int], ...]:
+        """Alive tracks in creation order, as (id, (x1, y1, x2, y2), age) tuples."""
+        return tuple(
+            (tid, tuple(state), age)
+            for tid, state, age in zip(
+                self._ids.tolist(), self._states.tolist(), self._ages.tolist()
+            )
+        )
 
     def step(self, frame_index: int, detections: Sequence[Detection]) -> FrameOutput:
-        """Advance one frame and return the records matched in it."""
+        """Advance to ``frame_index`` and return the records matched in it.
+
+        Frames skipped since the previous step count as frames without
+        detections: unmatched tracks age by the elapsed frames, and a track
+        that would have aged out inside the gap is gone before matching. The
+        tracker is unchanged if this raises.
+        """
         if int(frame_index) != frame_index or frame_index < 1:
             raise ValueError(f"frame index must be a positive integer, got {frame_index!r}")
         if self._last_frame is not None and frame_index <= self._last_frame:
@@ -159,60 +165,55 @@ class CBiouTracker:
                 raise ValueError(
                     f"detection for frame {det.frame} passed to step for frame {frame_index}"
                 )
-        self._last_frame = int(frame_index)
-        admitted = [d for d in detections if d.confidence >= self.config.det_conf_min]
+        cfg = self.config
+        admitted = [d for d in detections if d.confidence >= cfg.det_conf_min]
+        det_xyxy = geometry.to_xyxy(d.box for d in admitted)
+        ids, states, ages, history = self._ids, self._states, self._ages, self._history
 
-        # Advance every alive state to this frame. Tracks with fewer than two
-        # matches have no velocity estimate and keep their recorded box.
-        for track in self._tracks:
-            delta = frame_index - track.state_frame
-            if delta > 0 and self.config.motion_enabled and len(track.history) >= 2:
-                velocity = motion.average_velocity(track.history)
-                track.state, degenerate = motion.predict(track.state, velocity, delta)
-                track.degenerate = track.degenerate or degenerate
-            track.state_frame = frame_index
+        if len(ids):
+            elapsed = int(frame_index) - self._last_frame
+            if elapsed > 1:
+                # A track whose age would pass max_age inside the gap died there.
+                alive = ages + (elapsed - 1) <= cfg.max_age
+                ids, states, ages, history = ids[alive], states[alive], ages[alive], history[alive]
+            ages = ages + elapsed
+            # Survivors have elapsed <= max_age + 1, which bounds the predict loop.
+            if cfg.motion_enabled and len(ids):
+                velocity = motion.average_velocity(history)
+                states, _ = motion.predict(states, velocity, elapsed)
 
-        matches, un_tracks, un_dets = cascade_match(
-            [t.state for t in self._tracks], [d.box for d in admitted], self.config
+        matches, _, un_dets = cascade_match(states, det_xyxy, cfg)
+        born_ids = list(range(self._next_id, self._next_id + len(un_dets)))
+        owners = [(int(ids[ti]), di) for ti, di in matches] + list(zip(born_ids, un_dets))
+        records = tuple(
+            (tid, admitted[di].box, admitted[di].confidence) for tid, di in sorted(owners)
         )
 
-        reported: list[tuple[int, BoundingBox, float]] = []
-        for ti, di in matches:
-            track = self._tracks[ti]
-            det = admitted[di]
-            track.state = det.box.to_corners()
-            track.history.append(frame_index, track.state)
-            track.age = 0
-            track.last_conf = det.confidence
-            reported.append((track.id, det.box, det.confidence))
+        if matches:
+            ti, di = np.asarray(matches).T
+            states[ti] = det_xyxy[di]
+            ages[ti] = 0
+            history[ti, :-1] = history[ti, 1:]
+            history[ti, -1, 0] = frame_index
+            history[ti, -1, 1:] = states[ti]
+        alive = ages <= cfg.max_age
+        if not alive.all():
+            ids, states, ages, history = ids[alive], states[alive], ages[alive], history[alive]
+        if un_dets:
+            born = det_xyxy[un_dets]
+            # A new track fills its whole window with its birth entry.
+            window = np.empty((len(un_dets), cfg.n_max + 1, 5))
+            window[..., 0] = frame_index
+            window[..., 1:] = born[:, None]
+            ids = np.concatenate((ids, born_ids))
+            states = np.concatenate((states, born))
+            ages = np.concatenate((ages, np.zeros(len(un_dets), dtype=np.int64)))
+            history = np.concatenate((history, window))
+            self._next_id += len(un_dets)
 
-        unmatched_set = set(un_tracks)
-        survivors = []
-        for i, track in enumerate(self._tracks):
-            if i in unmatched_set:
-                track.age += 1
-                if track.age > self.config.max_age:
-                    continue
-            survivors.append(track)
-
-        for di in un_dets:
-            det = admitted[di]
-            track = Track(
-                id=self._next_id,
-                state=det.box.to_corners(),
-                age=0,
-                history=motion.MotionHistory(self.config.n_max),
-                last_conf=det.confidence,
-                state_frame=frame_index,
-            )
-            track.history.append(frame_index, track.state)
-            self._next_id += 1
-            survivors.append(track)
-            reported.append((track.id, det.box, det.confidence))
-
-        self._tracks = survivors
-        reported.sort(key=lambda rec: rec[0])
-        return FrameOutput(frame=int(frame_index), records=tuple(reported))
+        self._ids, self._states, self._ages, self._history = ids, states, ages, history
+        self._last_frame = int(frame_index)
+        return FrameOutput(frame=int(frame_index), records=records)
 
 
 def run_sequence(

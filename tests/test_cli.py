@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import pytest
 
-from cbiou import cli
+from cbiou import cli, mot_io, scenarios, synth
+from cbiou.tracker import TrackerConfig
 
 
 class TestLoadConfigFile:
@@ -53,3 +57,34 @@ class TestNonFiniteMotFields:
         assert code == cli.EXIT_DATA
         assert f"{dets}:2: " in capsys.readouterr().err
         assert not (tmp_path / "res.txt").exists()
+
+
+def test_collapsed_box_exits_with_data_error_and_location(tmp_path, capsys):
+    # w = 1 is positive, but 1e17 + 1 rounds back to 1e17 in corner form
+    dets = tmp_path / "dets.txt"
+    dets.write_text("1,-1,1e17,0,1,10,1\n", encoding="utf-8")
+    code = cli.main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt")])
+    assert code == cli.EXIT_DATA
+    assert f"{dets}:1: " in capsys.readouterr().err
+
+
+def test_track_manifest_reproduces_the_run(tmp_path):
+    _gt, detections = synth.generate(scenarios.noise_study_scenario(1))
+    dets = tmp_path / "dets.txt"
+    mot_io.write_detections(dets, detections)
+    first = tmp_path / "first.txt"
+    argv = ["track", "--dets", str(dets), "--out", str(first), "--b1", "0.25", "--max-age", "12"]
+    assert cli.main([*argv, "--no-motion"]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "first.txt.manifest.json").read_text(encoding="utf-8"))
+    config = TrackerConfig(**manifest["config"])
+    assert config == replace(TrackerConfig(), b1=0.25, max_age=12, motion_enabled=False)
+
+    # rerun from the manifest's config alone, through a config file
+    config_file = tmp_path / "from_manifest.cfg"
+    config_file.write_text(
+        "".join(f"{key} = {value}\n" for key, value in manifest["config"].items()), encoding="utf-8"
+    )
+    second = tmp_path / "second.txt"
+    rerun = ["track", "--dets", str(dets), "--out", str(second), "--config", str(config_file)]
+    assert cli.main(rerun) == cli.EXIT_OK
+    assert second.read_bytes() == first.read_bytes()

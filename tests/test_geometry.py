@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbiou import geometry
-from cbiou.geometry import BoundingBox, CornerBox, biou, buffer, diou, giou, iou
+from cbiou.geometry import BoundingBox, biou, buffer, diou, giou, iou
 
 
 def pixel_areas(a: BoundingBox, b: BoundingBox, grid: int = 64):
@@ -37,21 +37,35 @@ class TestBoxTypes:
             BoundingBox(0, 0, 0, 10)
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 10, -1)
+        # positive, but lost when the corner x + w is rounded
+        with pytest.raises(ValueError):
+            BoundingBox(1e17, 0, 1, 10)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BoundingBox(float("nan"), 0, 1, 1)
         with pytest.raises(ValueError):
-            CornerBox(0, 0, float("inf"), 1)
+            BoundingBox(0, 0, float("inf"), 1)
 
-    def test_corner_invariant(self):
-        with pytest.raises(ValueError):
-            CornerBox(5, 0, 5, 10)
+    @given(
+        st.floats(min_value=-1e18, max_value=1e18),
+        st.floats(min_value=-1e18, max_value=1e18),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_corner_invariant(self, x, y, w, h):
+        # every box that constructs keeps positive extents in corner form
+        try:
+            box = BoundingBox(x, y, w, h)
+        except ValueError:
+            return
+        x1, y1, x2, y2 = geometry.to_xyxy([box])[0]
+        assert x2 > x1 and y2 > y1
 
     @given(boxes)
     def test_tlwh_to_corners_is_the_exact_formula(self, box):
-        c = box.to_corners()
-        assert (c.x1, c.y1, c.x2, c.y2) == (box.x, box.y, box.x + box.w, box.y + box.h)
+        row = tuple(geometry.to_xyxy([box])[0])
+        assert row == (box.x, box.y, box.x + box.w, box.y + box.h)
 
 
 class TestBuffer:

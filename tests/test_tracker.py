@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbiou import assignment, geometry
+from cbiou import assignment, geometry, motion
 from cbiou.geometry import BoundingBox, biou
 from cbiou.metrics import SequenceAnnotations, evaluate
 from cbiou.synth import ScenarioSpec, generate
@@ -77,8 +77,8 @@ class TestStep:
         tracker.step(1, [det(1, 0)])
         for f in range(2, 10):
             tracker.step(f, [])
-            for track in tracker.tracks:
-                assert 0 <= track.age <= cfg.max_age
+            for _tid, _state, age in tracker.tracks:
+                assert 0 <= age <= cfg.max_age
 
     def test_frame_must_increase(self):
         tracker = CBiouTracker()
@@ -113,52 +113,120 @@ class TestStep:
         tracker.step(2, [det(2, 5)])  # velocity 5 px/frame
         for missing in range(1, 4):
             tracker.step(2 + missing, [])
-            track = tracker.tracks[0]
-            assert track.state.x1 == pytest.approx(5 + 5 * missing)
-            assert track.age == missing
+            _tid, state, age = tracker.tracks[0]
+            assert state[0] == pytest.approx(5 + 5 * missing)
+            assert age == missing
 
     def test_matched_state_is_detection_box(self):
         tracker = CBiouTracker()
         tracker.step(1, [det(1, 0)])
         tracker.step(2, [det(2, 7, y=1, w=12, h=9)])
-        track = tracker.tracks[0]
-        assert (track.state.x1, track.state.y1) == (7, 1)
-        assert (track.state.width, track.state.height) == (12, 9)
+        _tid, (x1, y1, x2, y2), _age = tracker.tracks[0]
+        assert (x1, y1) == (7, 1)
+        assert (x2 - x1, y2 - y1) == (12, 9)
+
+    def test_gap_ages_by_elapsed_frames(self):
+        tracker = CBiouTracker(TrackerConfig(max_age=2))
+        tracker.step(1, [det(1, 0)])
+        out = tracker.step(500, [det(500, 0)])
+        assert [rec[0] for rec in out.records] == [2]
+        tracker.step(502, [])
+        assert [age for _tid, _state, age in tracker.tracks] == [2]
+
+    def test_gap_prediction_is_bounded_by_max_age(self, monkeypatch):
+        # predict adds the velocity once per elapsed frame; a gap of 10**9
+        # frames must not cost 10**9 additions once every track has aged out
+        deltas = []
+        original = motion.predict
+
+        def spy(states, velocities, delta):
+            assert delta <= 4, f"predict asked for {delta} frames"
+            deltas.append(delta)
+            return original(states, velocities, delta)
+
+        monkeypatch.setattr(motion, "predict", spy)
+        tracker = CBiouTracker(TrackerConfig(max_age=3))
+        tracker.step(1, [det(1, 0)])
+        tracker.step(2, [det(2, 5)])
+        tracker.step(6, [det(6, 25)])
+        out = tracker.step(10**9, [det(10**9, 0)])
+        assert deltas == [1, 4]
+        assert [rec[0] for rec in out.records] == [2]
+
+    def test_direct_stepping_with_gaps_matches_run_sequence(self):
+        spec = ScenarioSpec(
+            num_objects=8,
+            num_frames=120,
+            arena=(600.0, 600.0),
+            speed_range=(2.0, 8.0),
+            turn_prob=0.1,
+            size_range=(15.0, 25.0),
+            seed=4,
+        )
+        _, dets = generate(spec)
+        rng = np.random.default_rng(4)
+        present = {f: dets[f] for f in sorted(dets) if f == 1 or rng.random() < 0.4}
+        for max_age in (1, 3, 30):
+            cfg = TrackerConfig(max_age=max_age)
+            tracker = CBiouTracker(cfg)
+            direct = [tracker.step(f, present[f]) for f in present]
+            every_frame = [out for out in run_sequence(cfg, present) if out.frame in present]
+            assert direct == every_frame
+
+    def test_failed_step_leaves_tracker_unchanged(self):
+        # boxes 1e308 wide move by 5e307 per frame, so the next prediction overflows
+        cfg = TrackerConfig(similarity_kind="iou", cascade_enabled=False)
+        tracker = CBiouTracker(cfg)
+        tracker.step(1, [det(1, 0, w=1e308, h=1e-10)])
+        tracker.step(2, [det(2, 5e307, w=1e308, h=1e-10)])
+        before = tracker.tracks
+        assert [tid for tid, _state, _age in before] == [1]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            tracker.step(3, [det(3, 5e307, w=1e308, h=1e-10)])
+        assert tracker.tracks == before
+        with pytest.raises(ValueError, match="must increase"):
+            tracker.step(2, [])
 
 
 class TestCascadeMatch:
     def test_no_tracks_means_all_detections_unmatched(self):
-        matches, un_t, un_d = cascade_match([], [BoundingBox(0, 0, 1, 1)], TrackerConfig())
+        matches, un_t, un_d = cascade_match(
+            np.zeros((0, 4)), geometry.to_xyxy([BoundingBox(0, 0, 1, 1)]), TrackerConfig()
+        )
         assert matches == [] and un_t == [] and un_d == [0]
 
     def test_round2_catches_what_round1_misses(self):
         cfg = TrackerConfig(b1=0.1, b2=0.4)
-        track_box = BoundingBox(0, 0, 10, 10).to_corners()
+        track_box = BoundingBox(0, 0, 10, 10)
         det_box = BoundingBox(17, 0, 10, 10)
-        assert biou(track_box.to_tlwh(), det_box, cfg.b1) == 0.0
-        assert biou(track_box.to_tlwh(), det_box, cfg.b2) > 0.0
-        matches, un_t, un_d = cascade_match([track_box], [det_box], cfg)
+        assert biou(track_box, det_box, cfg.b1) == 0.0
+        assert biou(track_box, det_box, cfg.b2) > 0.0
+        matches, un_t, un_d = cascade_match(
+            geometry.to_xyxy([track_box]), geometry.to_xyxy([det_box]), cfg
+        )
         assert matches == [(0, 0)] and un_t == [] and un_d == []
 
     def test_cascade_disabled_is_single_round(self):
         cfg = TrackerConfig(b1=0.1, b2=0.4, cascade_enabled=False)
-        track_box = BoundingBox(0, 0, 10, 10).to_corners()
+        track_box = BoundingBox(0, 0, 10, 10)
         det_box = BoundingBox(17, 0, 10, 10)
-        matches, un_t, un_d = cascade_match([track_box], [det_box], cfg)
+        matches, un_t, un_d = cascade_match(
+            geometry.to_xyxy([track_box]), geometry.to_xyxy([det_box]), cfg
+        )
         assert matches == [] and un_t == [0] and un_d == [0]
 
     def test_rounds_are_disjoint_and_round1_has_priority(self):
         rng = np.random.default_rng(21)
         cfg = TrackerConfig()
         for _ in range(100):
-            tracks = [
-                BoundingBox(rng.uniform(0, 300), rng.uniform(0, 300), 10, 10).to_corners()
-                for _ in range(int(rng.integers(1, 8)))
-            ]
-            dets = [
+            tracks = geometry.to_xyxy(
                 BoundingBox(rng.uniform(0, 300), rng.uniform(0, 300), 10, 10)
                 for _ in range(int(rng.integers(1, 8)))
-            ]
+            )
+            dets = geometry.to_xyxy(
+                BoundingBox(rng.uniform(0, 300), rng.uniform(0, 300), 10, 10)
+                for _ in range(int(rng.integers(1, 8)))
+            )
             matches, un_t, un_d = cascade_match(tracks, dets, cfg)
             used_t = [t for t, _ in matches]
             used_d = [d for _, d in matches]
@@ -167,9 +235,7 @@ class TestCascadeMatch:
             assert sorted(used_t + un_t) == list(range(len(tracks)))
             assert sorted(used_d + un_d) == list(range(len(dets)))
             # pairs added by round 2 were genuinely unmatched under b1
-            sim1 = geometry.similarity_matrix(
-                "biou", geometry.to_xyxy(tracks), geometry.to_xyxy(dets), cfg.b1
-            )
+            sim1 = geometry.similarity_matrix("biou", tracks, dets, cfg.b1)
             round1 = set(assignment.gated_match(sim1, cfg.min_sim).pairs)
             for pair in matches:
                 if pair not in round1:
