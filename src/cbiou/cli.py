@@ -116,6 +116,14 @@ def format_metrics_lines(report: MetricsReport) -> list[str]:
     ]
 
 
+def format_per_alpha_lines(report: MetricsReport) -> list[str]:
+    """One line per HOTA alpha with its HOTA, DetA and AssA, x100 at one decimal."""
+    return [
+        f"alpha_{alpha:.2f} = hota {100.0 * h:.1f} deta {100.0 * d:.1f} assa {100.0 * a:.1f}"
+        for alpha, h, d, a in report.per_alpha
+    ]
+
+
 def _metrics_csv_row(report: MetricsReport) -> str:
     return (
         f"{100.0 * report.hota:.1f},{100.0 * report.deta:.1f},{100.0 * report.assa:.1f},"
@@ -173,7 +181,7 @@ def cmd_eval(args) -> int:
     report = metrics.evaluate(gt, pred)
     lines = format_metrics_lines(report)
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines + format_per_alpha_lines(report)) + "\n")
     if args.pretty:
         print("metric   value")
         for line in lines[:5]:

@@ -15,6 +15,13 @@ import numpy as np
 
 SIMILARITY_KINDS = ("iou", "giou", "diou", "biou")
 
+# Largest |coordinate| a box corner may have. Below it a difference of two
+# coordinates, even after a BIoU buffer that scales a box by a factor up to
+# 1e50, stays below about 1e151, and a sum of a few of its squares below
+# 1e304: no similarity kind overflows float64 (max about 1.8e308). Real
+# images are many orders of magnitude smaller.
+MAX_ABS_COORDINATE = 1e100
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -26,7 +33,8 @@ def _require_finite(name: str, value: float) -> float:
 @dataclass(frozen=True)
 class BoundingBox:
     """Box in top-left/width/height form; extents must be strictly positive,
-    also after the corners x + w and y + h are rounded."""
+    also after the corners x + w and y + h are rounded, and every corner
+    coordinate must lie within +-``MAX_ABS_COORDINATE``."""
 
     x: float
     y: float
@@ -38,11 +46,15 @@ class BoundingBox:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         # Checked in corner form, which the matrix forms use: at large
         # coordinates a positive w can still give x + w == x.
-        if self.x + self.w <= self.x or self.y + self.h <= self.y:
-            raise ValueError(
-                f"box extents must be positive in corner form, got "
-                f"x={self.x}, y={self.y}, w={self.w}, h={self.h}"
+        x, y, limit = self.x, self.y, MAX_ABS_COORDINATE
+        x2, y2 = x + self.w, y + self.h
+        if not (-limit <= x < x2 <= limit and -limit <= y < y2 <= limit):
+            problem = (
+                "extents must be positive in corner form"
+                if x2 <= x or y2 <= y
+                else f"corners must lie within +-{limit:g}"
             )
+            raise ValueError(f"box {problem}, got x={x}, y={y}, w={self.w}, h={self.h}")
 
     @property
     def area(self) -> float:

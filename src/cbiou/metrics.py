@@ -4,6 +4,19 @@ All metrics consume two per-frame labelings (ground truth and predictions) of
 (identity, box) pairs. Scores are single-sequence; to evaluate several
 sequences together, pool them with ``evaluate_many`` which merges them onto
 disjoint frame/identity ranges so raw counts pool rather than ratios average.
+
+``evaluate`` aligns the two labelings once: for every frame with boxes on
+both sides it keeps the ids, the IoU matrix and the matrix's conflict level
+(its largest second-highest entry over all rows and columns), plus per-id
+presence counts and box totals. ``clear_mota``, ``idf1`` and ``hota`` all
+read that table; called on their own, each builds it.
+
+HOTA matches each frame at every alpha with scores 1 + IoU for pairs whose
+IoU passes alpha and 0 otherwise. At an alpha above the frame's conflict
+level no row or column holds two passing pairs, so the passing pairs form a
+matching, and since each of them scores more than every other entry, every
+optimal assignment contains exactly them. Those alphas take the passing
+pairs directly; only alphas at or below the conflict level are solved.
 """
 
 from __future__ import annotations
@@ -11,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,47 +100,95 @@ class MetricsReport:
     per_alpha: tuple[tuple[float, float, float, float], ...]  # (alpha, hota, deta, assa)
 
 
-def _frame_union(gt: SequenceAnnotations, pred: SequenceAnnotations) -> list[int]:
-    return sorted(set(gt.frames) | set(pred.frames))
-
-
 def _boxes(rows: Sequence[tuple[int, BoundingBox]]) -> np.ndarray:
     return geometry.to_xyxy([box for _, box in rows])
+
+
+class _Frame(NamedTuple):
+    """One frame with boxes on both sides: ids in row/column order, their
+    IoU matrix and its conflict level."""
+
+    gids: tuple[int, ...]
+    pids: tuple[int, ...]
+    sim: np.ndarray
+    conflict: float
+
+
+@dataclass(frozen=True)
+class _FrameTable:
+    """Per-frame work shared by every metric of one (gt, pred) pair."""
+
+    frames: list[_Frame]
+    gt_presence: Counter[int]
+    pred_presence: Counter[int]
+    gt_total: int
+    pred_total: int
+
+
+def _conflict_level(sim: np.ndarray) -> float:
+    """Largest second-highest entry over all rows and columns of ``sim``.
+
+    Every row and column holds at most one entry above this level. A row or
+    column with a single entry has no second-highest, so a 1x1 matrix gives
+    -inf. A NaN entry may make the level NaN.
+    """
+    rows, cols = sim.shape
+    seconds = []
+    if cols > 1:
+        seconds.append(np.sort(sim, axis=1)[:, -2])
+    if rows > 1:
+        seconds.append(np.sort(sim, axis=0)[-2])
+    return float(np.concatenate(seconds).max()) if seconds else -math.inf
+
+
+def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _FrameTable:
+    frames: list[_Frame] = []
+    gt_presence: Counter[int] = Counter()
+    pred_presence: Counter[int] = Counter()
+    for frame in sorted(set(gt.frames) | set(pred.frames)):
+        g_rows = gt.frames.get(frame, ())
+        p_rows = pred.frames.get(frame, ())
+        gids = tuple(g for g, _ in g_rows)
+        pids = tuple(p for p, _ in p_rows)
+        gt_presence.update(gids)
+        pred_presence.update(pids)
+        if g_rows and p_rows:
+            sim = geometry.iou_matrix(_boxes(g_rows), _boxes(p_rows))
+            frames.append(_Frame(gids, pids, sim, _conflict_level(sim)))
+    return _FrameTable(frames, gt_presence, pred_presence, gt.box_count(), pred.box_count())
 
 
 def clear_mota(
     gt: SequenceAnnotations,
     pred: SequenceAnnotations,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    *,
+    table: _FrameTable | None = None,
 ) -> tuple[float, int, int, int, int]:
     """CLEAR accuracy: MOTA = 1 - (FN + FP + IDSW) / total GT boxes.
 
     Boxes are matched per frame by maximum total IoU gated at the threshold.
     An identity switch is counted whenever a ground-truth identity's matched
-    prediction differs from its last known match.
+    prediction differs from its last known match. ``table`` is the aligned
+    (gt, pred) pair as ``evaluate`` builds it; it is built here when omitted.
     """
-    gt_total = gt.box_count()
-    tp = fn = fp = idsw = 0
+    table = table if table is not None else _align(gt, pred)
+    tp = idsw = 0
     last_match: dict[int, int] = {}
-    for frame in _frame_union(gt, pred):
-        g_rows = gt.frames.get(frame, ())
-        p_rows = pred.frames.get(frame, ())
-        if g_rows and p_rows:
-            sim = geometry.iou_matrix(_boxes(g_rows), _boxes(p_rows))
-            pairs = assignment.gated_match(sim, iou_threshold).pairs
-        else:
-            pairs = ()
+    for gids, pids, sim, _conflict in table.frames:
+        pairs = assignment.gated_match(sim, iou_threshold).pairs
         tp += len(pairs)
-        fn += len(g_rows) - len(pairs)
-        fp += len(p_rows) - len(pairs)
         for i, j in pairs:
-            gid = g_rows[i][0]
-            pid = p_rows[j][0]
+            gid = gids[i]
+            pid = pids[j]
             if gid in last_match and last_match[gid] != pid:
                 idsw += 1
             last_match[gid] = pid
-    if gt_total:
-        mota = 1.0 - (fn + fp + idsw) / gt_total
+    # Every box lies in some frame of the union, so what is not matched is missed.
+    fn = table.gt_total - tp
+    fp = table.pred_total - tp
+    if table.gt_total:
+        mota = 1.0 - (fn + fp + idsw) / table.gt_total
     else:
         mota = 1.0 if (fp + idsw) == 0 else float("-inf")
     return mota, tp, fn, fp, idsw
@@ -137,12 +198,16 @@ def idf1(
     gt: SequenceAnnotations,
     pred: SequenceAnnotations,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    *,
+    table: _FrameTable | None = None,
 ) -> float:
-    """Identity F1 under the optimal global GT-to-prediction identity mapping."""
-    gt_ids = sorted(gt.identities())
-    pred_ids = sorted(pred.identities())
-    gt_total = gt.box_count()
-    pred_total = pred.box_count()
+    """Identity F1 under the optimal global GT-to-prediction identity mapping.
+
+    ``table`` is as for ``clear_mota``.
+    """
+    table = table if table is not None else _align(gt, pred)
+    gt_ids = sorted(table.gt_presence)
+    pred_ids = sorted(table.pred_presence)
     if not gt_ids and not pred_ids:
         return 1.0
     if not gt_ids or not pred_ids:
@@ -150,18 +215,13 @@ def idf1(
     g_index = {g: i for i, g in enumerate(gt_ids)}
     p_index = {p: j for j, p in enumerate(pred_ids)}
     overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=float)
-    for frame in _frame_union(gt, pred):
-        g_rows = gt.frames.get(frame, ())
-        p_rows = pred.frames.get(frame, ())
-        if not g_rows or not p_rows:
-            continue
-        sim = geometry.iou_matrix(_boxes(g_rows), _boxes(p_rows))
+    for gids, pids, sim, _conflict in table.frames:
         hit_g, hit_p = np.nonzero(sim >= iou_threshold)
         for i, j in zip(hit_g.tolist(), hit_p.tolist()):
-            overlap[g_index[g_rows[i][0]], p_index[p_rows[j][0]]] += 1.0
+            overlap[g_index[gids[i]], p_index[pids[j]]] += 1.0
     idtp = int(sum(overlap[i, j] for i, j in assignment.solve(overlap)))
-    idfn = gt_total - idtp
-    idfp = pred_total - idtp
+    idfn = table.gt_total - idtp
+    idfp = table.pred_total - idtp
     denom = 2 * idtp + idfp + idfn
     return (2 * idtp / denom) if denom else 1.0
 
@@ -170,6 +230,8 @@ def hota(
     gt: SequenceAnnotations,
     pred: SequenceAnnotations,
     alphas: Sequence[float] = ALPHAS,
+    *,
+    table: _FrameTable | None = None,
 ) -> tuple[float, float, float, tuple[tuple[float, float, float, float], ...]]:
     """HOTA and its DetA/AssA decomposition, averaged over the alpha grid.
 
@@ -177,41 +239,48 @@ def hota(
     the number of gate-passing pairs (IoU >= alpha) and then their total IoU.
     DetA_a = TP/(TP+FN+FP); AssA_a averages, over TP instances, the alignment
     TPA/(TPA+FNA+FPA) of each matched (gt id, pred id) pair across the whole
-    sequence; HOTA_a = sqrt(DetA_a * AssA_a).
+    sequence; HOTA_a = sqrt(DetA_a * AssA_a). ``alphas`` may come in any
+    order; ``per_alpha`` keeps it. ``table`` is as for ``clear_mota``.
     """
-    frames = _frame_union(gt, pred)
-    per_frame: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray]] = []
-    gt_presence: Counter[int] = Counter()
-    pred_presence: Counter[int] = Counter()
-    for frame in frames:
-        g_rows = gt.frames.get(frame, ())
-        p_rows = pred.frames.get(frame, ())
-        for gid, _ in g_rows:
-            gt_presence[gid] += 1
-        for pid, _ in p_rows:
-            pred_presence[pid] += 1
-        if g_rows and p_rows:
-            sim = geometry.iou_matrix(_boxes(g_rows), _boxes(p_rows))
-            per_frame.append(
-                (tuple(g for g, _ in g_rows), tuple(p for p, _ in p_rows), sim)
-            )
-    gt_total = gt.box_count()
-    pred_total = pred.box_count()
-
-    per_alpha = []
-    for alpha in alphas:
-        pair_counts: Counter[tuple[int, int]] = Counter()
-        for gids, pids, sim in per_frame:
+    if len(alphas) == 0:
+        raise ValueError("alphas must not be empty")
+    table = table if table is not None else _align(gt, pred)
+    # Alphas ascending (NaN last); each has one Counter of matched
+    # (gt id, pred id) pairs, which receives a frame's pairs in row order, as
+    # a row-sorted matching lists them.
+    order = np.argsort(np.asarray(alphas, dtype=float), kind="stable")
+    ascending = np.asarray(alphas, dtype=float)[order]
+    pair_counts: list[Counter[tuple[int, int]]] = [Counter() for _ in alphas]
+    ascending_counts = [pair_counts[slot] for slot in order.tolist()]
+    for gids, pids, sim, conflict in table.frames:
+        hit_g, hit_p = np.nonzero(sim >= ascending[0])
+        if not hit_g.size:
+            continue
+        # Alphas at or below the conflict level (all, if it is NaN) are solved.
+        solved = int(np.searchsorted(ascending, conflict, side="right"))
+        for alpha, counts in zip(ascending[:solved].tolist(), ascending_counts):
             passing = sim >= alpha
             if not passing.any():
                 continue
             score = np.where(passing, 1.0 + sim, 0.0)
             for i, j in assignment.solve(score):
                 if passing[i, j]:
-                    pair_counts[(gids[i], pids[j])] += 1
-        tp = sum(pair_counts.values())
-        fn = gt_total - tp
-        fp = pred_total - tp
+                    counts[(gids[i], pids[j])] += 1
+        # Above the conflict level no row or column holds two passing
+        # entries, so the passing pairs form a matching. Each scores at least
+        # 1 + alpha and every other entry 0, so every optimal assignment
+        # consists of exactly these pairs: no solve is needed.
+        reached = np.searchsorted(ascending, sim[hit_g, hit_p], side="right").tolist()
+        for i, j, top in zip(hit_g.tolist(), hit_p.tolist(), reached):
+            pair = (gids[i], pids[j])
+            for counts in ascending_counts[solved:top]:
+                counts[pair] += 1
+
+    per_alpha = []
+    for alpha, counts in zip(alphas, pair_counts):
+        tp = sum(counts.values())
+        fn = table.gt_total - tp
+        fp = table.pred_total - tp
         denom = tp + fn + fp
         if denom == 0:
             deta_a = 1.0
@@ -222,8 +291,10 @@ def hota(
                 assa_a = 0.0
             else:
                 weighted = 0.0
-                for (gid, pid), count in pair_counts.items():
-                    alignment = count / (gt_presence[gid] + pred_presence[pid] - count)
+                for (gid, pid), count in counts.items():
+                    alignment = count / (
+                        table.gt_presence[gid] + table.pred_presence[pid] - count
+                    )
                     weighted += count * alignment
                 assa_a = weighted / tp
         per_alpha.append((alpha, math.sqrt(deta_a * assa_a), deta_a, assa_a))
@@ -236,10 +307,11 @@ def hota(
 
 
 def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsReport:
-    """Compute all reported metrics for one sequence."""
-    mota, tp, fn, fp, idsw = clear_mota(gt, pred)
-    idf1_score = idf1(gt, pred)
-    hota_score, deta_score, assa_score, per_alpha = hota(gt, pred)
+    """Compute all reported metrics for one sequence from one aligned pass."""
+    table = _align(gt, pred)
+    mota, tp, fn, fp, idsw = clear_mota(gt, pred, table=table)
+    idf1_score = idf1(gt, pred, table=table)
+    hota_score, deta_score, assa_score, per_alpha = hota(gt, pred, table=table)
     return MetricsReport(
         hota=hota_score,
         deta=deta_score,
@@ -250,7 +322,7 @@ def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsRepor
         fn=fn,
         fp=fp,
         idsw=idsw,
-        gt_total=gt.box_count(),
+        gt_total=table.gt_total,
         per_alpha=per_alpha,
     )
 

@@ -3,9 +3,10 @@
 Detections: ``frame,id,x,y,w,h,conf,-1,-1,-1`` with id -1 for raw detector
 output. Ground truth: ``frame,id,x,y,w,h,active,class,visibility``. Readers
 tolerate 6 to 10 columns (missing conf and visibility default to 1.0) and
-CR/LF line endings, and reject non-finite numbers as data errors; writers
-emit UTF-8 with LF endings, rows sorted by (frame, id), and coordinates at
-fixed 2-decimal precision.
+CR/LF line endings. They reject bytes that are not UTF-8 as parse errors,
+and non-finite numbers and boxes ``BoundingBox`` rejects as data errors.
+Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
+coordinates at fixed 2-decimal precision.
 """
 
 from __future__ import annotations
@@ -38,7 +39,15 @@ class MotDataError(MotFileError):
 
 
 def _rows(path) -> Iterable[tuple[int, list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as splitlines does below; the bytes before exc.start decode.
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise MotParseError(
+            f"not UTF-8 text at byte {exc.start}: {exc.reason}", path, lineno
+        ) from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:

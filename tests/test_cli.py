@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cbiou import cli, mot_io, scenarios, synth
+from cbiou import cli, metrics, mot_io, scenarios, synth
 from cbiou.tracker import TrackerConfig
 
 
@@ -88,3 +88,63 @@ def test_track_manifest_reproduces_the_run(tmp_path):
     rerun = ["track", "--dets", str(dets), "--out", str(second), "--config", str(config_file)]
     assert cli.main(rerun) == cli.EXIT_OK
     assert second.read_bytes() == first.read_bytes()
+
+
+def _write_eval_inputs(tmp_path, gt_text, res_text):
+    gt, res = tmp_path / "gt.txt", tmp_path / "res.txt"
+    gt.write_bytes(gt_text)
+    res.write_bytes(res_text)
+    return gt, res, ["eval", "--gt", str(gt), "--res", str(res), "--report", str(tmp_path / "report.txt")]
+
+
+GOOD_ROW = b"1,1,0,0,10,10,1,1,1.0\n"
+
+
+class TestInputErrors:
+    # w = h = 1e200 overflowed every similarity (was exit 2, no location)
+    HUGE_ROW = b"2,1,0,0,1e200,1e200,1,1,1.0\n"
+    # 0xff never occurs in UTF-8 (was exit 2 with only the codec message)
+    NOT_UTF8_ROW = b"2,1,0,\xff0,10,10,1,1,1.0\n"
+
+    @pytest.mark.parametrize("row", [HUGE_ROW, NOT_UTF8_ROW], ids=["huge_box", "not_utf8"])
+    def test_track_exits_with_data_error_and_location(self, tmp_path, capsys, row):
+        dets = tmp_path / "dets.txt"
+        dets.write_bytes(GOOD_ROW + row)
+        code = cli.main(["track", "--dets", str(dets), "--out", str(tmp_path / "out.txt")])
+        assert code == cli.EXIT_DATA
+        assert f"{dets}:2: " in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("row", [HUGE_ROW, NOT_UTF8_ROW], ids=["huge_box", "not_utf8"])
+    @pytest.mark.parametrize("bad", ["gt", "res"])
+    def test_eval_exits_with_data_error_and_location(self, tmp_path, capsys, row, bad):
+        gt_text = GOOD_ROW + (row if bad == "gt" else b"")
+        res_text = GOOD_ROW + (row if bad == "res" else b"")
+        gt, res, argv = _write_eval_inputs(tmp_path, gt_text, res_text)
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"{gt if bad == 'gt' else res}:2: " in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+
+def test_eval_report_appends_one_line_per_alpha(tmp_path, capsys):
+    # (0,0,7,1) vs (3,0,7,1) has IoU 0.4: detected up to alpha 0.4, missed above
+    gt, res, argv = _write_eval_inputs(
+        tmp_path,
+        b"".join(b"%d,1,0,0,7,1,1,1,1.0\n" % f for f in range(1, 5)),
+        b"".join(b"%d,5,3,0,7,1,1,-1,-1,-1\n" % f for f in range(1, 5)),
+    )
+    assert cli.main([*argv, "--pretty"]) == cli.EXIT_OK
+    lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+    report = metrics.evaluate(mot_io.read_ground_truth(gt), mot_io.read_results(res))
+    assert lines[:10] == cli.format_metrics_lines(report)
+    keys = [line.split(" = ")[0] for line in lines]
+    assert len(set(keys)) == len(keys) == 10 + len(metrics.ALPHAS)
+    assert lines[10] == "alpha_0.05 = hota 100.0 deta 100.0 assa 100.0"
+    assert lines[17] == "alpha_0.40 = hota 100.0 deta 100.0 assa 100.0"
+    assert lines[18] == "alpha_0.45 = hota 0.0 deta 0.0 assa 0.0"
+    assert lines[-1] == "alpha_0.95 = hota 0.0 deta 0.0 assa 0.0"
+    # the printed table keeps its five headline rows
+    assert capsys.readouterr().out.splitlines() == [
+        "metric   value",
+        *(f"{key:8s} {value}" for key, _, value in (line.partition(" = ") for line in lines[:5])),
+    ]

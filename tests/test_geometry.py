@@ -47,6 +47,14 @@ class TestBoxTypes:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, float("inf"), 1)
 
+    def test_rejects_corners_beyond_the_limit(self):
+        limit = geometry.MAX_ABS_COORDINATE
+        BoundingBox(-limit, -limit, 2 * limit, 2 * limit)
+        # at w = h = 1e154 the union overflows and self-IoU read 0
+        for args in ((0, 0, 1e154, 1e154), (-2 * limit, 0, limit, 1), (0, limit, 1, limit)):
+            with pytest.raises(ValueError, match="within"):
+                BoundingBox(*args)
+
     @given(
         st.floats(min_value=-1e18, max_value=1e18),
         st.floats(min_value=-1e18, max_value=1e18),
@@ -232,6 +240,23 @@ class TestMatrixForms:
         some = geometry.to_xyxy([BoundingBox(0, 0, 1, 1)])
         assert geometry.iou_matrix(empty, some).shape == (0, 1)
         assert geometry.biou_matrix(some, empty, 0.3).shape == (1, 0)
+
+    @pytest.mark.parametrize("buffer_scale", [0.0, 0.3, 0.4, 1000.0])
+    @pytest.mark.parametrize("kind", geometry.SIMILARITY_KINDS)
+    def test_every_kind_is_finite_at_the_coordinate_limit(self, kind, buffer_scale):
+        limit = geometry.MAX_ABS_COORDINATE
+        boxes = geometry.to_xyxy(
+            [
+                BoundingBox(-limit, -limit, 2 * limit, 2 * limit),
+                BoundingBox(limit / 2, limit / 2, limit / 2, limit / 2),
+                BoundingBox(-limit, limit / 2, limit / 4, limit / 2),
+                BoundingBox(0, 0, 1, 1),
+            ]
+        )
+        with np.errstate(all="raise"):
+            sim = geometry.similarity_matrix(kind, boxes, boxes, buffer_scale)
+        assert np.isfinite(sim).all()
+        assert (np.diag(sim) == 1.0).all()
 
     def test_similarity_matrix_dispatch(self):
         a = geometry.to_xyxy([BoundingBox(0, 0, 10, 10)])

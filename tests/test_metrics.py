@@ -1,9 +1,13 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cbiou import assignment, geometry, metrics
 from cbiou.geometry import BoundingBox, iou
 from cbiou.metrics import (
     ALPHAS,
@@ -279,3 +283,157 @@ class TestPooling:
         report = evaluate(single_track_gt(), id_switch_pred())
         assert isinstance(report, MetricsReport)
         assert len(report.per_alpha) == 19
+
+
+def per_alpha_solve_hota(gt, pred, alphas=ALPHAS):
+    """Reference HOTA: one assignment per frame and alpha, on the score
+    1 + IoU for pairs passing alpha and 0 otherwise, keeping passing pairs."""
+    frames = sorted(set(gt.frames) | set(pred.frames))
+    per_frame = []
+    gt_presence = Counter()
+    pred_presence = Counter()
+    for frame in frames:
+        g_rows = gt.frames.get(frame, ())
+        p_rows = pred.frames.get(frame, ())
+        for gid, _ in g_rows:
+            gt_presence[gid] += 1
+        for pid, _ in p_rows:
+            pred_presence[pid] += 1
+        if g_rows and p_rows:
+            sim = geometry.iou_matrix(
+                geometry.to_xyxy([b for _, b in g_rows]), geometry.to_xyxy([b for _, b in p_rows])
+            )
+            per_frame.append((tuple(g for g, _ in g_rows), tuple(p for p, _ in p_rows), sim))
+    gt_total = gt.box_count()
+    pred_total = pred.box_count()
+    per_alpha = []
+    for alpha in alphas:
+        pair_counts = Counter()
+        for gids, pids, sim in per_frame:
+            passing = sim >= alpha
+            if not passing.any():
+                continue
+            score = np.where(passing, 1.0 + sim, 0.0)
+            for i, j in assignment.solve(score):
+                if passing[i, j]:
+                    pair_counts[(gids[i], pids[j])] += 1
+        tp = sum(pair_counts.values())
+        fn = gt_total - tp
+        fp = pred_total - tp
+        denom = tp + fn + fp
+        if denom == 0:
+            deta_a = assa_a = 1.0
+        else:
+            deta_a = tp / denom
+            if tp == 0:
+                assa_a = 0.0
+            else:
+                weighted = 0.0
+                for (gid, pid), count in pair_counts.items():
+                    weighted += count * (count / (gt_presence[gid] + pred_presence[pid] - count))
+                assa_a = weighted / tp
+        per_alpha.append((alpha, math.sqrt(deta_a * assa_a), deta_a, assa_a))
+    n = len(per_alpha)
+    return (
+        sum(row[1] for row in per_alpha) / n,
+        sum(row[2] for row in per_alpha) / n,
+        sum(row[3] for row in per_alpha) / n,
+        tuple(per_alpha),
+    )
+
+
+def strip(x, w):
+    return BoundingBox(x, 0, w, 1)
+
+
+# Unit-height strips: IoU is interval overlap over interval union, so pairs hit
+# alphas exactly (strip(0, 7) vs strip(3, 7) is 0.4, strip(0, 7) vs
+# strip(0, 10) is 0.7), equal boxes tie, and several boxes crowd one frame.
+STRIPS = [strip(x, w) for x in (0, 2, 3, 5) for w in (5, 7, 10)] + [strip(100, 5)]
+
+
+def labelings(max_ids):
+    rows = st.lists(
+        st.tuples(st.integers(1, max_ids), st.sampled_from(STRIPS)),
+        max_size=4,
+        unique_by=lambda row: row[0],
+    )
+    return st.dictionaries(st.integers(1, 4), rows, max_size=4).map(SequenceAnnotations)
+
+
+alpha_grids = st.one_of(
+    st.just(ALPHAS),
+    st.lists(
+        st.one_of(st.sampled_from((0.05, 0.3, 0.4, 0.5, 0.7, 0.95)), st.floats(0.01, 1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+
+
+class TestHotaShortcut:
+    @settings(max_examples=300)
+    @given(labelings(4), labelings(5), alpha_grids)
+    # duplicated boxes on both sides: exact ties at every alpha
+    @example(
+        SequenceAnnotations({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
+        SequenceAnnotations({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
+        ALPHAS,
+    )
+    # 1x2 and 2x1 frames whose row or column passes 0.4 twice; IoU 0.4 and 0.7
+    # equal an alpha exactly; the custom alphas are unsorted and repeat
+    @example(
+        SequenceAnnotations({1: [(1, strip(0, 7))], 2: [(1, strip(0, 10)), (2, strip(3, 7))]}),
+        SequenceAnnotations({1: [(1, strip(0, 10)), (2, strip(3, 7))], 2: [(1, strip(0, 7))]}),
+        [0.7, 0.05, 0.4, 0.4, 0.95],
+    )
+    # matched pairs cross (row 0 with column 1 and row 1 with column 0), and
+    # the order in which they reach the pair counts decides how the AssA sum
+    # rounds
+    @example(
+        SequenceAnnotations(
+            {1: [(1, strip(3, 5)), (2, strip(0, 7))], 2: [(2, strip(5, 10)), (3, strip(0, 7))]}
+        ),
+        SequenceAnnotations(
+            {1: [(2, strip(5, 5)), (3, strip(3, 7))], 2: [(1, strip(0, 10)), (2, strip(3, 10))]}
+        ),
+        ALPHAS,
+    )
+    def test_equals_per_alpha_solve(self, gt, pred, alphas):
+        assert hota(gt, pred, alphas) == per_alpha_solve_hota(gt, pred, alphas)
+
+    def test_evaluate_builds_one_iou_matrix_per_frame(self, monkeypatch):
+        gt = SequenceAnnotations(
+            {1: [(1, box(0)), (2, box(30))], 2: [(1, box(2))], 3: [(1, box(4))], 5: []}
+        )
+        pred = SequenceAnnotations({1: [(7, box(1))], 3: [(7, box(5)), (8, box(60))], 4: [(7, box(6))]})
+        calls = Counter()
+        for module, name in (
+            (geometry, "iou_matrix"),
+            (metrics, "clear_mota"),
+            (metrics, "idf1"),
+            (metrics, "hota"),
+        ):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        evaluate(gt, pred)
+        # frames 1 and 3 have boxes on both sides; each metric is called
+        # through the module, where a tracer can wrap it
+        assert calls == {"iou_matrix": 2, "clear_mota": 1, "idf1": 1, "hota": 1}
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0, 500.0], ids=["equal", "one_to_one", "disjoint"])
+    def test_no_solve_where_passing_pairs_are_one_to_one(self, monkeypatch, shift):
+        gt = SequenceAnnotations({f: [(1, box(0)), (2, box(100)), (3, box(200))] for f in range(1, 6)})
+        pred = SequenceAnnotations(
+            {f: [(9, box(shift)), (8, box(100 + shift)), (7, box(200 + shift))] for f in range(1, 6)}
+        )
+        solves = []
+        real = assignment.solve
+        monkeypatch.setattr(assignment, "solve", lambda m: solves.append(m) or real(m))
+        hota(gt, pred)
+        assert solves == []

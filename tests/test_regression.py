@@ -13,6 +13,13 @@ from cbiou.synth import NoiseSpec
 from cbiou.tracker import TrackerConfig, run_sequence
 
 BENCH_DIGEST = "5afa372f16dfe8ea088988151170ed7f9d1cea1dbe8877ab5b7514b506e9d2c7"
+NOISE_STUDY_REPORT_DIGEST = "b10ca18d853cc27b9e02e09a1a8d174d16a97d5874eb6bf30a26f97ecac5de2f"
+ORACLE_REPORT_DIGEST = "f9e67b42242fee96c8312bb24a4aabd6f8e573e2720184d380676d0c35bb7c3a"
+
+
+def report_digest(report) -> str:
+    """sha256 of the whole report's repr: every field, per_alpha included."""
+    return hashlib.sha256(repr(report).encode("utf-8")).hexdigest()
 
 
 def test_bench_scenario_output_digest():
@@ -31,3 +38,17 @@ def test_noise_study_metrics_at_20_percent():
     assert report.mota == 0.5506666666666666
     assert report.idf1 == 0.46169630642954856
     assert report.idsw == 28
+
+
+def test_noise_study_full_report_at_20_percent():
+    config = experiments.variant_configs(TrackerConfig())["C-BIoU+motion"]
+    gt, dets = synth.generate(scenarios.noise_study_scenario(1))
+    noisy = synth.perturb(dets, NoiseSpec(0.2, 1), gt)
+    outputs = run_sequence(config, noisy)
+    report = metrics.evaluate(gt, SequenceAnnotations.from_frame_outputs(outputs))
+    assert report_digest(report) == NOISE_STUDY_REPORT_DIGEST
+
+
+def test_oracle_full_report_on_bench_scenario():
+    gt, _dets = synth.generate(scenarios.bench_scenario(30, 100, 7))
+    assert report_digest(metrics.evaluate(gt, gt)) == ORACLE_REPORT_DIGEST

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbiou import assignment, geometry, motion
+from cbiou import tracker as tracker_module
 from cbiou.geometry import BoundingBox, biou
 from cbiou.metrics import SequenceAnnotations, evaluate
 from cbiou.synth import ScenarioSpec, generate
@@ -173,17 +174,26 @@ class TestStep:
             every_frame = [out for out in run_sequence(cfg, present) if out.frame in present]
             assert direct == every_frame
 
-    def test_failed_step_leaves_tracker_unchanged(self):
-        # boxes 1e308 wide move by 5e307 per frame, so the next prediction overflows
+    def test_failed_step_leaves_tracker_unchanged(self, monkeypatch):
+        # Boxes within MAX_ABS_COORDINATE cannot make a prediction or a
+        # similarity overflow, so the failure is injected at each of the two
+        # calls that raise on one; the step to frame 4 also crosses a gap.
         cfg = TrackerConfig(similarity_kind="iou", cascade_enabled=False)
         tracker = CBiouTracker(cfg)
-        tracker.step(1, [det(1, 0, w=1e308, h=1e-10)])
-        tracker.step(2, [det(2, 5e307, w=1e308, h=1e-10)])
+        tracker.step(1, [det(1, 0)])
+        tracker.step(2, [det(2, 5)])
         before = tracker.tracks
         assert [tid for tid, _state, _age in before] == [1]
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            tracker.step(3, [det(3, 5e307, w=1e308, h=1e-10)])
-        assert tracker.tracks == before
+
+        def fail(*_args):
+            raise ValueError("non-finite values")
+
+        for owner, name in ((motion, "predict"), (tracker_module, "cascade_match")):
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fail)
+                with pytest.raises(ValueError, match="finite"):
+                    tracker.step(4, [det(4, 15)])
+            assert tracker.tracks == before
         with pytest.raises(ValueError, match="must increase"):
             tracker.step(2, [])
 
