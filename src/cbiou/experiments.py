@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
@@ -55,6 +54,9 @@ def track_and_evaluate(
 def _pool_map(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(item) for item in items]
+    # Imported on first use, so a serial run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as executor:
         return list(executor.map(fn, items))
 

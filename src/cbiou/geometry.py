@@ -16,11 +16,12 @@ import numpy as np
 SIMILARITY_KINDS = ("iou", "giou", "diou", "biou")
 
 # Largest |coordinate| a box corner may have. Below it a difference of two
-# coordinates, even after a BIoU buffer that scales a box by a factor up to
-# 1e50, stays below about 1e151, and a sum of a few of its squares below
-# 1e304: no similarity kind overflows float64 (max about 1.8e308). Real
-# images are many orders of magnitude smaller.
+# coordinates, even after a BIoU buffer of scale up to MAX_BUFFER_SCALE, stays
+# below about 1e151, and a sum of a few of its squares below 1e304: no
+# similarity kind overflows float64 (max about 1.8e308). Real images are many
+# orders of magnitude smaller.
 MAX_ABS_COORDINATE = 1e100
+MAX_BUFFER_SCALE = 1e50
 
 
 def _require_finite(name: str, value: float) -> float:

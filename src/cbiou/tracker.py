@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import assignment, geometry, motion
-from .geometry import SIMILARITY_KINDS, BoundingBox
+from .geometry import MAX_BUFFER_SCALE, SIMILARITY_KINDS, BoundingBox
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,16 @@ class TrackerConfig:
     motion_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.b1) or self.b1 < 0:
-            raise ValueError(f"b1 must be finite and >= 0, got {self.b1!r}")
-        if self.cascade_enabled:
-            if not math.isfinite(self.b2) or self.b2 <= self.b1:
+        for name in ("b1", "b2"):
+            scale = getattr(self, name)
+            if not (math.isfinite(scale) and 0 <= scale <= MAX_BUFFER_SCALE):
                 raise ValueError(
-                    f"cascaded matching requires b1 < b2, got b1={self.b1!r}, b2={self.b2!r}"
+                    f"{name} must be finite and in [0, {MAX_BUFFER_SCALE:g}], got {scale!r}"
                 )
+        if self.cascade_enabled and self.b2 <= self.b1:
+            raise ValueError(
+                f"cascaded matching requires b1 < b2, got b1={self.b1!r}, b2={self.b2!r}"
+            )
         if int(self.max_age) != self.max_age or self.max_age < 1:
             raise ValueError(f"max_age must be an integer >= 1, got {self.max_age!r}")
         if int(self.n_max) != self.n_max or self.n_max < 2:

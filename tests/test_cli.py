@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import cbiou
 from cbiou import cli, metrics, mot_io, scenarios, synth
 from cbiou.tracker import TrackerConfig
 
@@ -148,3 +154,69 @@ def test_eval_report_appends_one_line_per_alpha(tmp_path, capsys):
         "metric   value",
         *(f"{key:8s} {value}" for key, _, value in (line.partition(" = ") for line in lines[:5])),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--b1", "1e300", "--b2", "2e300"], "b1"),
+        (["--b2", "2e300"], "b2"),
+        (["--no-cascade", "--b2", "nan"], "b2"),
+    ],
+    ids=["b1", "b2", "unused_b2"],
+)
+def test_buffer_scale_out_of_range_is_a_config_error(tmp_path, capsys, argv, name):
+    # Huge scales overflowed every similarity (numpy warnings, then exit 2
+    # naming no option); an unused NaN b2 reached the manifest as bare NaN.
+    dets = tmp_path / "dets.txt"
+    dets.write_text("1,-1,0,0,10,10,1\n1,-1,20,0,10,10,1\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt"), *argv])
+    assert code == cli.EXIT_USAGE
+    assert f"error: {name} must be finite and in [0, 1e+50]" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# Runs in a fresh interpreter: records whether scipy.optimize is loaded after
+# a bare ``import cbiou``, after ``import cbiou.cli`` and after each command.
+SCIPY_PROBE = """
+import json, sys
+import cbiou
+loaded = {"import cbiou": "scipy.optimize" in sys.modules}
+from cbiou import cli
+loaded["import cbiou.cli"] = "scipy.optimize" in sys.modules
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    codes[argv[0]] = cli.main(argv)
+    loaded[argv[0]] = "scipy.optimize" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_track_and_eval_on_oracle_files_leave_scipy_unloaded(tmp_path):
+    # Sparse oracle scenes, as in the benchmark's cli_oracle workload: every
+    # matching reduces to forced pairs and tiny cores.
+    spec = scenarios.bench_scenario(10, 200, 3)
+    width, height = spec.arena
+    gt, dets = synth.generate(replace(spec, arena=(4 * width, 4 * height)))
+    paths = {name: tmp_path / f"{name}.txt" for name in ("dets", "gt", "res", "report")}
+    mot_io.write_detections(paths["dets"], dets)
+    mot_io.write_ground_truth(paths["gt"], gt)
+    commands = [
+        ["track", "--dets", str(paths["dets"]), "--out", str(paths["res"])],
+        ["eval", "--gt", str(paths["gt"]), "--res", str(paths["res"]), "--report", str(paths["report"])],
+    ]
+    src = str(Path(cbiou.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == {"track": cli.EXIT_OK, "eval": cli.EXIT_OK}
+    assert result["loaded"] == {"import cbiou": False, "import cbiou.cli": False, "track": False, "eval": False}
+    assert paths["report"].read_text(encoding="utf-8").startswith("hota = 100.0\n")
