@@ -1,7 +1,7 @@
 """Command-line interface wiring the tracker, metrics, and synthetic data
 into runnable experiments.
 
-Subcommands: track, eval, grid, compare, perturb, bench. Every run writes a
+Subcommands: track, eval, grid, compare, perturb. Every run writes a
 JSON manifest next to its output with the fully resolved configuration, so a
 run can be reproduced from the manifest alone. Exit codes: 0 success, 2
 argument/configuration errors, 3 data errors, 4 I/O errors.
@@ -14,10 +14,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from . import __version__, experiments, metrics, mot_io, scenarios, synth, tracker
+from . import __version__, experiments, metrics, mot_io, synth, tracker
 from .experiments import VARIANT_ORDER
 from .metrics import MetricsReport
 from .mot_io import MotFileError
@@ -299,38 +299,6 @@ def cmd_perturb(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    start = time.perf_counter()
-    config = resolve_config(args)
-    spec = scenarios.bench_scenario(args.objects, args.frames, args.seed)
-    _gt, dets = synth.generate(spec)
-    result = experiments.run_bench(config, dets, num_objects=args.objects)
-    lines = [
-        "command = bench",
-        f"objects = {result.objects}",
-        f"frames = {result.frames}",
-        f"elapsed_s = {result.elapsed_s:.4f}",
-        f"fps = {result.fps:.1f}",
-        f"updates_per_s = {result.updates_per_s:.1f}",
-        f"seed = {args.seed}",
-        f"output_digest = {result.output_digest}",
-    ]
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    write_manifest(
-        args.report,
-        {
-            "command": "bench",
-            "config": asdict(config),
-            "options": {"objects": args.objects, "frames": args.frames, "seed": args.seed},
-            "outputs": {"report": str(args.report)},
-            "timings": {"wall_s": time.perf_counter() - start, "tracker_s": result.elapsed_s},
-        },
-    )
-    return EXIT_OK
-
-
 def _add_config_options(sub, with_buffers: bool = True) -> None:
     sub.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR} if set)")
     if with_buffers:
@@ -391,13 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratified", action="store_true", help="draw removals per frame")
     p.set_defaults(handler=cmd_perturb)
 
-    p = subs.add_parser("bench", help="measure tracker-only throughput")
-    p.add_argument("--objects", type=int, required=True)
-    p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default="bench_report.txt")
-    _add_config_options(p)
-    p.set_defaults(handler=cmd_bench)
     return parser
 
 

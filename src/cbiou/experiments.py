@@ -1,5 +1,5 @@
 """Experiment drivers shared by the CLI and scripts: tracker-variant
-comparison, buffer-scale grid search, and throughput benchmarking.
+comparison and buffer-scale grid search.
 
 Grid and comparison cells are pure functions of (config, sequences), so they
 may be evaluated in parallel; results are reduced in a fixed order and equal
@@ -8,15 +8,13 @@ the serial ones.
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
-from . import metrics, mot_io, tracker
+from . import metrics, tracker
 from .metrics import MetricsReport, SequenceAnnotations
-from .tracker import CBiouTracker, Detection, TrackerConfig
+from .tracker import Detection, TrackerConfig
 
 VARIANT_ORDER = ("IoU", "GIoU", "DIoU", "BIoU", "C-BIoU", "C-BIoU+motion")
 
@@ -109,41 +107,3 @@ def run_grid(
             best_idx = i
     best = (scores[best_idx][0], scores[best_idx][1])
     return GridResult(scores=scores, best=best, best_hota=scores[best_idx][2].hota)
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    frames: int
-    objects: int
-    elapsed_s: float
-    fps: float
-    updates_per_s: float
-    output_digest: str
-
-
-def run_bench(
-    config: TrackerConfig,
-    detections_by_frame: Mapping[int, Sequence[Detection]],
-    num_objects: int,
-) -> BenchResult:
-    """Time the tracker stepping loop only; detection lists are materialized
-    up front and no I/O happens in the timed region."""
-    frames = sorted(detections_by_frame)
-    if not frames:
-        raise ValueError("benchmark workload has no frames")
-    frame_range = list(range(frames[0], frames[-1] + 1))
-    det_lists = [list(detections_by_frame.get(f, ())) for f in frame_range]
-    trk = CBiouTracker(config)
-    start = time.perf_counter()
-    outputs = [trk.step(f, dets) for f, dets in zip(frame_range, det_lists)]
-    elapsed = time.perf_counter() - start
-    digest = hashlib.sha256("".join(mot_io.result_lines(outputs)).encode("utf-8")).hexdigest()
-    n = len(frame_range)
-    return BenchResult(
-        frames=n,
-        objects=num_objects,
-        elapsed_s=elapsed,
-        fps=n / elapsed,
-        updates_per_s=num_objects * n / elapsed,
-        output_digest=digest,
-    )

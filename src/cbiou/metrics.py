@@ -1,15 +1,19 @@
 """Tracking evaluation: HOTA (with DetA/AssA), CLEAR-MOT accuracy, and IDF1.
 
 All metrics consume two per-frame labelings (ground truth and predictions) of
-(identity, box) pairs. Scores are single-sequence; to evaluate several
-sequences together, pool them with ``evaluate_many`` which merges them onto
-disjoint frame/identity ranges so raw counts pool rather than ratios average.
+(identity, box) pairs, as ``SequenceAnnotations``. The metrics read their
+``LabelArrays`` form: int64 frames and ids, and corner-form boxes in one
+(N, 4) array, rows grouped by frame; the ``BoundingBox`` form is for API
+callers. Scores are single-sequence; to evaluate several sequences
+together, pool them with ``evaluate_many`` which merges them onto disjoint
+frame/identity ranges so raw counts pool rather than ratios average.
 
 ``evaluate`` aligns the two labelings once: for every frame with boxes on
-both sides it keeps the ids, the IoU matrix and the matrix's conflict level
-(its largest second-highest entry over all rows and columns), plus per-id
-presence counts and box totals. ``clear_mota``, ``idf1`` and ``hota`` all
-read that table; called on their own, each builds it.
+both sides it keeps the ids, the IoU matrix of the two row ranges' corner
+boxes and the matrix's conflict level (its largest second-highest entry over
+all rows and columns), plus per-id presence counts and box totals.
+``clear_mota``, ``idf1`` and ``hota`` all read that table; called on their
+own, each builds it.
 
 HOTA matches each frame at every alpha with scores 1 + IoU for pairs whose
 IoU passes alpha and 0 otherwise. At an alpha above the frame's conflict
@@ -35,11 +39,47 @@ ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 DEFAULT_IOU_THRESHOLD = 0.5
 
 
+class LabelArrays(NamedTuple):
+    """One sequence's labels as read-only arrays, rows grouped by ascending
+    frame and in their given order within a frame.
+
+    ``frame_keys`` lists every frame the labels name, frames without rows
+    included; ``row_frames`` (N,) is each row's frame and ``ids`` (N,) its
+    identity, all int64. ``tlwh`` (N, 4) is each box as given and ``xyxy``
+    (N, 4) the same box in corner form.
+    """
+
+    frame_keys: np.ndarray
+    row_frames: np.ndarray
+    ids: np.ndarray
+    tlwh: np.ndarray
+    xyxy: np.ndarray
+
+    @classmethod
+    def build(cls, frame_keys, row_frames, ids, tlwh) -> "LabelArrays":
+        tlwh = np.asarray(tlwh, dtype=float).reshape(-1, 4)
+        x, y, w, h = tlwh.T
+        arrays = cls(
+            np.asarray(frame_keys, dtype=np.int64),
+            np.asarray(row_frames, dtype=np.int64),
+            np.asarray(ids, dtype=np.int64),
+            tlwh,
+            np.column_stack((x, y, x + w, y + h)),
+        )
+        for values in arrays:
+            values.flags.writeable = False
+        return arrays
+
+
 class SequenceAnnotations:
     """Per-frame (identity, box) labels for one sequence.
 
     Within a frame each identity may appear at most once; duplicates are a
-    data error.
+    data error. The labels have two forms, each built from the other on
+    first use: ``frames``, per-frame (identity, ``BoundingBox``) rows for
+    API callers, and ``arrays``, the ``LabelArrays`` the metrics read. The
+    file readers build only ``arrays``, so evaluating files builds no box
+    objects.
     """
 
     def __init__(self, frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]):
@@ -55,22 +95,63 @@ class SequenceAnnotations:
                 seen.add(identity)
                 rows.append((identity, box))
             normalized[frame] = tuple(rows)
-        self._frames = normalized
+        self._frames: dict[int, tuple[tuple[int, BoundingBox], ...]] | None = normalized
+        self._arrays: LabelArrays | None = None
+
+    @classmethod
+    def from_arrays(cls, frame_keys, row_frames, ids, tlwh) -> "SequenceAnnotations":
+        """Labels from rows already grouped by ascending frame, with
+        ``frame_keys`` ascending and naming every row's frame; the rows are
+        taken as they are, without the duplicate check."""
+        self = cls.__new__(cls)
+        self._frames = None
+        self._arrays = LabelArrays.build(frame_keys, row_frames, ids, tlwh)
+        return self
 
     @property
     def frames(self) -> dict[int, tuple[tuple[int, BoundingBox], ...]]:
+        if self._frames is None:
+            arrays = self._arrays
+            ends = np.searchsorted(arrays.row_frames, arrays.frame_keys, side="right").tolist()
+            ids = arrays.ids.tolist()
+            boxes = [BoundingBox(*row) for row in arrays.tlwh.tolist()]
+            self._frames = {
+                frame: tuple(zip(ids[start:end], boxes[start:end]))
+                for frame, start, end in zip(arrays.frame_keys.tolist(), [0, *ends], ends)
+            }
         return self._frames
 
+    @property
+    def arrays(self) -> LabelArrays:
+        if self._arrays is None:
+            frames = self._frames
+            keys = sorted(frames)
+            rows = [row for frame in keys for row in frames[frame]]
+            try:
+                self._arrays = LabelArrays.build(
+                    keys,
+                    np.repeat(np.array(keys, dtype=np.int64), [len(frames[f]) for f in keys]),
+                    [identity for identity, _ in rows],
+                    [(box.x, box.y, box.w, box.h) for _, box in rows],
+                )
+            except OverflowError:
+                raise ValueError("frames and identities must fit in 64 bits") from None
+        return self._arrays
+
     def box_count(self) -> int:
-        return sum(len(rows) for rows in self._frames.values())
+        return len(self.arrays.ids)
 
     def identities(self) -> set[int]:
-        return {identity for rows in self._frames.values() for identity, _ in rows}
+        return set(self.arrays.ids.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SequenceAnnotations):
             return NotImplemented
-        return self._frames == other._frames
+        # Equal rows give equal corners: xyxy need not be compared.
+        return all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.arrays[:4], other.arrays[:4])
+        )
 
     @classmethod
     def from_frame_outputs(cls, outputs) -> "SequenceAnnotations":
@@ -100,16 +181,12 @@ class MetricsReport:
     per_alpha: tuple[tuple[float, float, float, float], ...]  # (alpha, hota, deta, assa)
 
 
-def _boxes(rows: Sequence[tuple[int, BoundingBox]]) -> np.ndarray:
-    return geometry.to_xyxy([box for _, box in rows])
-
-
 class _Frame(NamedTuple):
     """One frame with boxes on both sides: ids in row/column order, their
     IoU matrix and its conflict level."""
 
-    gids: tuple[int, ...]
-    pids: tuple[int, ...]
+    gids: list[int]
+    pids: list[int]
     sim: np.ndarray
     conflict: float
 
@@ -142,20 +219,21 @@ def _conflict_level(sim: np.ndarray) -> float:
 
 
 def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _FrameTable:
+    g, p = gt.arrays, pred.arrays
+    gt_ids = g.ids.tolist()
+    pred_ids = p.ids.tolist()
+    # Frames with rows on both sides, ascending, and each side's row range.
+    common = np.intersect1d(g.row_frames, p.row_frames)
+    bounds = [
+        np.searchsorted(labels.row_frames, common, side=side).tolist()
+        for labels in (g, p)
+        for side in ("left", "right")
+    ]
     frames: list[_Frame] = []
-    gt_presence: Counter[int] = Counter()
-    pred_presence: Counter[int] = Counter()
-    for frame in sorted(set(gt.frames) | set(pred.frames)):
-        g_rows = gt.frames.get(frame, ())
-        p_rows = pred.frames.get(frame, ())
-        gids = tuple(g for g, _ in g_rows)
-        pids = tuple(p for p, _ in p_rows)
-        gt_presence.update(gids)
-        pred_presence.update(pids)
-        if g_rows and p_rows:
-            sim = geometry.iou_matrix(_boxes(g_rows), _boxes(p_rows))
-            frames.append(_Frame(gids, pids, sim, _conflict_level(sim)))
-    return _FrameTable(frames, gt_presence, pred_presence, gt.box_count(), pred.box_count())
+    for g0, g1, p0, p1 in zip(*bounds):
+        sim = geometry.iou_matrix(g.xyxy[g0:g1], p.xyxy[p0:p1])
+        frames.append(_Frame(gt_ids[g0:g1], pred_ids[p0:p1], sim, _conflict_level(sim)))
+    return _FrameTable(frames, Counter(gt_ids), Counter(pred_ids), len(gt_ids), len(pred_ids))
 
 
 def clear_mota(
@@ -327,36 +405,51 @@ def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsRepor
     )
 
 
+def _rebase(values: np.ndarray, lo: int, base: int) -> np.ndarray:
+    """``values - lo + base`` in int64, for ``lo <= values.min()``; raises
+    ``ValueError`` where the result would not fit."""
+    if values.size and base + int(values.max()) - lo > np.iinfo(np.int64).max:
+        raise ValueError("pooled frames or identities do not fit in 64 bits")
+    return (values - np.int64(lo)) + np.int64(base)
+
+
 def pool_sequences(
     pairs: Sequence[tuple[SequenceAnnotations, SequenceAnnotations]],
 ) -> tuple[SequenceAnnotations, SequenceAnnotations]:
     """Merge (gt, pred) sequence pairs onto disjoint frame and identity ranges.
 
-    Evaluating the merged pair pools raw counts across sequences, which is the
-    standard multi-sequence aggregation (not an average of per-sequence
-    ratios).
+    Each pair's frames move to follow the previous pair's, keeping their
+    gaps. Each side's identities move by that side's running base: to
+    ``base + id`` when none is negative, ``base + id - min(id)`` otherwise,
+    and the base then passes the largest moved identity. Evaluating the
+    merged pair pools raw counts across sequences, which is the standard
+    multi-sequence aggregation (not an average of per-sequence ratios).
     """
-    merged_gt: dict[int, list[tuple[int, BoundingBox]]] = {}
-    merged_pred: dict[int, list[tuple[int, BoundingBox]]] = {}
+    empty = (np.zeros(0, np.int64),) * 3 + (np.zeros((0, 4)),)
+    parts = ([empty], [empty])
     frame_base = 0
-    gt_id_base = 0
-    pred_id_base = 0
+    id_bases = [0, 0]
     for gt, pred in pairs:
-        all_frames = set(gt.frames) | set(pred.frames)
-        if not all_frames:
+        sides = (gt.arrays, pred.arrays)
+        keys = np.union1d(sides[0].frame_keys, sides[1].frame_keys)
+        if not keys.size:
             continue
-        lo, hi = min(all_frames), max(all_frames)
-        offset = frame_base + 1 - lo
-        for frame, rows in gt.frames.items():
-            merged_gt[frame + offset] = [(gt_id_base + i, box) for i, box in rows]
-        for frame, rows in pred.frames.items():
-            merged_pred[frame + offset] = [(pred_id_base + i, box) for i, box in rows]
+        lo, hi = int(keys[0]), int(keys[-1])
+        for side, labels in enumerate(sides):
+            id_lo = min(0, int(labels.ids.min())) if labels.ids.size else 0
+            parts[side].append(
+                (
+                    _rebase(labels.frame_keys, lo, frame_base + 1),
+                    _rebase(labels.row_frames, lo, frame_base + 1),
+                    _rebase(labels.ids, id_lo, id_bases[side]),
+                    labels.tlwh,
+                )
+            )
+            if labels.ids.size:
+                id_bases[side] += int(labels.ids.max()) - id_lo + 1
         frame_base += hi - lo + 1
-        gt_ids = gt.identities()
-        pred_ids = pred.identities()
-        gt_id_base += max(gt_ids) + 1 if gt_ids else 0
-        pred_id_base += max(pred_ids) + 1 if pred_ids else 0
-    return SequenceAnnotations(merged_gt), SequenceAnnotations(merged_pred)
+    merged = [SequenceAnnotations.from_arrays(*map(np.concatenate, zip(*part))) for part in parts]
+    return merged[0], merged[1]
 
 
 def evaluate_many(

@@ -2,9 +2,22 @@
 
 Detections: ``frame,id,x,y,w,h,conf,-1,-1,-1`` with id -1 for raw detector
 output. Ground truth: ``frame,id,x,y,w,h,active,class,visibility``. Readers
-tolerate 6 to 10 columns (missing conf and visibility default to 1.0) and
-CR/LF line endings. They reject bytes that are not UTF-8 as parse errors,
-and non-finite numbers and boxes ``BoundingBox`` rejects as data errors.
+tolerate 6 to 10 columns (missing conf, active and visibility default to 1)
+and CR/LF line endings, and ignore the columns they do not read.
+
+Each reader parses its file once into one float array, a row per box and a
+column per field it reads, next to the line number of every row. The row
+checks run as array operations over the columns: finite numbers, integer
+frames and ids, frame >= 1, positive extents also in corner form, corners
+within ``MAX_ABS_COORDINATE``, real result ids, and one ground-truth or
+result row per (frame, id). Frames and ids are int64, and one outside int64
+is a data error; one at or beyond 2**53 in magnitude, where float64 rounds,
+is read again exactly. The earliest failing line is reported, as
+``_check_row`` words it for one row: bytes that are not UTF-8 and rows that
+do not parse as parse errors, the rest as data errors. Ground truth and
+results become ``SequenceAnnotations`` arrays without a ``BoundingBox`` per
+row; detections become ``Detection`` lists for the tracker.
+
 Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
 coordinates at fixed 2-decimal precision.
 """
@@ -12,12 +25,20 @@ coordinates at fixed 2-decimal precision.
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .geometry import BoundingBox
+import numpy as np
+
+from .geometry import MAX_ABS_COORDINATE, BoundingBox
 from .metrics import SequenceAnnotations
 from .tracker import Detection, FrameOutput
+
+_INT64 = np.iinfo(np.int64)
+# Frames and ids of this magnitude or more may have been rounded by float64.
+_FLOAT_EXACT = 2.0**53
+_CHUNK_FLOATS = 8192
 
 
 class MotFileError(ValueError):
@@ -38,7 +59,25 @@ class MotDataError(MotFileError):
     """A row that parses but violates a data invariant."""
 
 
-def _rows(path) -> Iterable[tuple[int, list[str]]]:
+class _Layout(NamedTuple):
+    """The columns a reader reads after frame, id, x, y, w and h, as
+    (name, column, default when the row is shorter, integer); whether ids
+    label boxes, so that a (frame, id) appears once; and whether they must
+    be real (>= 0)."""
+
+    extras: tuple[tuple[str, int, float, bool], ...]
+    labels: bool
+    real_ids: bool
+
+
+_DETECTIONS = _Layout((("conf", 6, 1.0, False),), labels=False, real_ids=False)
+_GROUND_TRUTH = _Layout(
+    (("active", 6, 1.0, True), ("visibility", 8, 1.0, False)), labels=True, real_ids=False
+)
+_RESULTS = _Layout((), labels=True, real_ids=True)
+
+
+def _lines(path) -> list[str]:
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -48,11 +87,7 @@ def _rows(path) -> Iterable[tuple[int, list[str]]]:
         raise MotParseError(
             f"not UTF-8 text at byte {exc.start}: {exc.reason}", path, lineno
         ) from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        yield lineno, [field.strip() for field in line.split(",")]
+    return text.splitlines()
 
 
 def _parse_int(path, lineno: int, name: str, field: str) -> int:
@@ -76,13 +111,23 @@ def _parse_float(path, lineno: int, name: str, field: str) -> float:
     return value
 
 
-def _parse_common(path, lineno: int, fields: list[str]):
+def _check_row(path, lineno: int, line: str, layout: _Layout) -> tuple:
+    """Check one non-blank row as ``layout`` reads it, one field at a time.
+
+    Returns (frame, id, x, y, w, h, *extras) with exact integer frame and id,
+    or raises the row's first fault. This is the reference the array checks
+    in ``_faults`` follow, and it words their errors.
+    """
+    fields = [field.strip() for field in line.strip().split(",")]
     if not 6 <= len(fields) <= 10:
         raise MotParseError(
             f"expected 6 to 10 comma-separated fields, got {len(fields)}", path, lineno
         )
     frame = _parse_int(path, lineno, "frame", fields[0])
     identity = _parse_int(path, lineno, "id", fields[1])
+    for name, value in (("frame", frame), ("id", identity)):
+        if not _INT64.min <= value <= _INT64.max:
+            raise MotDataError(f"{name} must fit in 64 bits, got {value}", path, lineno)
     x = _parse_float(path, lineno, "x", fields[2])
     y = _parse_float(path, lineno, "y", fields[3])
     w = _parse_float(path, lineno, "w", fields[4])
@@ -92,10 +137,136 @@ def _parse_common(path, lineno: int, fields: list[str]):
     if w <= 0 or h <= 0:
         raise MotDataError(f"box extents must be positive, got w={w}, h={h}", path, lineno)
     try:
-        box = BoundingBox(x, y, w, h)
+        BoundingBox(x, y, w, h)
     except ValueError as exc:
         raise MotDataError(str(exc), path, lineno) from None
-    return frame, identity, box
+    extras = [
+        (_parse_int if integer else _parse_float)(path, lineno, name, fields[column])
+        if column < len(fields)
+        else default
+        for name, column, default, integer in layout.extras
+    ]
+    if layout.real_ids and identity < 0:
+        raise MotDataError(f"result rows need a real track id, got {identity}", path, lineno)
+    return (frame, identity, x, y, w, h, *extras)
+
+
+def _convert(path, lines: list[str], layout: _Layout):
+    """Convert each non-blank line's read columns to floats.
+
+    Returns the (rows, columns) values, the line number of each row, and the
+    fault of the first line that does not convert (None if all do). Lines
+    the fast conversion rejects, blank ones and short ones go through
+    ``_check_row``, which supplies defaults and words the fault.
+    """
+    columns = (0, 1, 2, 3, 4, 5, *(column for _name, column, _default, _int in layout.extras))
+    pick = operator.itemgetter(*columns)
+    last, width = columns[-1], len(columns)
+    # Floats move to numpy a chunk at a time: a whole file's fields as
+    # Python floats would raise the peak memory of a read.
+    chunks, floats, linenos = [], [], []
+    fault = None
+    for lineno, line in enumerate(lines, start=1):
+        if len(floats) >= _CHUNK_FLOATS:
+            chunks.append(np.array(floats, dtype=float))
+            floats.clear()
+        fields = line.split(",")
+        if last < len(fields) <= 10:
+            try:
+                floats.extend(map(float, pick(fields)))
+                linenos.append(lineno)
+                continue
+            except ValueError:
+                # extend keeps the fields converted before the fault.
+                del floats[len(floats) - len(floats) % width :]
+        if not line.strip():
+            continue
+        try:
+            floats.extend(map(float, _check_row(path, lineno, line, layout)))
+        except MotFileError as exc:
+            fault = exc
+            break
+        linenos.append(lineno)
+    chunks.append(np.array(floats, dtype=float))
+    return np.concatenate(chunks).reshape(-1, width), linenos, fault
+
+
+def _faults(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Rows that fail a row check, and rows whose frame or id float64 may
+    have rounded, which ``_check_row`` must read again; one bool per row."""
+    frame, identity, x, y, w, h = values[:, :6].T
+    integers = values[:, [0, 1, *(6 + k for k, extra in enumerate(layout.extras) if extra[3])]]
+    limit = MAX_ABS_COORDINATE
+    with np.errstate(invalid="ignore", over="ignore"):
+        x2, y2 = x + w, y + h
+        ok = (
+            np.isfinite(values).all(axis=1)
+            & (integers == np.floor(integers)).all(axis=1)
+            & (np.abs(values[:, :2]) < _FLOAT_EXACT).all(axis=1)
+            & (frame >= 1)
+            # x < x + w also holds w > 0 (and y < y + h, h > 0)
+            & (-limit <= x)
+            & (x < x2)
+            & (x2 <= limit)
+            & (-limit <= y)
+            & (y < y2)
+            & (y2 <= limit)
+        )
+    if layout.real_ids:
+        ok &= identity >= 0
+    return ~ok
+
+
+def _first_duplicate(frames: np.ndarray, ids: np.ndarray) -> tuple[int, int] | None:
+    """(row, earlier row) of the first row, in row order, whose (frame, id)
+    an earlier row has; None if every pair is unique."""
+    order = np.lexsort((np.arange(len(frames)), ids, frames))
+    frames, ids = frames[order], ids[order]
+    repeat = np.r_[False, (frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])]
+    if not repeat.any():
+        return None
+    # Sorted runs hold one (frame, id) each, in row order: a run's first row
+    # came first.
+    run_start = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(order))))
+    repeats = np.flatnonzero(repeat)
+    later = repeats[np.argmin(order[repeats])]
+    return int(order[later]), int(order[run_start[later]])
+
+
+def _read(path, layout: _Layout, keep=None):
+    """Parse and check ``path``; return the frames, ids and values of the
+    rows that stay.
+
+    ``keep`` maps values to the mask of rows that stay (default: all); the
+    duplicate check of labelled rows sees only those. Raises the
+    ``MotFileError`` of the earliest failing line.
+    """
+    lines = _lines(path)
+    values, linenos, fault = _convert(path, lines, layout)
+    suspect = _faults(values, layout)
+    # Unsuspected rows hold integer frames and ids that float64 keeps exact.
+    frames, ids = np.where(suspect[:, None], 0.0, values[:, :2]).astype(np.int64).T
+    checked = len(values)
+    for row in np.flatnonzero(suspect).tolist():
+        lineno = linenos[row]
+        try:
+            frames[row], ids[row] = _check_row(path, lineno, lines[lineno - 1], layout)[:2]
+        except MotFileError as exc:
+            # Every converted row comes before a line that did not convert.
+            fault, checked = exc, row
+            break
+    rows = np.arange(checked) if keep is None else np.flatnonzero(keep(values[:checked]))
+    duplicate = _first_duplicate(frames[rows], ids[rows]) if layout.labels else None
+    if duplicate is not None:
+        later, first = rows[duplicate[0]], rows[duplicate[1]]
+        raise MotDataError(
+            f"duplicate (frame={frames[later]}, id={ids[later]}) also present at line {linenos[first]}",
+            path,
+            linenos[later],
+        )
+    if fault is not None:
+        raise fault
+    return frames[rows], ids[rows], values[rows]
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
@@ -103,57 +274,41 @@ def read_detections(path) -> dict[int, list[Detection]]:
 
     The id column is ignored; a missing confidence column defaults to 1.0.
     """
+    frames, _ids, values = _read(path, _DETECTIONS)
     grouped: dict[int, list[Detection]] = {}
-    for lineno, fields in _rows(path):
-        frame, _identity, box = _parse_common(path, lineno, fields)
-        conf = _parse_float(path, lineno, "conf", fields[6]) if len(fields) > 6 else 1.0
-        grouped.setdefault(frame, []).append(Detection(frame=frame, box=box, confidence=conf))
+    for frame, x, y, w, h, conf in zip(frames.tolist(), *values[:, 2:].T.tolist()):
+        grouped.setdefault(frame, []).append(
+            Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf)
+        )
     return {frame: grouped[frame] for frame in sorted(grouped)}
+
+
+def _annotations(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> SequenceAnnotations:
+    order = np.argsort(frames, kind="stable")
+    row_frames = frames[order]
+    return SequenceAnnotations.from_arrays(
+        np.unique(row_frames), row_frames, ids[order], values[order, 2:6]
+    )
 
 
 def read_ground_truth(path, min_visibility: float | None = None) -> SequenceAnnotations:
     """Read a ground-truth file; drops rows with active = 0 and, when a
     threshold is given, rows below the visibility threshold."""
-    frames: dict[int, list[tuple[int, BoundingBox]]] = {}
-    first_line: dict[tuple[int, int], int] = {}
-    for lineno, fields in _rows(path):
-        frame, identity, box = _parse_common(path, lineno, fields)
-        active = _parse_int(path, lineno, "active", fields[6]) if len(fields) > 6 else 1
-        visibility = _parse_float(path, lineno, "visibility", fields[8]) if len(fields) > 8 else 1.0
-        if active == 0:
-            continue
-        if min_visibility is not None and visibility < min_visibility:
-            continue
-        key = (frame, identity)
-        if key in first_line:
-            raise MotDataError(
-                f"duplicate (frame={frame}, id={identity}) also present at line {first_line[key]}",
-                path,
-                lineno,
-            )
-        first_line[key] = lineno
-        frames.setdefault(frame, []).append((identity, box))
-    return SequenceAnnotations(frames)
+    if min_visibility is not None and not math.isfinite(min_visibility):
+        raise ValueError(f"min_visibility must be finite, got {min_visibility!r}")
+
+    def keep(values: np.ndarray) -> np.ndarray:
+        kept = values[:, 6] != 0
+        if min_visibility is not None:
+            kept &= values[:, 7] >= min_visibility
+        return kept
+
+    return _annotations(*_read(path, _GROUND_TRUTH, keep))
 
 
 def read_results(path) -> SequenceAnnotations:
     """Read a tracker results file; the confidence column is ignored."""
-    frames: dict[int, list[tuple[int, BoundingBox]]] = {}
-    first_line: dict[tuple[int, int], int] = {}
-    for lineno, fields in _rows(path):
-        frame, identity, box = _parse_common(path, lineno, fields)
-        if identity < 0:
-            raise MotDataError(f"result rows need a real track id, got {identity}", path, lineno)
-        key = (frame, identity)
-        if key in first_line:
-            raise MotDataError(
-                f"duplicate (frame={frame}, id={identity}) also present at line {first_line[key]}",
-                path,
-                lineno,
-            )
-        first_line[key] = lineno
-        frames.setdefault(frame, []).append((identity, box))
-    return SequenceAnnotations(frames)
+    return _annotations(*_read(path, _RESULTS))
 
 
 def result_lines(outputs: Iterable[FrameOutput]) -> list[str]:

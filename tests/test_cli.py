@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import cbiou
-from cbiou import cli, metrics, mot_io, scenarios, synth
+from cbiou import cli, metrics, mot_io, scenarios, synth, tracker
+from cbiou.geometry import BoundingBox
 from cbiou.tracker import TrackerConfig
 
 
@@ -220,3 +221,28 @@ def test_track_and_eval_on_oracle_files_leave_scipy_unloaded(tmp_path):
     assert result["codes"] == {"track": cli.EXIT_OK, "eval": cli.EXIT_OK}
     assert result["loaded"] == {"import cbiou": False, "import cbiou.cli": False, "track": False, "eval": False}
     assert paths["report"].read_text(encoding="utf-8").startswith("hota = 100.0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_min_visibility(tmp_path, capsys, value):
+    # NaN compared false with every visibility, so it silently kept every row
+    _gt, _res, argv = _write_eval_inputs(tmp_path, GOOD_ROW, GOOD_ROW)
+    assert cli.main([*argv, f"--min-visibility={value}"]) == cli.EXIT_USAGE
+    assert f"error: min_visibility must be finite, got {float(value)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_eval_builds_no_bounding_box(tmp_path, monkeypatch):
+    gt, dets = synth.generate(scenarios.bench_scenario(5, 30, 3))
+    paths = {name: tmp_path / f"{name}.txt" for name in ("gt", "res", "report")}
+    mot_io.write_ground_truth(paths["gt"], gt)
+    mot_io.write_results(paths["res"], tracker.run_sequence(TrackerConfig(), dets))
+    built = []
+    validate = BoundingBox.__post_init__
+    monkeypatch.setattr(BoundingBox, "__post_init__", lambda box: built.append(box) or validate(box))
+    argv = ["eval", "--gt", str(paths["gt"]), "--res", str(paths["res"]), "--report", str(paths["report"])]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert built == []
+    # the counter sees boxes built after it is installed
+    BoundingBox(0, 0, 1, 1)
+    assert len(built) == 1

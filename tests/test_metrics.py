@@ -437,3 +437,30 @@ class TestHotaShortcut:
         monkeypatch.setattr(assignment, "solve", lambda m: solves.append(m) or real(m))
         hota(gt, pred)
         assert solves == []
+
+
+def test_pooling_keeps_negative_gt_ids_apart():
+    # Offsetting by max(id) + 1 alone mapped the second sequence's -1 onto the
+    # first's 1: two perfect sequences pooled to IDF1 0.667.
+    gt_a = SequenceAnnotations({1: [(0, box(0)), (1, box(50))]})
+    pred_a = SequenceAnnotations({1: [(5, box(0)), (6, box(50))]})
+    gt_b = SequenceAnnotations({1: [(-1, box(0))]})
+    pred_b = SequenceAnnotations({1: [(5, box(0))]})
+    merged_gt, merged_pred = pool_sequences([(gt_a, pred_a), (gt_b, pred_b)])
+    # non-negative ids move by the running base, as they always have
+    assert merged_gt.arrays.ids.tolist() == [0, 1, 2]
+    assert merged_pred.arrays.ids.tolist() == [5, 6, 12]
+    assert evaluate_many([(gt_a, pred_a), (gt_b, pred_b)]).idf1 == 1.0
+
+
+def test_pooling_rejects_ids_past_int64():
+    # Each sequence alone fits; pooled, the second's ids would pass 2**63 - 1.
+    gt = SequenceAnnotations({1: [(2**62, box(0))]})
+    with pytest.raises(ValueError, match="do not fit in 64 bits"):
+        pool_sequences([(gt, gt), (gt, gt)])
+
+
+def test_labels_past_int64_are_a_value_error():
+    labels = SequenceAnnotations({1: [(2**63, box(0))]})
+    with pytest.raises(ValueError, match="must fit in 64 bits"):
+        labels.box_count()
