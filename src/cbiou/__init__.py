@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .assignment import MatchResult, gated_match, solve
-from .geometry import BoundingBox, biou, buffer, diou, giou, iou
+from .geometry import BoundingBox, iou
 from .metrics import MetricsReport, SequenceAnnotations, evaluate, evaluate_many
 from .motion import average_velocity, predict
 from .synth import NoiseSpec, OcclusionSpec, ScenarioSpec, generate, oracle_detections, perturb
@@ -19,11 +19,7 @@ from .tracker import (
 __all__ = [
     "__version__",
     "BoundingBox",
-    "buffer",
     "iou",
-    "biou",
-    "giou",
-    "diou",
     "MatchResult",
     "solve",
     "gated_match",

@@ -210,9 +210,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
 def cmd_grid(args) -> int:
     start = time.perf_counter()
     base = resolve_config(args)
+    combos = experiments.enumerate_buffer_grid(*_parse_range(args.range))
     pairs, det_seqs, gt_seqs = _load_pairs(args.dets, args.gt)
-    lo, hi, step = _parse_range(args.range)
-    combos = experiments.enumerate_buffer_grid(lo, hi, step)
     result = experiments.run_grid(base, det_seqs, gt_seqs, combos, jobs=args.jobs)
     lines = [
         "command = grid",

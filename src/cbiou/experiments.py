@@ -8,6 +8,7 @@ the serial ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
@@ -50,12 +51,15 @@ def track_and_evaluate(
 
 
 def _pool_map(fn, items, jobs: int):
-    if jobs <= 1:
+    # A pool starts all its workers at the first submit, so it is never made
+    # larger than the number of items.
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     # Imported on first use, so a serial run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
+    with ProcessPoolExecutor(max_workers=workers) as executor:
         return list(executor.map(fn, items))
 
 
@@ -74,7 +78,7 @@ def run_compare(
 
 def enumerate_buffer_grid(start: float, stop: float, step: float) -> list[tuple[float, float]]:
     """All (b1, b2) with b1 < b2 over the inclusive range, b1-major order."""
-    if step <= 0 or stop < start:
+    if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
         raise ValueError(f"invalid grid range {start}:{stop}:{step}")
     count = int(round((stop - start) / step)) + 1
     values = [round(start + i * step, 10) for i in range(count)]

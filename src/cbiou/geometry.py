@@ -1,8 +1,10 @@
-"""Axis-aligned bounding-box algebra and pairwise similarity measures.
+"""Axis-aligned bounding boxes and pairwise similarity measures.
 
-Scalar operations work on immutable box values. The ``*_matrix`` variants are
-vectorized over numpy arrays of corner-form boxes and are what the tracker and
-the metrics use on whole frames.
+``BoundingBox`` is the validated top-left/width/height value that input and
+the synthetic generator produce. Every similarity kind (IoU, GIoU, DIoU and
+the buffered BIoU) has one implementation, the ``*_matrix`` form over (N, 4)
+arrays of corner-form boxes; the tracker and the metrics call these on whole
+frames. The scalar ``iou`` is kept for single-pair checks (see its docstring).
 """
 
 from __future__ import annotations
@@ -57,41 +59,12 @@ class BoundingBox:
             )
             raise ValueError(f"box {problem}, got x={x}, y={y}, w={self.w}, h={self.h}")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-
-def buffer(box: BoundingBox, b: float) -> BoundingBox:
-    """Expand a box by a buffer proportional to its own extents.
-
-    The buffered box is (x - b*w, y - b*h, w + 2*b*w, h + 2*b*h): same center,
-    same aspect ratio, area scaled by (1 + 2b)^2.
-    """
-    b = float(b)
-    if not math.isfinite(b) or b < 0:
-        raise ValueError(f"buffer scale must be finite and non-negative, got {b!r}")
-    return BoundingBox(
-        box.x - b * box.w,
-        box.y - b * box.h,
-        box.w + 2 * b * box.w,
-        box.h + 2 * b * box.h,
-    )
-
-
-def _corner_vals(box: BoundingBox) -> tuple[float, float, float, float]:
-    return box.x, box.y, box.x + box.w, box.y + box.h
-
 
 def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:
     # Areas are computed from corner coordinates so that identical boxes give
     # an intersection exactly equal to each area (f(a, a) == 1 bit-exact).
-    ax1, ay1, ax2, ay2 = _corner_vals(a)
-    bx1, by1, bx2, by2 = _corner_vals(b)
+    ax1, ay1, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
+    bx1, by1, bx2, by2 = b.x, b.y, b.x + b.w, b.y + b.h
     iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
     ih = max(0.0, min(ay2, by2) - max(ay1, by1))
     inter = iw * ih
@@ -101,35 +74,16 @@ def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 for disjoint boxes."""
+    """Intersection area over union area; 0 for disjoint boxes.
+
+    ``synth.perturb`` checks each false-positive candidate against the frame's
+    boxes with this scalar form: nearly every candidate is accepted on its first
+    try, so a batched ``iou_matrix`` row has nothing to amortise and costs about
+    three times as much per candidate. It is also the reference the matrix
+    forms and the metric tests are checked against.
+    """
     inter, union = _inter_union(a, b)
     return inter / union
-
-
-def biou(a: BoundingBox, b: BoundingBox, scale: float) -> float:
-    """IoU after both boxes are expanded with the same buffer scale."""
-    return iou(buffer(a, scale), buffer(b, scale))
-
-
-def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """IoU penalized by the slack of the smallest enclosing box; range (-1, 1]."""
-    inter, union = _inter_union(a, b)
-    ax1, ay1, ax2, ay2 = _corner_vals(a)
-    bx1, by1, bx2, by2 = _corner_vals(b)
-    hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-    return inter / union - (hull - union) / hull
-
-
-def diou(a: BoundingBox, b: BoundingBox) -> float:
-    """IoU penalized by normalized center distance; range (-1, 1]."""
-    inter, union = _inter_union(a, b)
-    ax1, ay1, ax2, ay2 = _corner_vals(a)
-    bx1, by1, bx2, by2 = _corner_vals(b)
-    dcx = (ax1 + ax2) / 2.0 - (bx1 + bx2) / 2.0
-    dcy = (ay1 + ay2) / 2.0 - (by1 + by2) / 2.0
-    hull_w = max(ax2, bx2) - min(ax1, bx1)
-    hull_h = max(ay2, by2) - min(ay1, by1)
-    return inter / union - (dcx * dcx + dcy * dcy) / (hull_w * hull_w + hull_h * hull_h)
 
 
 # Vectorized forms over (N, 4) arrays of [x1, y1, x2, y2] rows.
@@ -142,6 +96,8 @@ def to_xyxy(boxes: Iterable[BoundingBox]) -> np.ndarray:
 
 
 def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:
+    """Expand each box by ``scale`` times its own width and height on every
+    side: same centre, same aspect ratio, area scaled by (1 + 2 * scale)^2."""
     scale = float(scale)
     if not math.isfinite(scale) or scale < 0:
         raise ValueError(f"buffer scale must be finite and non-negative, got {scale!r}")

@@ -179,6 +179,18 @@ def test_buffer_scale_out_of_range_is_a_config_error(tmp_path, capsys, argv, nam
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("text", ["0:inf:0.1", "0:1:nan", "nan:1:0.1"])
+def test_nonfinite_grid_range_is_a_usage_error(tmp_path, capsys, text):
+    # inf escaped as an OverflowError traceback; NaN exited 2 with a message
+    # about float conversion that named no range
+    dets, gt = tmp_path / "dets.txt", tmp_path / "gt.txt"
+    dets.write_text("1,-1,0,0,10,10,1\n", encoding="utf-8")
+    gt.write_text("1,1,0,0,10,10,1,1,1.0\n", encoding="utf-8")
+    argv = ["grid", "--dets", str(dets), "--gt", str(gt), "--report", str(tmp_path / "r.txt")]
+    assert cli.main([*argv, "--range", text]) == cli.EXIT_USAGE
+    assert "error: invalid grid range" in capsys.readouterr().err
+
+
 # Runs in a fresh interpreter: records whether scipy.optimize is loaded after
 # a bare ``import cbiou``, after ``import cbiou.cli`` and after each command.
 SCIPY_PROBE = """

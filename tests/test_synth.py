@@ -63,7 +63,7 @@ class TestGenerate:
             for f in sorted(gt.frames):
                 for identity, b in gt.frames[f]:
                     if identity == obj:
-                        centers.append(b.center)
+                        centers.append((b.x + b.w / 2.0, b.y + b.h / 2.0))
             xs = np.array([c[0] for c in centers])
             ys = np.array([c[1] for c in centers])
             # second differences vanish on a straight path (no wall hits in a

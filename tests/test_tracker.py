@@ -3,7 +3,7 @@ import pytest
 
 from cbiou import assignment, geometry, motion
 from cbiou import tracker as tracker_module
-from cbiou.geometry import BoundingBox, biou
+from cbiou.geometry import BoundingBox
 from cbiou.metrics import SequenceAnnotations, evaluate
 from cbiou.synth import ScenarioSpec, generate
 from cbiou.tracker import (
@@ -209,11 +209,10 @@ class TestCascadeMatch:
         cfg = TrackerConfig(b1=0.1, b2=0.4)
         track_box = BoundingBox(0, 0, 10, 10)
         det_box = BoundingBox(17, 0, 10, 10)
-        assert biou(track_box, det_box, cfg.b1) == 0.0
-        assert biou(track_box, det_box, cfg.b2) > 0.0
-        matches, un_t, un_d = cascade_match(
-            geometry.to_xyxy([track_box]), geometry.to_xyxy([det_box]), cfg
-        )
+        tracks, dets = geometry.to_xyxy([track_box]), geometry.to_xyxy([det_box])
+        assert geometry.biou_matrix(tracks, dets, cfg.b1)[0, 0] == 0.0
+        assert geometry.biou_matrix(tracks, dets, cfg.b2)[0, 0] > 0.0
+        matches, un_t, un_d = cascade_match(tracks, dets, cfg)
         assert matches == [(0, 0)] and un_t == [] and un_d == []
 
     def test_cascade_disabled_is_single_round(self):
