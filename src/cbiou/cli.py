@@ -1,10 +1,26 @@
 """Command-line interface wiring the tracker, metrics, and synthetic data
 into runnable experiments.
 
-Subcommands: track, eval, grid, compare, perturb. Every run writes a
-JSON manifest next to its output with the fully resolved configuration, so a
-run can be reproduced from the manifest alone. Exit codes: 0 success, 2
-argument/configuration errors, 3 data errors, 4 I/O errors.
+Subcommands: track, eval, grid, compare, perturb. A tracker flag overrides
+the ``TrackerConfig`` field it names, over a ``key = value`` config file
+(``--config``, default ``$CBIOU_CONFIG``). Each subcommand takes only the
+tracker flags it honours:
+
+- ``track``: ``--b1 --b2 --max-age --min-sim --det-conf-min --sim
+  --no-cascade --no-motion``;
+- ``grid``: ``--max-age --min-sim --det-conf-min --no-motion`` (the grid runs
+  cascaded BIoU, with the buffers from ``--range``);
+- ``compare``: ``--b1 --b2 --max-age --min-sim --det-conf-min`` (each variant
+  sets its own similarity kind and switches);
+- ``eval`` and ``perturb``: none.
+
+A config file may set any field, so one file serves every subcommand.
+
+Each handler returns its output path and manifest payload, and ``main`` times
+the handler and writes the JSON manifest next to the output, with the fully
+resolved configuration, so a run can be reproduced from the manifest alone.
+Exit codes: 0 success, 2 argument/configuration errors, 3 data errors, 4 I/O
+errors.
 """
 
 from __future__ import annotations
@@ -33,11 +49,47 @@ CONFIG_ENV_VAR = "CBIOU_CONFIG"
 
 _CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(TrackerConfig)}
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# How a config value of each field type is read, and what it must look like.
+_CONFIG_READERS = {
+    "bool": (lambda value: _BOOLEANS[value.lower()], "a boolean"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+}
+
+# Each tracker flag by the TrackerConfig field it sets, which is its dest.
+_TRACKER_FLAGS = {
+    "b1": ("--b1", {"type": float, "help": "round-1 buffer scale"}),
+    "b2": ("--b2", {"type": float, "help": "round-2 buffer scale"}),
+    "max_age": ("--max-age", {"type": int, "help": "frames a track may stay unmatched"}),
+    "min_sim": ("--min-sim", {"type": float, "help": "matching gate"}),
+    "det_conf_min": ("--det-conf-min", {"type": float, "help": "detection confidence floor"}),
+    "similarity_kind": ("--sim", {"choices": tracker.SIMILARITY_KINDS, "help": "similarity kind"}),
+    "cascade_enabled": (
+        "--no-cascade", {"action": "store_false", "default": None, "help": "single matching round"}
+    ),
+    "motion_enabled": (
+        "--no-motion", {"action": "store_false", "default": None, "help": "disable motion estimation"}
+    ),
+}
+
 
 def load_config_file(path) -> dict:
     """Parse a flat ``key = value`` config file into TrackerConfig kwargs."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as splitlines does below; the bytes before exc.start decode.
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        key, sep, _ = lines[-1].partition("=")
+        where = f" in the value of {key.strip()}" if sep and not key.lstrip().startswith("#") else ""
+        raise ValueError(
+            f"{path}:{len(lines)}: not UTF-8 text{where} at byte {exc.start}: {exc.reason}"
+        ) from None
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -49,55 +101,21 @@ def load_config_file(path) -> dict:
         value = value.strip()
         if key not in _CONFIG_FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _CONFIG_FIELD_TYPES[key]
-        if kind == "bool":
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                values[key] = True
-            elif lowered in ("false", "0", "no"):
-                values[key] = False
-            else:
-                raise ValueError(f"{path}:{lineno}: expected a boolean for {key}, got {value!r}")
-        elif kind == "int":
-            values[key] = int(value)
-        elif kind == "str":
-            values[key] = value
-        else:
-            values[key] = float(value)
+        read, expected = _CONFIG_READERS[_CONFIG_FIELD_TYPES[key]]
+        try:
+            values[key] = read(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{lineno}: expected {expected} for {key}, got {value!r}") from None
     return values
 
 
 def resolve_config(args) -> TrackerConfig:
-    """Build the effective TrackerConfig: file values, then CLI overrides."""
-    config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    """Build the effective TrackerConfig: file values, then every flag given."""
+    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     values = load_config_file(config_path) if config_path else {}
-    overrides = {
-        "b1": getattr(args, "b1", None),
-        "b2": getattr(args, "b2", None),
-        "max_age": getattr(args, "max_age", None),
-        "min_sim": getattr(args, "min_sim", None),
-        "det_conf_min": getattr(args, "det_conf_min", None),
-        "similarity_kind": getattr(args, "sim", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if getattr(args, "no_cascade", False):
-        values["cascade_enabled"] = False
-    if getattr(args, "no_motion", False):
-        values["motion_enabled"] = False
+    flags = {name: getattr(args, name, None) for name in _TRACKER_FLAGS}
+    values.update({name: value for name, value in flags.items() if value is not None})
     return TrackerConfig(**values)
-
-
-def _manifest_path(output_path) -> str:
-    return f"{output_path}.manifest.json"
-
-
-def write_manifest(output_path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["tool"] = "cbiou"
-    payload["version"] = __version__
-    with open(_manifest_path(output_path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def format_metrics_lines(report: MetricsReport) -> list[str]:
@@ -147,35 +165,38 @@ def _discover_pairs(dets_path, gt_path) -> list[tuple[Path, Path]]:
     return [(det_files[stem], gt_files[stem]) for stem in sorted(det_files)]
 
 
-def _load_pairs(dets_path, gt_path, min_visibility=None):
-    pairs = _discover_pairs(dets_path, gt_path)
+def _load_pairs(args):
+    """Read the paired sequences of ``--dets``/``--gt``; also return the manifest's inputs."""
+    pairs = _discover_pairs(args.dets, args.gt)
     det_seqs = [mot_io.read_detections(d) for d, _ in pairs]
-    gt_seqs = [mot_io.read_ground_truth(g, min_visibility) for _, g in pairs]
-    return pairs, det_seqs, gt_seqs
+    gt_seqs = [mot_io.read_ground_truth(g) for _, g in pairs]
+    inputs = {"dets": str(args.dets), "gt": str(args.gt), "sequences": [d.stem for d, _ in pairs]}
+    return det_seqs, gt_seqs, inputs
 
 
-def cmd_track(args) -> int:
-    start = time.perf_counter()
+def _write_report(args, lines: list[str]) -> None:
+    """Write the report lines, and echo them under ``--pretty``."""
+    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if args.pretty:
+        print("\n".join(lines))
+
+
+def cmd_track(args) -> tuple[str, dict]:
     config = resolve_config(args)
     dets = mot_io.read_detections(args.dets)
     outputs = tracker.run_sequence(config, dets, interpolate_gaps=args.interpolate)
     mot_io.write_results(args.out, outputs)
-    write_manifest(
-        args.out,
-        {
-            "command": "track",
-            "config": asdict(config),
-            "inputs": {"dets": str(args.dets)},
-            "outputs": {"results": str(args.out)},
-            "options": {"interpolate": bool(args.interpolate)},
-            "timings": {"wall_s": time.perf_counter() - start},
-        },
-    )
-    return EXIT_OK
+    return args.out, {
+        "command": "track",
+        "config": asdict(config),
+        "inputs": {"dets": str(args.dets)},
+        "outputs": {"results": str(args.out)},
+        "options": {"interpolate": bool(args.interpolate)},
+    }
 
 
-def cmd_eval(args) -> int:
-    start = time.perf_counter()
+def cmd_eval(args) -> tuple[str, dict]:
     gt = mot_io.read_ground_truth(args.gt, args.min_visibility)
     pred = mot_io.read_results(args.res)
     report = metrics.evaluate(gt, pred)
@@ -187,17 +208,12 @@ def cmd_eval(args) -> int:
         for line in lines[:5]:
             key, _, value = line.partition(" = ")
             print(f"{key:8s} {value}")
-    write_manifest(
-        args.report,
-        {
-            "command": "eval",
-            "inputs": {"gt": str(args.gt), "res": str(args.res)},
-            "outputs": {"report": str(args.report)},
-            "options": {"min_visibility": args.min_visibility},
-            "timings": {"wall_s": time.perf_counter() - start},
-        },
-    )
-    return EXIT_OK
+    return args.report, {
+        "command": "eval",
+        "inputs": {"gt": str(args.gt), "res": str(args.res)},
+        "outputs": {"report": str(args.report)},
+        "options": {"min_visibility": args.min_visibility},
+    }
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -207,108 +223,69 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def cmd_grid(args) -> int:
-    start = time.perf_counter()
+def cmd_grid(args) -> tuple[str, dict]:
     base = resolve_config(args)
     combos = experiments.enumerate_buffer_grid(*_parse_range(args.range))
-    pairs, det_seqs, gt_seqs = _load_pairs(args.dets, args.gt)
+    det_seqs, gt_seqs, inputs = _load_pairs(args)
     result = experiments.run_grid(base, det_seqs, gt_seqs, combos, jobs=args.jobs)
+    best = result.best_config
     lines = [
         "command = grid",
         f"combinations = {len(result.scores)}",
-        f"best_b1 = {result.best[0]:g}",
-        f"best_b2 = {result.best[1]:g}",
+        f"best_b1 = {best.b1:g}",
+        f"best_b2 = {best.b2:g}",
         f"best_hota = {100.0 * result.best_hota:.1f}",
         "",
         "b1,b2,hota,deta,assa,mota,idf1",
     ]
     lines += [f"{b1:g},{b2:g},{_metrics_csv_row(report)}" for b1, b2, report in result.scores]
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if args.pretty:
-        print("\n".join(lines))
-    write_manifest(
-        args.report,
-        {
-            "command": "grid",
-            "config": asdict(base),
-            "inputs": {
-                "dets": str(args.dets),
-                "gt": str(args.gt),
-                "sequences": [p.stem for p, _ in pairs],
-            },
-            "outputs": {"report": str(args.report)},
-            "options": {"range": args.range, "jobs": args.jobs},
-            "timings": {"wall_s": time.perf_counter() - start},
-        },
-    )
-    return EXIT_OK
+    _write_report(args, lines)
+    return args.report, {
+        "command": "grid",
+        "config": asdict(best),
+        "inputs": inputs,
+        "outputs": {"report": str(args.report)},
+        "options": {"range": args.range, "jobs": args.jobs},
+    }
 
 
-def cmd_compare(args) -> int:
-    start = time.perf_counter()
+def cmd_compare(args) -> tuple[str, dict]:
     base = resolve_config(args)
-    pairs, det_seqs, gt_seqs = _load_pairs(args.dets, args.gt)
+    det_seqs, gt_seqs, inputs = _load_pairs(args)
     reports = experiments.run_compare(base, det_seqs, gt_seqs, jobs=args.jobs)
     lines = ["variant,hota,deta,assa,mota,idf1"]
     lines += [f"{name},{_metrics_csv_row(reports[name])}" for name in VARIANT_ORDER]
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if args.pretty:
-        print("\n".join(lines))
-    write_manifest(
-        args.report,
-        {
-            "command": "compare",
-            "config": asdict(base),
-            "variants": {
-                name: asdict(config)
-                for name, config in experiments.variant_configs(base).items()
-            },
-            "inputs": {
-                "dets": str(args.dets),
-                "gt": str(args.gt),
-                "sequences": [p.stem for p, _ in pairs],
-            },
-            "outputs": {"report": str(args.report)},
-            "options": {"jobs": args.jobs},
-            "timings": {"wall_s": time.perf_counter() - start},
-        },
-    )
-    return EXIT_OK
+    _write_report(args, lines)
+    variants = experiments.variant_configs(base)
+    return args.report, {
+        "command": "compare",
+        "config": asdict(base),
+        "variants": {name: asdict(config) for name, config in variants.items()},
+        "inputs": inputs,
+        "outputs": {"report": str(args.report)},
+        "options": {"jobs": args.jobs},
+    }
 
 
-def cmd_perturb(args) -> int:
-    start = time.perf_counter()
+def cmd_perturb(args) -> tuple[str, dict]:
     noise = NoiseSpec(ratio=args.ratio, seed=args.seed)
     gt = mot_io.read_ground_truth(args.gt)
     dets = synth.oracle_detections(gt)
     noisy = synth.perturb(dets, noise, gt, stratified=args.stratified)
     mot_io.write_detections(args.out, noisy)
-    write_manifest(
-        args.out,
-        {
-            "command": "perturb",
-            "inputs": {"gt": str(args.gt)},
-            "outputs": {"dets": str(args.out)},
-            "options": {"ratio": args.ratio, "seed": args.seed, "stratified": args.stratified},
-            "timings": {"wall_s": time.perf_counter() - start},
-        },
-    )
-    return EXIT_OK
+    return args.out, {
+        "command": "perturb",
+        "inputs": {"gt": str(args.gt)},
+        "outputs": {"dets": str(args.out)},
+        "options": {"ratio": args.ratio, "seed": args.seed, "stratified": args.stratified},
+    }
 
 
-def _add_config_options(sub, with_buffers: bool = True) -> None:
+def _add_tracker_flags(sub, names) -> None:
     sub.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR} if set)")
-    if with_buffers:
-        sub.add_argument("--b1", type=float, help="round-1 buffer scale")
-        sub.add_argument("--b2", type=float, help="round-2 buffer scale")
-    sub.add_argument("--max-age", type=int, dest="max_age", help="frames a track may stay unmatched")
-    sub.add_argument("--min-sim", type=float, dest="min_sim", help="matching gate")
-    sub.add_argument("--det-conf-min", type=float, dest="det_conf_min", help="detection confidence floor")
-    sub.add_argument("--sim", choices=list(tracker.SIMILARITY_KINDS), help="similarity kind")
-    sub.add_argument("--no-cascade", action="store_true", help="single matching round")
-    sub.add_argument("--no-motion", action="store_true", help="disable motion estimation")
+    for name in names:
+        flag, options = _TRACKER_FLAGS[name]
+        sub.add_argument(flag, dest=name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dets", required=True, help="detection file")
     p.add_argument("--out", required=True, help="results file to write")
     p.add_argument("--interpolate", action="store_true", help="fill match gaps by linear interpolation")
-    _add_config_options(p)
+    _add_tracker_flags(p, _TRACKER_FLAGS)
     p.set_defaults(handler=cmd_track)
 
     p = subs.add_parser("eval", help="evaluate results against ground truth")
@@ -331,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true", help="also print a readable table")
     p.set_defaults(handler=cmd_eval)
 
-    p = subs.add_parser("grid", help="search buffer-scale combinations (b1 < b2)")
+    p = subs.add_parser("grid", help="search buffer-scale combinations (b1 < b2) of cascaded BIoU")
     p.add_argument("--dets", required=True, help="detection file or directory")
     p.add_argument("--gt", required=True, help="ground-truth file or directory")
     p.add_argument("--report", required=True)
     p.add_argument("--range", default="0.1:0.7:0.1", help="start:stop:step of buffer scales")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--pretty", action="store_true")
-    _add_config_options(p, with_buffers=False)
+    _add_tracker_flags(p, ("max_age", "min_sim", "det_conf_min", "motion_enabled"))
     p.set_defaults(handler=cmd_grid)
 
     p = subs.add_parser("compare", help="run the six tracker variants on the same inputs")
@@ -347,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--pretty", action="store_true")
-    _add_config_options(p)
+    _add_tracker_flags(p, ("b1", "b2", "max_age", "min_sim", "det_conf_min"))
     p.set_defaults(handler=cmd_compare)
 
     p = subs.add_parser("perturb", help="inject FN/FP noise into oracle detections")
@@ -362,10 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.handler(args)
+        output_path, manifest = args.handler(args)
+        manifest.update(tool="cbiou", version=__version__, timings={"wall_s": time.perf_counter() - start})
+        with open(f"{output_path}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (MotFileError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -375,6 +356,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -51,6 +51,8 @@ def track_and_evaluate(
 
 
 def _pool_map(fn, items, jobs: int):
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     # A pool starts all its workers at the first submit, so it is never made
     # larger than the number of items.
     workers = min(jobs, len(items))
@@ -76,11 +78,22 @@ def run_compare(
     return dict(zip(VARIANT_ORDER, reports))
 
 
+# Every (b1, b2) pair is a full tracking and evaluation run over every
+# sequence, and the pair list is built before the first run, with about
+# count**2 / 2 entries. 200 values (19,900 runs) is far past any useful search;
+# a finer range, such as 0:1:1e-6 (5e11 pairs), would exhaust memory first.
+MAX_GRID_VALUES = 200
+
+
 def enumerate_buffer_grid(start: float, stop: float, step: float) -> list[tuple[float, float]]:
     """All (b1, b2) with b1 < b2 over the inclusive range, b1-major order."""
     if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
         raise ValueError(f"invalid grid range {start}:{stop}:{step}")
     count = int(round((stop - start) / step)) + 1
+    if count > MAX_GRID_VALUES:
+        raise ValueError(
+            f"grid range {start}:{stop}:{step} has {count} values, more than {MAX_GRID_VALUES}"
+        )
     values = [round(start + i * step, 10) for i in range(count)]
     return [(values[i], values[j]) for i in range(count) for j in range(i + 1, count)]
 
@@ -88,7 +101,7 @@ def enumerate_buffer_grid(start: float, stop: float, step: float) -> list[tuple[
 @dataclass(frozen=True)
 class GridResult:
     scores: tuple[tuple[float, float, MetricsReport], ...]  # (b1, b2, report)
-    best: tuple[float, float]
+    best_config: TrackerConfig  # the best cell's config, as run
     best_hota: float
 
 
@@ -99,7 +112,8 @@ def run_grid(
     combos: Sequence[tuple[float, float]],
     jobs: int = 1,
 ) -> GridResult:
-    """Evaluate every buffer combination; ties go to the smaller (b1, b2)."""
+    """Evaluate every buffer combination of cascaded BIoU over ``base``'s
+    other fields; ties go to the smaller (b1, b2)."""
     if not combos:
         raise ValueError("empty buffer grid")
     configs = [replace(base, b1=b1, b2=b2, similarity_kind="biou", cascade_enabled=True) for b1, b2 in combos]
@@ -109,5 +123,4 @@ def run_grid(
     for i in range(1, len(scores)):
         if scores[i][2].hota > scores[best_idx][2].hota:
             best_idx = i
-    best = (scores[best_idx][0], scores[best_idx][1])
-    return GridResult(scores=scores, best=best, best_hota=scores[best_idx][2].hota)
+    return GridResult(scores=scores, best_config=configs[best_idx], best_hota=reports[best_idx].hota)

@@ -3,13 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import cbiou
-from cbiou import cli, metrics, mot_io, scenarios, synth, tracker
+from cbiou import cli, experiments, metrics, mot_io, scenarios, synth, tracker
 from cbiou.geometry import BoundingBox
 from cbiou.tracker import TrackerConfig
 
@@ -258,3 +258,177 @@ def test_eval_builds_no_bounding_box(tmp_path, monkeypatch):
     # the counter sees boxes built after it is installed
     BoundingBox(0, 0, 1, 1)
     assert len(built) == 1
+
+
+def _track_argv(tmp_path, *extra):
+    dets = tmp_path / "dets.txt"
+    dets.write_text("1,-1,0,0,10,10,1\n2,-1,2,0,10,10,1\n", encoding="utf-8")
+    return ["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt"), *extra]
+
+
+def _manifest(path) -> dict:
+    return json.loads(Path(f"{path}.manifest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"b1 = 0.2\nmax_age = 1.5\n", "2: expected an integer for max_age, got '1.5'"),
+        (b"b1 = abc\n", "1: expected a number for b1, got 'abc'"),
+        (b"# cfg\nb1 = 0.2\nmax_age = \xff5\n", "3: not UTF-8 text in the value of max_age at byte 25: invalid start byte"),
+    ],
+    ids=["int", "float", "not_utf8"],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_config_value_error_names_file_line_and_key(tmp_path, monkeypatch, capsys, text, message, source):
+    # int() and float() errors, and the codec error, used to name no file, line or key
+    path = tmp_path / "tracker.cfg"
+    path.write_bytes(text)
+    if source == "env":
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+        argv = _track_argv(tmp_path)
+    else:
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        argv = _track_argv(tmp_path, "--config", str(path))
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"error: {path}:{message}" in capsys.readouterr().err
+    assert not (tmp_path / "res.txt").exists()
+
+
+def test_config_env_var_then_config_flag_then_tracker_flag(tmp_path, monkeypatch):
+    env_file, flag_file = tmp_path / "env.cfg", tmp_path / "flag.cfg"
+    env_file.write_text("max_age = 5\nmin_sim = 0.05\n", encoding="utf-8")
+    flag_file.write_text("max_age = 9\n", encoding="utf-8")
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(env_file))
+    out = tmp_path / "res.txt"
+
+    assert cli.main(_track_argv(tmp_path)) == cli.EXIT_OK
+    assert _manifest(out)["config"] == asdict(replace(TrackerConfig(), max_age=5, min_sim=0.05))
+
+    # --config replaces the file the variable names; it does not merge with it
+    assert cli.main(_track_argv(tmp_path, "--config", str(flag_file))) == cli.EXIT_OK
+    assert _manifest(out)["config"] == asdict(replace(TrackerConfig(), max_age=9))
+
+    assert cli.main(_track_argv(tmp_path, "--config", str(flag_file), "--max-age", "11")) == cli.EXIT_OK
+    assert _manifest(out)["config"] == asdict(replace(TrackerConfig(), max_age=11))
+
+
+@pytest.fixture
+def noisy_pair(tmp_path):
+    gt, dets = synth.generate(scenarios.noise_study_scenario(1))
+    paths = {"dets": tmp_path / "dets.txt", "gt": tmp_path / "gt.txt"}
+    mot_io.write_detections(paths["dets"], synth.perturb(dets, synth.NoiseSpec(0.2, 1), gt))
+    mot_io.write_ground_truth(paths["gt"], gt)
+    return paths
+
+
+def test_grid_manifest_records_the_best_cell_as_run(tmp_path, monkeypatch, noisy_pair):
+    # The manifest recorded the config file's values, although the grid ran
+    # cascaded BIoU whatever the file said.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config_file = tmp_path / "tracker.cfg"
+    config_file.write_text("similarity_kind = iou\ncascade_enabled = no\nmax_age = 12\n", encoding="utf-8")
+    report = tmp_path / "grid.txt"
+    argv = ["grid", "--dets", str(noisy_pair["dets"]), "--gt", str(noisy_pair["gt"]), "--report", str(report)]
+    assert cli.main([*argv, "--range", "0.1:0.4:0.1", "--config", str(config_file)]) == cli.EXIT_OK
+    lines = dict(line.split(" = ") for line in report.read_text(encoding="utf-8").splitlines() if " = " in line)
+    best = replace(TrackerConfig(), b1=float(lines["best_b1"]), b2=float(lines["best_b2"]), max_age=12)
+    manifest = _manifest(report)
+    assert manifest["config"] == asdict(best)
+
+    # a track run from the manifest's config scores the best row
+    rerun_config = tmp_path / "best.cfg"
+    rerun_config.write_text("".join(f"{k} = {v}\n" for k, v in manifest["config"].items()), encoding="utf-8")
+    res, scored = tmp_path / "res.txt", tmp_path / "eval.txt"
+    track = ["track", "--dets", str(noisy_pair["dets"]), "--out", str(res), "--config", str(rerun_config)]
+    assert cli.main(track) == cli.EXIT_OK
+    assert cli.main(["eval", "--gt", str(noisy_pair["gt"]), "--res", str(res), "--report", str(scored)]) == cli.EXIT_OK
+    assert scored.read_text(encoding="utf-8").splitlines()[0] == f"hota = {lines['best_hota']}"
+
+
+# Each subcommand's tracker flags, set to non-default values, with the field
+# and value each must give every config the subcommand runs.
+OFFERED_FLAGS = {
+    "grid": {
+        "--max-age": ("max_age", 7),
+        "--min-sim": ("min_sim", 0.05),
+        "--det-conf-min": ("det_conf_min", 0.3),
+        "--no-motion": ("motion_enabled", False),
+    },
+    "compare": {
+        "--b1": ("b1", 0.2),
+        "--b2": ("b2", 0.5),
+        "--max-age": ("max_age", 7),
+        "--min-sim": ("min_sim", 0.05),
+        "--det-conf-min": ("det_conf_min", 0.3),
+    },
+}
+
+
+def _experiment_argv(command, tmp_path):
+    gt, dets = synth.generate(scenarios.bench_scenario(3, 12, 3))
+    paths = {"dets": tmp_path / "dets.txt", "gt": tmp_path / "gt.txt"}
+    mot_io.write_detections(paths["dets"], dets)
+    mot_io.write_ground_truth(paths["gt"], gt)
+    argv = [command, "--dets", str(paths["dets"]), "--gt", str(paths["gt"]), "--report", str(tmp_path / "r.txt")]
+    return argv + (["--range", "0.1:0.3:0.1"] if command == "grid" else [])
+
+
+@pytest.mark.parametrize("command", sorted(OFFERED_FLAGS))
+def test_every_offered_flag_reaches_every_config_run(tmp_path, monkeypatch, command):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    ran = []
+    track_and_evaluate = experiments.track_and_evaluate
+
+    def recording(config, det_seqs, gt_seqs):
+        ran.append(config)
+        return track_and_evaluate(config, det_seqs, gt_seqs)
+
+    monkeypatch.setattr(experiments, "track_and_evaluate", recording)
+    argv = _experiment_argv(command, tmp_path)
+    for flag, (_field, value) in OFFERED_FLAGS[command].items():
+        argv += [flag] if value is False else [flag, str(value)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(ran) == (3 if command == "grid" else len(experiments.VARIANT_ORDER))
+    for field, value in OFFERED_FLAGS[command].values():
+        assert [getattr(config, field) for config in ran] == [value] * len(ran), field
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("grid", ["--sim", "iou"]),
+        ("grid", ["--no-cascade"]),
+        ("grid", ["--b1", "0.2"]),
+        ("grid", ["--b2", "0.5"]),
+        ("compare", ["--sim", "giou"]),
+        ("compare", ["--no-cascade"]),
+        ("compare", ["--no-motion"]),
+    ],
+)
+def test_flags_a_subcommand_overrides_are_rejected(tmp_path, capsys, command, flag):
+    # grid and compare used to accept these and silently run without them
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--dets", "d.txt", "--gt", "g.txt", "--report", str(tmp_path / "r.txt"), *flag])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["grid", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
+    # --jobs -3 ran serially and exited 0
+    assert cli.main([*_experiment_argv(command, tmp_path), "--jobs", jobs]) == cli.EXIT_USAGE
+    assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_grid_range_with_too_many_values_is_a_usage_error(tmp_path, capsys):
+    # One value over the bound: 0, 1, ..., MAX_GRID_VALUES. The input files do
+    # not exist, so without the bound the run fails at once with an I/O error
+    # instead of tracking every pair.
+    limit = experiments.MAX_GRID_VALUES
+    argv = ["grid", "--dets", "missing.txt", "--gt", "missing.txt", "--report", str(tmp_path / "r.txt")]
+    assert cli.main([*argv, "--range", f"0:{limit}:1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: grid range 0.0:{float(limit)}:1.0 has {limit + 1} values, more than {limit}" in err

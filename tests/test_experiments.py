@@ -1,5 +1,7 @@
 import concurrent.futures
 
+import pytest
+
 from cbiou import experiments, scenarios, synth
 from cbiou.synth import NoiseSpec, ScenarioSpec
 from cbiou.tracker import TrackerConfig
@@ -65,3 +67,12 @@ def test_pool_is_never_larger_than_the_task_count(monkeypatch):
     # a single task runs in this process: no pool
     experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos[:1], jobs=100_000)
     assert sizes == [6, 3, 2]
+
+
+def test_buffer_grid_is_bounded_in_values():
+    limit = experiments.MAX_GRID_VALUES
+    assert len(experiments.enumerate_buffer_grid(0, limit - 1, 1)) == limit * (limit - 1) // 2
+    # one value over the bound; without the check this builds only about limit**2 / 2 pairs
+    with pytest.raises(ValueError, match=rf"grid range 0:{limit}:1 has {limit + 1} values, more than {limit}"):
+        experiments.enumerate_buffer_grid(0, limit, 1)
+
