@@ -9,7 +9,8 @@ tracker flags it honours:
 - ``track``: ``--b1 --b2 --max-age --min-sim --det-conf-min --sim
   --no-cascade --no-motion``;
 - ``grid``: ``--max-age --min-sim --det-conf-min --no-motion`` (the grid runs
-  cascaded BIoU, with the buffers from ``--range``);
+  cascaded BIoU, with the buffers from ``--range``; a config file's ``b1`` and
+  ``b2`` are ignored);
 - ``compare``: ``--b1 --b2 --max-age --min-sim --det-conf-min`` (each variant
   sets its own similarity kind and switches);
 - ``eval`` and ``perturb``: none.
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from . import __version__, experiments, metrics, mot_io, synth, tracker
 from .experiments import VARIANT_ORDER
-from .metrics import MetricsReport
+from .metrics import LabelOverflowError, MetricsReport
 from .mot_io import MotFileError
 from .synth import GenerationError, NoiseSpec
 from .tracker import TrackerConfig
@@ -109,13 +110,14 @@ def load_config_file(path) -> dict:
     return values
 
 
-def resolve_config(args) -> TrackerConfig:
-    """Build the effective TrackerConfig: file values, then every flag given."""
+def resolve_config(args, ignore=()) -> TrackerConfig:
+    """Build the effective TrackerConfig: file values, then every flag given;
+    the ``ignore`` fields keep their defaults."""
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     values = load_config_file(config_path) if config_path else {}
     flags = {name: getattr(args, name, None) for name in _TRACKER_FLAGS}
     values.update({name: value for name, value in flags.items() if value is not None})
-    return TrackerConfig(**values)
+    return TrackerConfig(**{name: value for name, value in values.items() if name not in ignore})
 
 
 def format_metrics_lines(report: MetricsReport) -> list[str]:
@@ -224,7 +226,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
 
 
 def cmd_grid(args) -> tuple[str, dict]:
-    base = resolve_config(args)
+    # Every cell sets its own b1/b2, so a config file's buffers are neither run nor checked.
+    base = resolve_config(args, ignore=("b1", "b2"))
     combos = experiments.enumerate_buffer_grid(*_parse_range(args.range))
     det_seqs, gt_seqs, inputs = _load_pairs(args)
     result = experiments.run_grid(base, det_seqs, gt_seqs, combos, jobs=args.jobs)
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
         with open(f"{output_path}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except (MotFileError, GenerationError) as exc:
+    except (MotFileError, GenerationError, LabelOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, TypeError) as exc:

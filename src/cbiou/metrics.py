@@ -12,8 +12,8 @@ frame/identity ranges so raw counts pool rather than ratios average.
 both sides it keeps the ids, the IoU matrix of the two row ranges' corner
 boxes and the matrix's conflict level (its largest second-highest entry over
 all rows and columns), plus per-id presence counts and box totals.
-``clear_mota``, ``idf1`` and ``hota`` all read that table; called on their
-own, each builds it.
+``clear_mota`` and ``idf1`` (at IoU ``IOU_THRESHOLD``) and ``hota`` (over the
+fixed grid ``ALPHAS``) each take that table.
 
 HOTA matches each frame at every alpha with scores 1 + IoU for pairs whose
 IoU passes alpha and 0 otherwise. At an alpha above the frame's conflict
@@ -36,7 +36,11 @@ from . import assignment, geometry
 from .geometry import BoundingBox
 
 ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
-DEFAULT_IOU_THRESHOLD = 0.5
+IOU_THRESHOLD = 0.5
+
+
+class LabelOverflowError(ValueError):
+    """Frames or identities that do not fit in int64: a data error."""
 
 
 class LabelArrays(NamedTuple):
@@ -74,27 +78,27 @@ class LabelArrays(NamedTuple):
 class SequenceAnnotations:
     """Per-frame (identity, box) labels for one sequence.
 
-    Within a frame each identity may appear at most once; duplicates are a
-    data error. The labels have two forms, each built from the other on
-    first use: ``frames``, per-frame (identity, ``BoundingBox``) rows for
-    API callers, and ``arrays``, the ``LabelArrays`` the metrics read. The
-    file readers build only ``arrays``, so evaluating files builds no box
-    objects.
+    Frames are integers and each identity appears at most once per frame;
+    anything else is a data error. The labels have two forms, each built from
+    the other on first use: ``frames``, per-frame (identity, ``BoundingBox``)
+    rows for API callers, and ``arrays``, the ``LabelArrays`` the metrics
+    read. The file readers build only ``arrays``, so evaluating files builds
+    no box objects.
     """
 
     def __init__(self, frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]):
         normalized: dict[int, tuple[tuple[int, BoundingBox], ...]] = {}
-        for frame, items in frames.items():
-            frame = int(frame)
-            seen: set[int] = set()
-            rows = []
+        for key, items in frames.items():
+            if key % 1:  # fractional, NaN or infinite: int() would make 1.5 and 1.7 both 1
+                raise ValueError(f"frame {key!r} is not an integer")
+            frame = int(key)
+            rows: dict[int, BoundingBox] = {}
             for identity, box in items:
                 identity = int(identity)
-                if identity in seen:
+                if identity in rows:
                     raise ValueError(f"duplicate identity {identity} in frame {frame}")
-                seen.add(identity)
-                rows.append((identity, box))
-            normalized[frame] = tuple(rows)
+                rows[identity] = box
+            normalized[frame] = tuple(rows.items())
         self._frames: dict[int, tuple[tuple[int, BoundingBox], ...]] | None = normalized
         self._arrays: LabelArrays | None = None
 
@@ -135,14 +139,11 @@ class SequenceAnnotations:
                     [(box.x, box.y, box.w, box.h) for _, box in rows],
                 )
             except OverflowError:
-                raise ValueError("frames and identities must fit in 64 bits") from None
+                raise LabelOverflowError("frames and identities must fit in 64 bits") from None
         return self._arrays
 
     def box_count(self) -> int:
         return len(self.arrays.ids)
-
-    def identities(self) -> set[int]:
-        return set(self.arrays.ids.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SequenceAnnotations):
@@ -155,13 +156,13 @@ class SequenceAnnotations:
 
     @classmethod
     def from_frame_outputs(cls, outputs) -> "SequenceAnnotations":
-        """Build annotations from tracker ``FrameOutput`` records."""
-        frames = {
-            out.frame: [(tid, box) for tid, box, _conf in out.records]
-            for out in outputs
-            if out.records
-        }
-        return cls(frames)
+        """Build annotations from tracker ``FrameOutput`` records, one per frame."""
+        frames = {}
+        for out in outputs:
+            if out.frame in frames:
+                raise ValueError(f"frame {out.frame} has more than one output")
+            frames[out.frame] = [(tid, box) for tid, box, _conf in out.records]
+        return cls({frame: rows for frame, rows in frames.items() if rows})
 
 
 @dataclass(frozen=True)
@@ -236,25 +237,18 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _FrameTable:
     return _FrameTable(frames, Counter(gt_ids), Counter(pred_ids), len(gt_ids), len(pred_ids))
 
 
-def clear_mota(
-    gt: SequenceAnnotations,
-    pred: SequenceAnnotations,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    *,
-    table: _FrameTable | None = None,
-) -> tuple[float, int, int, int, int]:
+def clear_mota(table: _FrameTable) -> tuple[float, int, int, int, int]:
     """CLEAR accuracy: MOTA = 1 - (FN + FP + IDSW) / total GT boxes.
 
-    Boxes are matched per frame by maximum total IoU gated at the threshold.
-    An identity switch is counted whenever a ground-truth identity's matched
-    prediction differs from its last known match. ``table`` is the aligned
-    (gt, pred) pair as ``evaluate`` builds it; it is built here when omitted.
+    Boxes are matched per frame by maximum total IoU gated at
+    ``IOU_THRESHOLD``. An identity switch is counted whenever a ground-truth
+    identity's matched prediction differs from its last known match.
+    ``table`` is the aligned (gt, pred) pair as ``evaluate`` builds it.
     """
-    table = table if table is not None else _align(gt, pred)
     tp = idsw = 0
     last_match: dict[int, int] = {}
     for gids, pids, sim, _conflict in table.frames:
-        pairs = assignment.gated_match(sim, iou_threshold).pairs
+        pairs = assignment.gated_match(sim, IOU_THRESHOLD).pairs
         tp += len(pairs)
         for i, j in pairs:
             gid = gids[i]
@@ -272,18 +266,10 @@ def clear_mota(
     return mota, tp, fn, fp, idsw
 
 
-def idf1(
-    gt: SequenceAnnotations,
-    pred: SequenceAnnotations,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    *,
-    table: _FrameTable | None = None,
-) -> float:
-    """Identity F1 under the optimal global GT-to-prediction identity mapping.
-
-    ``table`` is as for ``clear_mota``.
-    """
-    table = table if table is not None else _align(gt, pred)
+def idf1(table: _FrameTable) -> float:
+    """Identity F1 under the optimal global GT-to-prediction identity mapping,
+    counting pairs with IoU >= ``IOU_THRESHOLD``. ``table`` is as for
+    ``clear_mota``."""
     gt_ids = sorted(table.gt_presence)
     pred_ids = sorted(table.pred_presence)
     if not gt_ids and not pred_ids:
@@ -294,7 +280,7 @@ def idf1(
     p_index = {p: j for j, p in enumerate(pred_ids)}
     overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=float)
     for gids, pids, sim, _conflict in table.frames:
-        hit_g, hit_p = np.nonzero(sim >= iou_threshold)
+        hit_g, hit_p = np.nonzero(sim >= IOU_THRESHOLD)
         for i, j in zip(hit_g.tolist(), hit_p.tolist()):
             overlap[g_index[gids[i]], p_index[pids[j]]] += 1.0
     idtp = int(sum(overlap[i, j] for i, j in assignment.solve(overlap)))
@@ -304,39 +290,28 @@ def idf1(
     return (2 * idtp / denom) if denom else 1.0
 
 
-def hota(
-    gt: SequenceAnnotations,
-    pred: SequenceAnnotations,
-    alphas: Sequence[float] = ALPHAS,
-    *,
-    table: _FrameTable | None = None,
-) -> tuple[float, float, float, tuple[tuple[float, float, float, float], ...]]:
-    """HOTA and its DetA/AssA decomposition, averaged over the alpha grid.
+def hota(table: _FrameTable) -> tuple[float, float, float, tuple[tuple[float, float, float, float], ...]]:
+    """HOTA and its DetA/AssA decomposition, averaged over ``ALPHAS``.
 
     Per alpha, frames are matched by an assignment score that first maximizes
     the number of gate-passing pairs (IoU >= alpha) and then their total IoU.
     DetA_a = TP/(TP+FN+FP); AssA_a averages, over TP instances, the alignment
     TPA/(TPA+FNA+FPA) of each matched (gt id, pred id) pair across the whole
-    sequence; HOTA_a = sqrt(DetA_a * AssA_a). ``alphas`` may come in any
-    order; ``per_alpha`` keeps it. ``table`` is as for ``clear_mota``.
+    sequence; HOTA_a = sqrt(DetA_a * AssA_a). ``table`` is as for
+    ``clear_mota``.
     """
-    if len(alphas) == 0:
-        raise ValueError("alphas must not be empty")
-    table = table if table is not None else _align(gt, pred)
-    # Alphas ascending (NaN last); each has one Counter of matched
-    # (gt id, pred id) pairs, which receives a frame's pairs in row order, as
-    # a row-sorted matching lists them.
-    order = np.argsort(np.asarray(alphas, dtype=float), kind="stable")
-    ascending = np.asarray(alphas, dtype=float)[order]
-    pair_counts: list[Counter[tuple[int, int]]] = [Counter() for _ in alphas]
-    ascending_counts = [pair_counts[slot] for slot in order.tolist()]
+    # Each alpha has one Counter of matched (gt id, pred id) pairs, which
+    # receives a frame's pairs in row order, as a row-sorted matching lists
+    # them: AssA sums in that order.
+    grid = np.asarray(ALPHAS)
+    pair_counts: list[Counter[tuple[int, int]]] = [Counter() for _ in ALPHAS]
     for gids, pids, sim, conflict in table.frames:
-        hit_g, hit_p = np.nonzero(sim >= ascending[0])
+        hit_g, hit_p = np.nonzero(sim >= ALPHAS[0])
         if not hit_g.size:
             continue
         # Alphas at or below the conflict level (all, if it is NaN) are solved.
-        solved = int(np.searchsorted(ascending, conflict, side="right"))
-        for alpha, counts in zip(ascending[:solved].tolist(), ascending_counts):
+        solved = int(np.searchsorted(grid, conflict, side="right"))
+        for alpha, counts in zip(ALPHAS[:solved], pair_counts):
             passing = sim >= alpha
             if not passing.any():
                 continue
@@ -348,14 +323,14 @@ def hota(
         # entries, so the passing pairs form a matching. Each scores at least
         # 1 + alpha and every other entry 0, so every optimal assignment
         # consists of exactly these pairs: no solve is needed.
-        reached = np.searchsorted(ascending, sim[hit_g, hit_p], side="right").tolist()
+        reached = np.searchsorted(grid, sim[hit_g, hit_p], side="right").tolist()
         for i, j, top in zip(hit_g.tolist(), hit_p.tolist(), reached):
             pair = (gids[i], pids[j])
-            for counts in ascending_counts[solved:top]:
+            for counts in pair_counts[solved:top]:
                 counts[pair] += 1
 
     per_alpha = []
-    for alpha, counts in zip(alphas, pair_counts):
+    for alpha, counts in zip(ALPHAS, pair_counts):
         tp = sum(counts.values())
         fn = table.gt_total - tp
         fp = table.pred_total - tp
@@ -387,9 +362,9 @@ def hota(
 def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsReport:
     """Compute all reported metrics for one sequence from one aligned pass."""
     table = _align(gt, pred)
-    mota, tp, fn, fp, idsw = clear_mota(gt, pred, table=table)
-    idf1_score = idf1(gt, pred, table=table)
-    hota_score, deta_score, assa_score, per_alpha = hota(gt, pred, table=table)
+    mota, tp, fn, fp, idsw = clear_mota(table)
+    idf1_score = idf1(table)
+    hota_score, deta_score, assa_score, per_alpha = hota(table)
     return MetricsReport(
         hota=hota_score,
         deta=deta_score,
@@ -407,9 +382,9 @@ def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsRepor
 
 def _rebase(values: np.ndarray, lo: int, base: int) -> np.ndarray:
     """``values - lo + base`` in int64, for ``lo <= values.min()``; raises
-    ``ValueError`` where the result would not fit."""
+    ``LabelOverflowError`` where the result would not fit."""
     if values.size and base + int(values.max()) - lo > np.iinfo(np.int64).max:
-        raise ValueError("pooled frames or identities do not fit in 64 bits")
+        raise LabelOverflowError("pooled frames or identities do not fit in 64 bits")
     return (values - np.int64(lo)) + np.int64(base)
 
 

@@ -432,3 +432,39 @@ def test_grid_range_with_too_many_values_is_a_usage_error(tmp_path, capsys):
     assert cli.main([*argv, "--range", f"0:{limit}:1"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"error: grid range 0.0:{float(limit)}:1.0 has {limit + 1} values, more than {limit}" in err
+
+
+def test_grid_ignores_config_file_buffers(tmp_path, monkeypatch, capsys):
+    # b1 = 0.5 with the default b2 = 0.4 stopped the grid, which never runs them
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config_file = tmp_path / "b.cfg"
+    config_file.write_text("b1 = 0.5\n", encoding="utf-8")
+    argv = _experiment_argv("grid", tmp_path)
+    report = tmp_path / "r.txt"
+    assert cli.main(argv) == cli.EXIT_OK
+    plain = report.read_bytes()
+    report.unlink()
+    assert cli.main([*argv, "--config", str(config_file)]) == cli.EXIT_OK
+    assert report.read_bytes() == plain
+    # compare runs the file's buffers, so it still rejects them
+    report.unlink()
+    capsys.readouterr()
+    assert cli.main([*_experiment_argv("compare", tmp_path), "--config", str(config_file)]) == cli.EXIT_USAGE
+    assert "error: cascaded matching requires b1 < b2, got b1=0.5, b2=0.4" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pooled_ids_past_int64_are_a_data_error(tmp_path, monkeypatch, capsys, jobs):
+    # Each sequence's ground truth fits in int64; pooled, the second's ids do
+    # not. This exited 2, as a usage error.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    for side, row in (("dets", "1,-1,0,0,10,10,1\n"), ("gt", f"1,{2**62},0,0,10,10,1,1,1.0\n")):
+        (tmp_path / side).mkdir()
+        for name in ("a", "b"):
+            (tmp_path / side / f"{name}.txt").write_text(row, encoding="utf-8")
+    report = tmp_path / "r.txt"
+    argv = ["compare", "--dets", str(tmp_path / "dets"), "--gt", str(tmp_path / "gt"), "--report", str(report)]
+    assert cli.main([*argv, "--jobs", jobs]) == cli.EXIT_DATA
+    assert "error: pooled frames or identities do not fit in 64 bits" in capsys.readouterr().err
+    assert not report.exists()

@@ -3,8 +3,10 @@ import concurrent.futures
 import pytest
 
 from cbiou import experiments, scenarios, synth
+from cbiou.geometry import BoundingBox
+from cbiou.metrics import SequenceAnnotations
 from cbiou.synth import NoiseSpec, ScenarioSpec
-from cbiou.tracker import TrackerConfig
+from cbiou.tracker import Detection, TrackerConfig
 
 
 def tiny_sequence():
@@ -76,3 +78,30 @@ def test_buffer_grid_is_bounded_in_values():
     with pytest.raises(ValueError, match=rf"grid range 0:{limit}:1 has {limit + 1} values, more than {limit}"):
         experiments.enumerate_buffer_grid(0, limit, 1)
 
+
+
+def sliding_box_grid(step):
+    """The 0.1:0.4:0.1 grid, without motion, over one 10 px box that moves
+    ``step`` px per frame and is detected exactly."""
+    boxes = {f: BoundingBox(step * (f - 1), 0, 10, 10) for f in range(1, 7)}
+    dets = {f: [Detection(f, b, 1.0)] for f, b in boxes.items()}
+    gt = SequenceAnnotations({f: [(1, b)] for f, b in boxes.items()})
+    combos = experiments.enumerate_buffer_grid(0.1, 0.4, 0.1)
+    return combos, experiments.run_grid(TrackerConfig(motion_enabled=False), [dets], [gt], combos)
+
+
+def test_grid_tie_goes_to_the_first_cell():
+    combos, result = sliding_box_grid(0)
+    assert [report.hota for _b1, _b2, report in result.scores] == [1.0] * len(combos)
+    assert (result.best_config.b1, result.best_config.b2) == combos[0] == (0.1, 0.2)
+    assert result.best_hota == 1.0
+
+
+def test_grid_later_cell_wins_outright():
+    # Consecutive boxes are 7 px apart and each grows by b * 10 px a side, so
+    # only b2 = 0.4 links them; the cells with it tie, and the first is best.
+    combos, result = sliding_box_grid(17)
+    hotas = [report.hota for _b1, _b2, report in result.scores]
+    assert [hota == 1.0 for hota in hotas] == [False, False, True, False, True, True]
+    assert (result.best_config.b1, result.best_config.b2) == combos[2] == (0.1, 0.4)
+    assert result.best_hota == 1.0

@@ -155,7 +155,7 @@ def test_frames_and_ids_stay_exact_past_float_precision(tmp_path):
     results = mot_io.read_results(path)
     assert list(results.frames) == [big]
     assert [identity for identity, _box in results.frames[big]] == [big]
-    assert results.identities() == {big}
+    assert results.arrays.ids.tolist() == [big]
 
 
 @pytest.mark.parametrize(
