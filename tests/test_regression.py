@@ -7,7 +7,9 @@ say so and update the pins.
 
 import hashlib
 
-from cbiou import experiments, metrics, mot_io, scenarios, synth
+import pytest
+
+from cbiou import cli, experiments, metrics, mot_io, scenarios, synth
 from cbiou.metrics import SequenceAnnotations
 from cbiou.synth import NoiseSpec
 from cbiou.tracker import TrackerConfig, run_sequence
@@ -15,6 +17,11 @@ from cbiou.tracker import TrackerConfig, run_sequence
 BENCH_DIGEST = "5afa372f16dfe8ea088988151170ed7f9d1cea1dbe8877ab5b7514b506e9d2c7"
 NOISE_STUDY_REPORT_DIGEST = "b10ca18d853cc27b9e02e09a1a8d174d16a97d5874eb6bf30a26f97ecac5de2f"
 ORACLE_REPORT_DIGEST = "f9e67b42242fee96c8312bb24a4aabd6f8e573e2720184d380676d0c35bb7c3a"
+GROUND_TRUTH_FILE_DIGEST = "f242065080a9b9208dcae09de4ff9aa66d4499221b927d3db213a51f2722c3a1"
+PERTURB_FILE_DIGESTS = {
+    (): "71e12abbde675354b2fbedba84c08cf264bb68855e99938aa6df28d4e28e09c7",
+    ("--stratified",): "5ec8d931c33510ba9ae2642a75d50a10cf2c5f246f677b0ad7be52e688f1bee2",
+}
 
 
 def report_digest(report) -> str:
@@ -52,3 +59,27 @@ def test_noise_study_full_report_at_20_percent():
 def test_oracle_full_report_on_bench_scenario():
     gt, _dets = synth.generate(scenarios.bench_scenario(30, 100, 7))
     assert report_digest(metrics.evaluate(gt, gt)) == ORACLE_REPORT_DIGEST
+
+
+def file_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def bench_ground_truth_file(tmp_path_factory):
+    gt, _dets = synth.generate(scenarios.bench_scenario(30, 100, 7))
+    path = tmp_path_factory.mktemp("regression") / "gt.txt"
+    mot_io.write_ground_truth(path, gt)
+    return path
+
+
+def test_ground_truth_file_bytes(bench_ground_truth_file):
+    assert file_digest(bench_ground_truth_file) == GROUND_TRUTH_FILE_DIGEST
+
+
+@pytest.mark.parametrize("extra", list(PERTURB_FILE_DIGESTS))
+def test_perturb_file_bytes(bench_ground_truth_file, tmp_path, extra):
+    out = tmp_path / "dets.txt"
+    argv = ["perturb", "--gt", str(bench_ground_truth_file), "--ratio", "0.3", "--seed", "7"]
+    assert cli.main([*argv, "--out", str(out), *extra]) == 0
+    assert file_digest(out) == PERTURB_FILE_DIGESTS[extra]
