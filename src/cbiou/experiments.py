@@ -89,7 +89,8 @@ def enumerate_buffer_grid(start: float, stop: float, step: float) -> list[tuple[
     """All (b1, b2) with b1 < b2 over the inclusive range, b1-major order."""
     if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
         raise ValueError(f"invalid grid range {start}:{stop}:{step}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf for a range too wide for float64
+    count = round(steps) + 1 if math.isfinite(steps) else math.inf
     if count > MAX_GRID_VALUES:
         raise ValueError(
             f"grid range {start}:{stop}:{step} has {count} values, more than {MAX_GRID_VALUES}"

@@ -4,7 +4,8 @@
 the synthetic generator produce. Every similarity kind (IoU, GIoU, DIoU and
 the buffered BIoU) has one implementation, the ``*_matrix`` form over (N, 4)
 arrays of corner-form boxes; the tracker and the metrics call these on whole
-frames. The scalar ``iou`` is kept for single-pair checks (see its docstring).
+frames. The scalar ``corner_iou`` and its ``BoundingBox`` form ``iou`` are
+kept for single-pair checks (see their docstrings).
 """
 
 from __future__ import annotations
@@ -60,11 +61,12 @@ class BoundingBox:
             raise ValueError(f"box {problem}, got x={x}, y={y}, w={self.w}, h={self.h}")
 
 
-def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:
+def _inter_union(a, b) -> tuple[float, float]:
+    """Intersection and union areas of two (x1, y1, x2, y2) corner tuples."""
     # Areas are computed from corner coordinates so that identical boxes give
     # an intersection exactly equal to each area (f(a, a) == 1 bit-exact).
-    ax1, ay1, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
-    bx1, by1, bx2, by2 = b.x, b.y, b.x + b.w, b.y + b.h
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
     iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
     ih = max(0.0, min(ay2, by2) - max(ay1, by1))
     inter = iw * ih
@@ -73,17 +75,22 @@ def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:
     return inter, area_a + area_b - inter
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 for disjoint boxes.
+def corner_iou(a, b) -> float:
+    """IoU of two (x1, y1, x2, y2) corner tuples; 0 for disjoint boxes.
 
-    ``synth.perturb`` checks each false-positive candidate against the frame's
-    boxes with this scalar form: nearly every candidate is accepted on its first
-    try, so a batched ``iou_matrix`` row has nothing to amortise and costs about
-    three times as much per candidate. It is also the reference the matrix
-    forms and the metric tests are checked against.
+    ``synth.perturb`` checks each false-positive candidate with it, so it
+    builds a ``BoundingBox`` only for a box it places. Nearly every candidate
+    is accepted on its first try, so a batched ``iou_matrix`` row has nothing
+    to amortise and costs about three times as much per candidate.
     """
     inter, union = _inter_union(a, b)
     return inter / union
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """``corner_iou`` of two boxes, the reference the matrix forms and the
+    metric tests are checked against; ``perturb`` calls ``corner_iou``."""
+    return corner_iou((a.x, a.y, a.x + a.w, a.y + a.h), (b.x, b.y, b.x + b.w, b.y + b.h))
 
 
 # Vectorized forms over (N, 4) arrays of [x1, y1, x2, y2] rows.

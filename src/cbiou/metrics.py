@@ -1,12 +1,14 @@
 """Tracking evaluation: HOTA (with DetA/AssA), CLEAR-MOT accuracy, and IDF1.
 
 All metrics consume two per-frame labelings (ground truth and predictions) of
-(identity, box) pairs, as ``SequenceAnnotations``. The metrics read their
-``LabelArrays`` form: int64 frames and ids, and corner-form boxes in one
-(N, 4) array, rows grouped by frame; the ``BoundingBox`` form is for API
-callers. Scores are single-sequence; to evaluate several sequences
-together, pool them with ``evaluate_many`` which merges them onto disjoint
-frame/identity ranges so raw counts pool rather than ratios average.
+(identity, box) pairs, as ``SequenceAnnotations``. Labels are stored in one
+form, arrays: int64 frames and ids, and corner-form boxes in one (N, 4)
+array, rows grouped by frame. A mapping of per-frame (identity,
+``BoundingBox``) rows is an input format, and ``frames`` is a view derived
+from the arrays for API callers. Scores are single-sequence; to evaluate
+several sequences together, pool them with ``evaluate_many`` which merges
+them onto disjoint frame/identity ranges so raw counts pool rather than
+ratios average.
 
 ``evaluate`` aligns the two labelings once: for every frame with boxes on
 both sides it keeps the ids, the IoU matrix of the two row ranges' corner
@@ -28,6 +30,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,64 +47,48 @@ class LabelOverflowError(ValueError):
     """Frames or identities that do not fit in int64: a data error."""
 
 
-class LabelArrays(NamedTuple):
-    """One sequence's labels as read-only arrays, rows grouped by ascending
-    frame and in their given order within a frame.
-
-    ``frame_keys`` lists every frame the labels name, frames without rows
-    included; ``row_frames`` (N,) is each row's frame and ``ids`` (N,) its
-    identity, all int64. ``tlwh`` (N, 4) is each box as given and ``xyxy``
-    (N, 4) the same box in corner form.
-    """
-
-    frame_keys: np.ndarray
-    row_frames: np.ndarray
-    ids: np.ndarray
-    tlwh: np.ndarray
-    xyxy: np.ndarray
-
-    @classmethod
-    def build(cls, frame_keys, row_frames, ids, tlwh) -> "LabelArrays":
-        tlwh = np.asarray(tlwh, dtype=float).reshape(-1, 4)
-        x, y, w, h = tlwh.T
-        arrays = cls(
-            np.asarray(frame_keys, dtype=np.int64),
-            np.asarray(row_frames, dtype=np.int64),
-            np.asarray(ids, dtype=np.int64),
-            tlwh,
-            np.column_stack((x, y, x + w, y + h)),
-        )
-        for values in arrays:
-            values.flags.writeable = False
-        return arrays
-
-
 class SequenceAnnotations:
-    """Per-frame (identity, box) labels for one sequence.
+    """Per-frame (identity, box) labels for one sequence, stored only as five
+    read-only arrays, rows grouped by ascending frame and in given order within
+    a frame: ``frame_keys``, every frame the labels name, frames without rows
+    included; ``row_frames`` (N,), each row's frame, and ``ids`` (N,), its
+    identity, all int64; ``tlwh`` (N, 4), each box as given, and ``xyxy``
+    (N, 4), the same box in corner form.
 
-    Frames are integers and each identity appears at most once per frame;
-    anything else is a data error. The labels have two forms, each built from
-    the other on first use: ``frames``, per-frame (identity, ``BoundingBox``)
-    rows for API callers, and ``arrays``, the ``LabelArrays`` the metrics
-    read. The file readers build only ``arrays``, so evaluating files builds
-    no box objects.
+    The constructor takes the mapping form, per-frame (identity,
+    ``BoundingBox``) rows. It checks that frames and identities are integers
+    that fit in int64 and that no identity repeats in a frame, raising a data
+    error otherwise, and builds the arrays at once. ``from_arrays`` takes rows
+    already grouped, as the file readers, ``synth.generate`` and
+    ``pool_sequences`` make them, so evaluating files builds no box objects.
+    ``frames`` is the mapping form again: a read-only view built from the
+    arrays on first use, for API callers.
     """
 
     def __init__(self, frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]):
-        normalized: dict[int, tuple[tuple[int, BoundingBox], ...]] = {}
+        rows: dict[int, dict[int, BoundingBox]] = {}
         for key, items in frames.items():
             if key % 1:  # fractional, NaN or infinite: int() would make 1.5 and 1.7 both 1
                 raise ValueError(f"frame {key!r} is not an integer")
             frame = int(key)
-            rows: dict[int, BoundingBox] = {}
+            rows[frame] = frame_rows = {}
             for identity, box in items:
+                if identity % 1:
+                    raise ValueError(f"identity {identity!r} is not an integer")
                 identity = int(identity)
-                if identity in rows:
+                if identity in frame_rows:
                     raise ValueError(f"duplicate identity {identity} in frame {frame}")
-                rows[identity] = box
-            normalized[frame] = tuple(rows.items())
-        self._frames: dict[int, tuple[tuple[int, BoundingBox], ...]] | None = normalized
-        self._arrays: LabelArrays | None = None
+                frame_rows[identity] = box
+        keys = sorted(rows)
+        try:
+            self._store(
+                keys,
+                np.repeat(np.array(keys, dtype=np.int64), [len(rows[frame]) for frame in keys]),
+                [identity for frame in keys for identity in rows[frame]],
+                [(box.x, box.y, box.w, box.h) for frame in keys for box in rows[frame].values()],
+            )
+        except OverflowError:
+            raise LabelOverflowError("frames and identities must fit in 64 bits") from None
 
     @classmethod
     def from_arrays(cls, frame_keys, row_frames, ids, tlwh) -> "SequenceAnnotations":
@@ -108,50 +96,42 @@ class SequenceAnnotations:
         ``frame_keys`` ascending and naming every row's frame; the rows are
         taken as they are, without the duplicate check."""
         self = cls.__new__(cls)
-        self._frames = None
-        self._arrays = LabelArrays.build(frame_keys, row_frames, ids, tlwh)
+        self._store(frame_keys, row_frames, ids, tlwh)
         return self
 
-    @property
-    def frames(self) -> dict[int, tuple[tuple[int, BoundingBox], ...]]:
-        if self._frames is None:
-            arrays = self._arrays
-            ends = np.searchsorted(arrays.row_frames, arrays.frame_keys, side="right").tolist()
-            ids = arrays.ids.tolist()
-            boxes = [BoundingBox(*row) for row in arrays.tlwh.tolist()]
-            self._frames = {
-                frame: tuple(zip(ids[start:end], boxes[start:end]))
-                for frame, start, end in zip(arrays.frame_keys.tolist(), [0, *ends], ends)
-            }
-        return self._frames
+    def _store(self, frame_keys, row_frames, ids, tlwh) -> None:
+        self.frame_keys = np.asarray(frame_keys, dtype=np.int64)
+        self.row_frames = np.asarray(row_frames, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.tlwh = np.asarray(tlwh, dtype=float).reshape(-1, 4)
+        self.xyxy = self.tlwh.copy()
+        self.xyxy[:, 2:] += self.tlwh[:, :2]
+        for values in (self.frame_keys, self.row_frames, self.ids, self.tlwh, self.xyxy):
+            values.flags.writeable = False
 
-    @property
-    def arrays(self) -> LabelArrays:
-        if self._arrays is None:
-            frames = self._frames
-            keys = sorted(frames)
-            rows = [row for frame in keys for row in frames[frame]]
-            try:
-                self._arrays = LabelArrays.build(
-                    keys,
-                    np.repeat(np.array(keys, dtype=np.int64), [len(frames[f]) for f in keys]),
-                    [identity for identity, _ in rows],
-                    [(box.x, box.y, box.w, box.h) for _, box in rows],
-                )
-            except OverflowError:
-                raise LabelOverflowError("frames and identities must fit in 64 bits") from None
-        return self._arrays
+    def frame_slices(self) -> dict[int, slice]:
+        """Each frame of ``frame_keys`` with the slice of its rows."""
+        ends = np.searchsorted(self.row_frames, self.frame_keys, side="right").tolist()
+        return {
+            frame: slice(start, end)
+            for frame, start, end in zip(self.frame_keys.tolist(), [0, *ends], ends)
+        }
+
+    @cached_property
+    def frames(self) -> Mapping[int, tuple[tuple[int, BoundingBox], ...]]:
+        labels = list(zip(self.ids.tolist(), (BoundingBox(*row) for row in self.tlwh.tolist())))
+        return MappingProxyType({frame: tuple(labels[rows]) for frame, rows in self.frame_slices().items()})
 
     def box_count(self) -> int:
-        return len(self.arrays.ids)
+        return len(self.ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SequenceAnnotations):
             return NotImplemented
         # Equal rows give equal corners: xyxy need not be compared.
         return all(
-            np.array_equal(mine, theirs)
-            for mine, theirs in zip(self.arrays[:4], other.arrays[:4])
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("frame_keys", "row_frames", "ids", "tlwh")
         )
 
     @classmethod
@@ -220,19 +200,18 @@ def _conflict_level(sim: np.ndarray) -> float:
 
 
 def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _FrameTable:
-    g, p = gt.arrays, pred.arrays
-    gt_ids = g.ids.tolist()
-    pred_ids = p.ids.tolist()
+    gt_ids = gt.ids.tolist()
+    pred_ids = pred.ids.tolist()
     # Frames with rows on both sides, ascending, and each side's row range.
-    common = np.intersect1d(g.row_frames, p.row_frames)
+    common = np.intersect1d(gt.row_frames, pred.row_frames)
     bounds = [
         np.searchsorted(labels.row_frames, common, side=side).tolist()
-        for labels in (g, p)
+        for labels in (gt, pred)
         for side in ("left", "right")
     ]
     frames: list[_Frame] = []
     for g0, g1, p0, p1 in zip(*bounds):
-        sim = geometry.iou_matrix(g.xyxy[g0:g1], p.xyxy[p0:p1])
+        sim = geometry.iou_matrix(gt.xyxy[g0:g1], pred.xyxy[p0:p1])
         frames.append(_Frame(gt_ids[g0:g1], pred_ids[p0:p1], sim, _conflict_level(sim)))
     return _FrameTable(frames, Counter(gt_ids), Counter(pred_ids), len(gt_ids), len(pred_ids))
 
@@ -405,12 +384,11 @@ def pool_sequences(
     frame_base = 0
     id_bases = [0, 0]
     for gt, pred in pairs:
-        sides = (gt.arrays, pred.arrays)
-        keys = np.union1d(sides[0].frame_keys, sides[1].frame_keys)
+        keys = np.union1d(gt.frame_keys, pred.frame_keys)
         if not keys.size:
             continue
         lo, hi = int(keys[0]), int(keys[-1])
-        for side, labels in enumerate(sides):
+        for side, labels in enumerate((gt, pred)):
             id_lo = min(0, int(labels.ids.min())) if labels.ids.size else 0
             parts[side].append(
                 (

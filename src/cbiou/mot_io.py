@@ -15,8 +15,9 @@ is a data error; one at or beyond 2**53 in magnitude, where float64 rounds,
 is read again exactly. The earliest failing line is reported, as
 ``_check_row`` words it for one row: bytes that are not UTF-8 and rows that
 do not parse as parse errors, the rest as data errors. Ground truth and
-results become ``SequenceAnnotations`` arrays without a ``BoundingBox`` per
-row; detections become ``Detection`` lists for the tracker.
+results become ``SequenceAnnotations`` arrays, and ``write_ground_truth``
+writes from them, without a ``BoundingBox`` per row; detections become
+``Detection`` lists for the tracker.
 
 Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
 coordinates at fixed 2-decimal precision.
@@ -39,6 +40,7 @@ _INT64 = np.iinfo(np.int64)
 # Frames and ids of this magnitude or more may have been rounded by float64.
 _FLOAT_EXACT = 2.0**53
 _CHUNK_FLOATS = 8192
+_CHUNK_ROWS = 1024
 
 
 class MotFileError(ValueError):
@@ -343,9 +345,12 @@ def write_detections(path, detections_by_frame: Mapping[int, Sequence[Detection]
 
 def write_ground_truth(path, annotations: SequenceAnnotations) -> None:
     """Write annotations as ground-truth rows (active 1, class 1, visibility 1.0)."""
+    order = np.lexsort((annotations.ids, annotations.row_frames))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for frame in sorted(annotations.frames):
-            for identity, box in sorted(annotations.frames[frame], key=lambda row: row[0]):
-                fh.write(
-                    f"{frame},{identity},{box.x:.2f},{box.y:.2f},{box.w:.2f},{box.h:.2f},1,1,1.0\n"
-                )
+        # Rows become Python values a chunk at a time: a whole file's values
+        # at once would raise the peak memory of a write.
+        for start in range(0, len(order), _CHUNK_ROWS):
+            rows = order[start : start + _CHUNK_ROWS]
+            columns = (annotations.row_frames[rows], annotations.ids[rows], *annotations.tlwh[rows].T)
+            for frame, identity, x, y, w, h in zip(*(column.tolist() for column in columns)):
+                fh.write(f"{frame},{identity},{x:.2f},{y:.2f},{w:.2f},{h:.2f},1,1,1.0\n")

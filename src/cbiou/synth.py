@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, corner_iou
 from .metrics import SequenceAnnotations
 from .tracker import Detection
 
@@ -43,7 +43,7 @@ class OcclusionSpec:
         if not (0.0 <= self.probability <= 1.0):
             raise ValueError(f"occlusion probability must be in [0, 1], got {self.probability!r}")
         lo, hi = self.duration
-        if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
+        if lo % 1 or hi % 1 or lo < 1 or hi < lo:
             raise ValueError(f"occlusion duration range must satisfy 1 <= lo <= hi, got {self.duration!r}")
 
 
@@ -61,9 +61,9 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_objects < 0 or int(self.num_objects) != self.num_objects:
+        if self.num_objects < 0 or self.num_objects % 1:
             raise ValueError(f"num_objects must be a non-negative integer, got {self.num_objects!r}")
-        if self.num_frames < 1 or int(self.num_frames) != self.num_frames:
+        if self.num_frames < 1 or self.num_frames % 1:
             raise ValueError(f"num_frames must be a positive integer, got {self.num_frames!r}")
         width, height = self.arena
         if not (width > 0 and height > 0):
@@ -115,9 +115,9 @@ def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[De
     """
     rng = np.random.default_rng(spec.seed)
     arena_w, arena_h = float(spec.arena[0]), float(spec.arena[1])
-    gt_frames: dict[int, list[tuple[int, BoundingBox]]] = {}
+    tlwh: list[float] = []
     det_frames: dict[int, list[Detection]] = {f: [] for f in range(1, spec.num_frames + 1)}
-    for obj_id in range(1, spec.num_objects + 1):
+    for _object in range(spec.num_objects):
         w = float(rng.uniform(spec.size_range[0], spec.size_range[1]))
         h = float(rng.uniform(spec.size_range[0], spec.size_range[1]))
         cx = float(rng.uniform(w / 2, arena_w - w / 2))
@@ -127,8 +127,9 @@ def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[De
         vx, vy = speed * math.cos(heading), speed * math.sin(heading)
         burst_left = 0
         for frame in range(1, spec.num_frames + 1):
-            box = BoundingBox(cx - w / 2, cy - h / 2, w, h)
-            gt_frames.setdefault(frame, []).append((obj_id, box))
+            x, y = cx - w / 2, cy - h / 2
+            box = BoundingBox(x, y, w, h)
+            tlwh += (x, y, w, h)
             suppressed = False
             if spec.occlusion is not None:
                 if burst_left > 0:
@@ -147,14 +148,21 @@ def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[De
                 vx, vy = speed * math.cos(heading), speed * math.sin(heading)
             cx, vx = _reflect(cx + vx, vx, w / 2, arena_w - w / 2)
             cy, vy = _reflect(cy + vy, vy, h / 2, arena_h - h / 2)
-    return SequenceAnnotations(gt_frames), det_frames
+    # Boxes run object by object; the labels group them by frame, in id order.
+    # Each frame holds one row per object, so without objects no frame is named.
+    count, frames = spec.num_objects, spec.num_frames
+    row_frames, ids = np.indices((frames, count)).reshape(2, -1) + 1
+    boxes = np.array(tlwh).reshape(count, frames, 4).swapaxes(0, 1)
+    frame_keys = np.arange(1, (frames if count else 0) + 1)
+    return SequenceAnnotations.from_arrays(frame_keys, row_frames, ids, boxes), det_frames
 
 
 def oracle_detections(gt: SequenceAnnotations) -> dict[int, list[Detection]]:
     """Ground-truth boxes reissued as detector output at confidence 1.0."""
+    boxes = [BoundingBox(*row) for row in gt.tlwh.tolist()]
     return {
-        frame: [Detection(frame=frame, box=box, confidence=1.0) for _, box in rows]
-        for frame, rows in sorted(gt.frames.items())
+        frame: [Detection(frame=frame, box=box, confidence=1.0) for box in boxes[rows]]
+        for frame, rows in gt.frame_slices().items()
     }
 
 
@@ -207,31 +215,28 @@ def perturb(
     if not removed:
         return result
 
-    sizes = [(box.w, box.h) for frame in sorted(gt.frames) for _, box in gt.frames[frame]]
-    if not sizes:
+    if not gt.box_count():
         raise ValueError("cannot size false positives: ground truth has no boxes")
-    all_boxes = [box for rows in gt.frames.values() for _, box in rows]
-    env_x1 = min(b.x for b in all_boxes)
-    env_y1 = min(b.y for b in all_boxes)
-    env_x2 = max(b.x + b.w for b in all_boxes)
-    env_y2 = max(b.y + b.h for b in all_boxes)
+    sizes = gt.tlwh[:, 2:].tolist()
+    env_x1, env_y1 = gt.xyxy[:, :2].min(axis=0).tolist()
+    env_x2, env_y2 = gt.xyxy[:, 2:].max(axis=0).tolist()
+    corners = gt.xyxy.tolist()
+    gt_rows = gt.frame_slices()
 
     for frame, _ in sorted(removed):
-        gt_rows = gt.frames.get(frame, ())
-        placed = None
+        frame_corners = corners[gt_rows.get(frame, slice(0))]
         for _attempt in range(FP_MAX_ATTEMPTS):
             w, h = sizes[int(rng.integers(len(sizes)))]
             x = float(rng.uniform(env_x1, max(env_x1, env_x2 - w)))
             y = float(rng.uniform(env_y1, max(env_y1, env_y2 - h)))
-            candidate = BoundingBox(x, y, w, h)
-            if all(iou(candidate, box) < FP_GT_IOU_MAX for _, box in gt_rows):
-                placed = candidate
+            candidate = (x, y, x + w, y + h)
+            if all(corner_iou(candidate, box) < FP_GT_IOU_MAX for box in frame_corners):
                 break
-        if placed is None:
+        else:
             raise GenerationError(
                 f"could not place a false positive in frame {frame} "
                 f"after {FP_MAX_ATTEMPTS} attempts",
                 frame=frame,
             )
-        result[frame].append(Detection(frame=frame, box=placed, confidence=1.0))
+        result[frame].append(Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=1.0))
     return result

@@ -50,9 +50,9 @@ class TrackerConfig:
             raise ValueError(
                 f"cascaded matching requires b1 < b2, got b1={self.b1!r}, b2={self.b2!r}"
             )
-        if int(self.max_age) != self.max_age or self.max_age < 1:
+        if self.max_age % 1 or self.max_age < 1:
             raise ValueError(f"max_age must be an integer >= 1, got {self.max_age!r}")
-        if int(self.n_max) != self.n_max or self.n_max < 2:
+        if self.n_max % 1 or self.n_max < 2:
             raise ValueError(f"n_max must be an integer >= 2, got {self.n_max!r}")
         if not math.isfinite(self.min_sim):
             raise ValueError(f"min_sim must be finite, got {self.min_sim!r}")
@@ -73,7 +73,7 @@ class Detection:
     confidence: float
 
     def __post_init__(self) -> None:
-        if int(self.frame) != self.frame or self.frame < 1:
+        if self.frame % 1 or self.frame < 1:
             raise ValueError(f"frame must be a positive integer, got {self.frame!r}")
         if not math.isfinite(self.confidence):
             raise ValueError(f"confidence must be finite, got {self.confidence!r}")
@@ -157,7 +157,7 @@ class CBiouTracker:
         that would have aged out inside the gap is gone before matching. The
         tracker is unchanged if this raises.
         """
-        if int(frame_index) != frame_index or frame_index < 1:
+        if frame_index % 1 or frame_index < 1:
             raise ValueError(f"frame index must be a positive integer, got {frame_index!r}")
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(

@@ -244,14 +244,12 @@ def test_eval_rejects_non_finite_min_visibility(tmp_path, capsys, value):
     assert not (tmp_path / "report.txt").exists()
 
 
-def test_eval_builds_no_bounding_box(tmp_path, monkeypatch):
+def test_eval_builds_no_bounding_box(tmp_path, count_boxes):
     gt, dets = synth.generate(scenarios.bench_scenario(5, 30, 3))
     paths = {name: tmp_path / f"{name}.txt" for name in ("gt", "res", "report")}
     mot_io.write_ground_truth(paths["gt"], gt)
     mot_io.write_results(paths["res"], tracker.run_sequence(TrackerConfig(), dets))
-    built = []
-    validate = BoundingBox.__post_init__
-    monkeypatch.setattr(BoundingBox, "__post_init__", lambda box: built.append(box) or validate(box))
+    built = count_boxes()
     argv = ["eval", "--gt", str(paths["gt"]), "--res", str(paths["res"]), "--report", str(paths["report"])]
     assert cli.main(argv) == cli.EXIT_OK
     assert built == []
@@ -432,6 +430,14 @@ def test_grid_range_with_too_many_values_is_a_usage_error(tmp_path, capsys):
     assert cli.main([*argv, "--range", f"0:{limit}:1"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"error: grid range 0.0:{float(limit)}:1.0 has {limit + 1} values, more than {limit}" in err
+
+
+def test_grid_range_past_float64_is_a_usage_error(tmp_path, capsys):
+    # (stop - start) / step overflowed to inf, and round(inf) raised
+    # OverflowError: exit 1 with a traceback.
+    argv = ["grid", "--dets", "missing.txt", "--gt", "missing.txt", "--report", str(tmp_path / "r.txt")]
+    assert cli.main([*argv, "--range", "0:1e300:1e-300"]) == cli.EXIT_USAGE
+    assert "error: grid range 0.0:1e+300:1e-300 has inf values, more than" in capsys.readouterr().err
 
 
 def test_grid_ignores_config_file_buffers(tmp_path, monkeypatch, capsys):

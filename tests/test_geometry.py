@@ -258,8 +258,9 @@ class TestProperties:
 
     def test_pixel_counting_oracle_exact(self):
         for a, b in integer_pairs():
+            a, b = corners(a)[0].tolist(), corners(b)[0].tolist()
             inter, union = geometry._inter_union(a, b)
-            oracle_inter, oracle_union, *_ = pixel_counts(corners(a)[0], corners(b)[0])
+            oracle_inter, oracle_union, *_ = pixel_counts(a, b)
             assert inter == oracle_inter
             assert union == oracle_union
 

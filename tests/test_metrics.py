@@ -45,8 +45,8 @@ def id_switch_pred():
 
 def brute_force_idf1(gt, pred, threshold=0.5):
     """Exhaustive search over all injective identity mappings."""
-    gt_ids = sorted(set(gt.arrays.ids.tolist()))
-    pred_ids = sorted(set(pred.arrays.ids.tolist()))
+    gt_ids = sorted(set(gt.ids.tolist()))
+    pred_ids = sorted(set(pred.ids.tolist()))
     if not gt_ids and not pred_ids:
         return 1.0
     if not gt_ids or not pred_ids:
@@ -91,7 +91,20 @@ class TestSequenceAnnotations:
     def test_counts_and_identities(self):
         ann = SequenceAnnotations({1: [(1, box(0)), (2, box(30))], 2: [(1, box(5))]})
         assert ann.box_count() == 3
-        assert set(ann.arrays.ids.tolist()) == {1, 2}
+        assert set(ann.ids.tolist()) == {1, 2}
+
+    def test_arrays_are_stored_and_frames_is_a_read_only_view(self):
+        ann = SequenceAnnotations({2: [(4, box(30)), (3, box(0))], 1: []})
+        assert ann.frame_keys.tolist() == [1, 2]
+        assert ann.row_frames.tolist() == [2, 2]
+        assert ann.ids.tolist() == [4, 3]
+        assert ann.xyxy.tolist() == [[30, 0, 40, 10], [0, 0, 10, 10]]
+        with pytest.raises(ValueError):
+            ann.ids[0] = 5
+        assert dict(ann.frames) == {1: (), 2: ((4, box(30)), (3, box(0)))}
+        assert ann.frames is ann.frames
+        with pytest.raises(TypeError):
+            ann.frames[3] = ()
 
     @pytest.mark.parametrize("key", [1.5, math.nan, math.inf])
     def test_non_integral_frame_rejected(self, key):
@@ -99,8 +112,18 @@ class TestSequenceAnnotations:
         with pytest.raises(ValueError, match=f"frame {key!r} is not an integer"):
             SequenceAnnotations({key: [(1, box(0))], 1.7: [(2, box(0))]})
 
+    @pytest.mark.parametrize("identity", [1.5, math.nan, math.inf])
+    def test_non_integral_identity_rejected(self, identity):
+        # int() stored 1.5 as id 1, and ids 1.5 and 1.7 in one frame raised
+        # "duplicate identity 1"
+        with pytest.raises(ValueError, match=f"identity {identity!r} is not an integer"):
+            SequenceAnnotations({1: [(identity, box(0)), (1.7, box(30))]})
+
+    def test_integral_float_identity_is_its_integer(self):
+        assert SequenceAnnotations({1: [(2.0, box(0))]}).ids.tolist() == [2]
+
     def test_integral_float_frame_is_its_integer(self):
-        assert SequenceAnnotations({2.0: [(1, box(0))]}).arrays.frame_keys.tolist() == [2]
+        assert SequenceAnnotations({2.0: [(1, box(0))]}).frame_keys.tolist() == [2]
 
     @pytest.mark.parametrize("first", [((1, box(0), 1.0),), ()], ids=["with_records", "empty"])
     def test_repeated_frame_output_rejected(self, first):
@@ -292,8 +315,8 @@ class TestPooling:
         pred_b = SequenceAnnotations({f: [(10, box(50))] for f in range(1, 3)})
         merged_gt, merged_pred = pool_sequences([(gt_a, pred_a), (gt_b, pred_b)])
         assert merged_gt.box_count() == gt_a.box_count() + gt_b.box_count()
-        assert len(set(merged_gt.arrays.ids.tolist())) == 2
-        assert len(set(merged_pred.arrays.ids.tolist())) == 3
+        assert len(set(merged_gt.ids.tolist())) == 2
+        assert len(set(merged_pred.ids.tolist())) == 3
         assert not (set(merged_gt.frames) - set(range(1, 7)))
 
     def test_report_is_complete(self):
@@ -452,8 +475,8 @@ def test_pooling_keeps_negative_gt_ids_apart():
     pred_b = SequenceAnnotations({1: [(5, box(0))]})
     merged_gt, merged_pred = pool_sequences([(gt_a, pred_a), (gt_b, pred_b)])
     # non-negative ids move by the running base, as they always have
-    assert merged_gt.arrays.ids.tolist() == [0, 1, 2]
-    assert merged_pred.arrays.ids.tolist() == [5, 6, 12]
+    assert merged_gt.ids.tolist() == [0, 1, 2]
+    assert merged_pred.ids.tolist() == [5, 6, 12]
     assert evaluate_many([(gt_a, pred_a), (gt_b, pred_b)]).idf1 == 1.0
 
 
@@ -465,6 +488,5 @@ def test_pooling_rejects_ids_past_int64():
 
 
 def test_labels_past_int64_are_a_value_error():
-    labels = SequenceAnnotations({1: [(2**63, box(0))]})
     with pytest.raises(ValueError, match="must fit in 64 bits"):
-        labels.box_count()
+        SequenceAnnotations({1: [(2**63, box(0))]})

@@ -155,7 +155,7 @@ def test_frames_and_ids_stay_exact_past_float_precision(tmp_path):
     results = mot_io.read_results(path)
     assert list(results.frames) == [big]
     assert [identity for identity, _box in results.frames[big]] == [big]
-    assert results.arrays.ids.tolist() == [big]
+    assert results.ids.tolist() == [big]
 
 
 @pytest.mark.parametrize(
@@ -254,3 +254,24 @@ def test_reads_do_not_depend_on_the_conversion_chunk(tmp_path, monkeypatch, chun
     path.write_text("".join(rows) + "4,1,0,zz,10,10\n", encoding="utf-8")
     with pytest.raises(mot_io.MotParseError, match=r"res\.txt:7: y is not a number: 'zz'"):
         mot_io.read_results(path)
+
+
+def test_ground_truth_rewrites_from_arrays(tmp_path, count_boxes):
+    gt = SequenceAnnotations(
+        {
+            2: [(5, BoundingBox(1, 2, 3, 4)), (3, BoundingBox(0, 0, 10, 10))],
+            1: [(7, BoundingBox(0.5, 0, 1, 1))],
+        }
+    )
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    mot_io.write_ground_truth(first, gt)
+    assert first.read_text(encoding="utf-8") == (
+        "1,7,0.50,0.00,1.00,1.00,1,1,1.0\n"
+        "2,3,0.00,0.00,10.00,10.00,1,1,1.0\n"
+        "2,5,1.00,2.00,3.00,4.00,1,1,1.0\n"
+    )
+    labels = mot_io.read_ground_truth(first)
+    built = count_boxes()
+    mot_io.write_ground_truth(second, labels)
+    assert built == []
+    assert second.read_bytes() == first.read_bytes()

@@ -102,6 +102,18 @@ class TestGenerate:
         assert total_dets < total_gt
         assert all(d.confidence == 1.0 for v in dets.values() for d in v)
 
+    def test_ground_truth_view_keys_the_detection_boxes(self):
+        # The benchmark looks up each tracked detection box by (frame, box)
+        # in a table built from gt.frames.
+        gt, dets = generate(basic_spec(occlusion=OcclusionSpec(0.2, (1, 3))))
+        owner = {(f, b): identity for f, rows in gt.frames.items() for identity, b in rows}
+        assert len(owner) == gt.box_count()
+        for f, frame_dets in dets.items():
+            boxes = {b: b for _, b in gt.frames[f]}
+            for d in frame_dets:
+                assert boxes[d.box] == d.box and hash(boxes[d.box]) == hash(d.box)
+                assert (f, d.box) in owner
+
     def test_oracle_detections_mirror_gt(self):
         gt, _ = generate(basic_spec())
         dets = oracle_detections(gt)
@@ -124,6 +136,14 @@ class TestPerturb:
         originals = {id(d) for v in dets.values() for d in v}
         kept = sum(1 for v in noisy.values() for d in v if id(d) in originals)
         assert kept == total - int(round(ratio * total))
+
+    def test_builds_one_box_per_placed_false_positive(self, count_boxes):
+        gt, dets = generate(basic_spec(num_objects=4, num_frames=30))
+        built = count_boxes()
+        noisy = perturb(dets, NoiseSpec(ratio=0.3, seed=7), gt)
+        originals = {id(d) for v in dets.values() for d in v}
+        placed = [d.box for v in noisy.values() for d in v if id(d) not in originals]
+        assert placed and built == placed
 
     def test_fp_separation_from_gt(self):
         gt, dets = generate(basic_spec(num_objects=4, num_frames=30))

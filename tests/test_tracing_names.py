@@ -1,8 +1,10 @@
-"""The benchmark's tracer wraps ``cbiou`` attributes by name; a renamed layer
-must fail here, not only in a traced benchmark run."""
+"""The benchmark's tracer wraps ``cbiou`` attributes by name, and its
+workloads call ``cbiou``'s API; a renamed layer or a changed call must fail
+here, not only in a benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -44,3 +46,29 @@ def test_instrument_wraps_and_restores():
     with tracing.instrumented(tracing.Tracer()):
         assert all(resolve(name) is not originals[name] for name in tracing.TIMED)
     assert all(resolve(name) is originals[name] for name in tracing.TIMED)
+
+
+WORKLOADS = TRACING.with_name("workloads.py")
+
+
+class StubClock:
+    def scale(self) -> float:
+        return 1.0
+
+
+def test_workloads_run_at_tiny_sizes(tmp_path, monkeypatch):
+    # workloads.py imports its sibling module as ``tracing``, and its
+    # dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = cls(cls.TINY, workdir)
+        inputs = workload.setup(1)
+        workload.prepare(inputs)
+        units = workload.run_round(inputs, StubClock())
+        assert units and all(unit.ok for unit in units), name

@@ -5,7 +5,8 @@ from cbiou import assignment, geometry, motion
 from cbiou import tracker as tracker_module
 from cbiou.geometry import BoundingBox
 from cbiou.metrics import SequenceAnnotations, evaluate
-from cbiou.synth import ScenarioSpec, generate
+from cbiou.experiments import enumerate_buffer_grid
+from cbiou.synth import OcclusionSpec, ScenarioSpec, generate
 from cbiou.tracker import (
     CBiouTracker,
     Detection,
@@ -48,6 +49,28 @@ class TestTrackerConfig:
             TrackerConfig(similarity_kind="ciou")
         with pytest.raises(ValueError):
             TrackerConfig(b1=-0.1)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TrackerConfig(max_age=INF),
+        lambda: TrackerConfig(n_max=INF),
+        lambda: det(INF, 0.0),
+        lambda: CBiouTracker().step(INF, []),
+        lambda: ScenarioSpec(INF, 10, (100.0, 100.0), (1.0, 2.0), 0.0, (5.0, 10.0)),
+        lambda: OcclusionSpec(0.1, (INF, INF)),
+        lambda: enumerate_buffer_grid(0.0, 1e300, 1e-300),
+    ],
+    ids=["max_age", "n_max", "detection_frame", "step_frame", "num_objects", "occlusion_duration", "grid_count"],
+)
+def test_infinite_counts_are_value_errors(build):
+    # int(inf) raised OverflowError, which the documented ValueError misses
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestStep:
