@@ -34,7 +34,7 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Box in top-left/width/height form; extents must be strictly positive,
     also after the corners x + w and y + h are rounded, and every corner
@@ -46,19 +46,23 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        x, y, w, h, limit = self.x, self.y, self.w, self.h, MAX_ABS_COORDINATE
+        if not type(x) is type(y) is type(w) is type(h) is float:
+            for name in ("x", "y", "w", "h"):
+                object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            x, y, w, h = self.x, self.y, self.w, self.h
         # Checked in corner form, which the matrix forms use: at large
         # coordinates a positive w can still give x + w == x.
-        x, y, limit = self.x, self.y, MAX_ABS_COORDINATE
-        x2, y2 = x + self.w, y + self.h
+        x2, y2 = x + w, y + h
         if not (-limit <= x < x2 <= limit and -limit <= y < y2 <= limit):
+            for name, value in zip("xywh", (x, y, w, h)):  # float boxes skipped these checks
+                _require_finite(name, value)
             problem = (
                 "extents must be positive in corner form"
                 if x2 <= x or y2 <= y
                 else f"corners must lie within +-{limit:g}"
             )
-            raise ValueError(f"box {problem}, got x={x}, y={y}, w={self.w}, h={self.h}")
+            raise ValueError(f"box {problem}, got x={x}, y={y}, w={w}, h={h}")
 
 
 def _inter_union(a, b) -> tuple[float, float]:

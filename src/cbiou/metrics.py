@@ -109,6 +109,10 @@ class SequenceAnnotations:
         for values in (self.frame_keys, self.row_frames, self.ids, self.tlwh, self.xyxy):
             values.flags.writeable = False
 
+    def __reduce__(self):
+        # Rows only: the cached ``frames`` view, a mappingproxy, does not pickle.
+        return type(self).from_arrays, (self.frame_keys, self.row_frames, self.ids, self.tlwh)
+
     def frame_slices(self) -> dict[int, slice]:
         """Each frame of ``frame_keys`` with the slice of its rows."""
         ends = np.searchsorted(self.row_frames, self.frame_keys, side="right").tolist()

@@ -40,7 +40,6 @@ _INT64 = np.iinfo(np.int64)
 # Frames and ids of this magnitude or more may have been rounded by float64.
 _FLOAT_EXACT = 2.0**53
 _CHUNK_FLOATS = 8192
-_CHUNK_ROWS = 1024
 
 
 class MotFileError(ValueError):
@@ -346,11 +345,7 @@ def write_detections(path, detections_by_frame: Mapping[int, Sequence[Detection]
 def write_ground_truth(path, annotations: SequenceAnnotations) -> None:
     """Write annotations as ground-truth rows (active 1, class 1, visibility 1.0)."""
     order = np.lexsort((annotations.ids, annotations.row_frames))
+    columns = (annotations.row_frames[order], annotations.ids[order], *annotations.tlwh[order].T)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # Rows become Python values a chunk at a time: a whole file's values
-        # at once would raise the peak memory of a write.
-        for start in range(0, len(order), _CHUNK_ROWS):
-            rows = order[start : start + _CHUNK_ROWS]
-            columns = (annotations.row_frames[rows], annotations.ids[rows], *annotations.tlwh[rows].T)
-            for frame, identity, x, y, w, h in zip(*(column.tolist() for column in columns)):
-                fh.write(f"{frame},{identity},{x:.2f},{y:.2f},{w:.2f},{h:.2f},1,1,1.0\n")
+        for frame, identity, x, y, w, h in zip(*(column.tolist() for column in columns)):
+            fh.write(f"{frame},{identity},{x:.2f},{y:.2f},{w:.2f},{h:.2f},1,1,1.0\n")

@@ -33,6 +33,13 @@ def test_parallel_compare_equals_serial():
     assert parallel == serial
 
 
+def test_parallel_compare_after_the_frames_view_is_read():
+    det_seqs, gt_seqs = tiny_sequence()
+    gt_seqs[0].frames
+    serial = experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=1)
+    assert experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=2) == serial
+
+
 def test_parallel_grid_equals_serial():
     det_seqs, gt_seqs = tiny_sequence()
     combos = experiments.enumerate_buffer_grid(0.1, 0.3, 0.1)

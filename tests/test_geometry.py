@@ -93,6 +93,16 @@ class TestBoxTypes:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, float("inf"), 1)
 
+    def test_stores_python_floats_and_names_the_first_nonfinite_field(self):
+        box = BoundingBox(np.float64(1.5), 2, np.int64(3), 4.0)
+        assert [type(v) for v in (box.x, box.y, box.w, box.h)] == [float] * 4
+        assert (box.x, box.y, box.w, box.h) == (1.5, 2.0, 3.0, 4.0)
+        # all-float boxes skip the per-field conversion; their errors read the same
+        with pytest.raises(ValueError, match="^w must be finite, got inf$"):
+            BoundingBox(0.0, 0.0, float("inf"), 1.0)
+        with pytest.raises(ValueError, match="^x must be finite, got nan$"):
+            BoundingBox(float("nan"), 0.0, float("inf"), 1.0)
+
     def test_rejects_corners_beyond_the_limit(self):
         limit = geometry.MAX_ABS_COORDINATE
         BoundingBox(-limit, -limit, 2 * limit, 2 * limit)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -105,6 +107,18 @@ class TestSequenceAnnotations:
         assert ann.frames is ann.frames
         with pytest.raises(TypeError):
             ann.frames[3] = ()
+
+    def test_pickles_and_copies_after_frames_is_read(self):
+        # A process pool pickles the labels; the cached view, a mappingproxy,
+        # must stay behind, and the rebuilt arrays stay read-only.
+        ann = SequenceAnnotations({2: [(4, box(30)), (3, box(0))], 1: []})
+        view = dict(ann.frames)
+        for copied in (pickle.loads(pickle.dumps(ann)), copy.deepcopy(ann)):
+            assert copied == ann
+            assert dict(copied.frames) == view
+            assert copied.xyxy.tolist() == ann.xyxy.tolist()
+            with pytest.raises(ValueError):
+                copied.ids[0] = 5
 
     @pytest.mark.parametrize("key", [1.5, math.nan, math.inf])
     def test_non_integral_frame_rejected(self, key):
