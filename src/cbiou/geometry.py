@@ -4,8 +4,11 @@
 the synthetic generator produce. Every similarity kind (IoU, GIoU, DIoU and
 the buffered BIoU) has one implementation, the ``*_matrix`` form over (N, 4)
 arrays of corner-form boxes; the tracker and the metrics call these on whole
-frames. The scalar ``corner_iou`` and its ``BoundingBox`` form ``iou`` are
-kept for single-pair checks (see their docstrings).
+frames. ``paired_iou`` gives IoU cell by cell for two row-paired arrays, from
+the same intersection and union code as ``iou_matrix``; the metrics call it
+on every cell of a sequence at once. The scalar ``corner_iou`` and its
+``BoundingBox`` form ``iou`` are kept for single-pair checks (see their
+docstrings).
 """
 
 from __future__ import annotations
@@ -126,15 +129,15 @@ def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _pairwise_parts(a: np.ndarray, b: np.ndarray):
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0.0, None) * np.clip(iy2 - iy1, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter, union
+    """Intersection and union areas of corner-form boxes ``a[..., 4]`` and
+    ``b[..., 4]``, broadcast against each other: (N, 1, 4) against (1, M, 4)
+    gives every pair, two (C, 4) arrays give row-paired cells."""
+    iw = np.maximum(np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]), 0.0)
+    ih = np.maximum(np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]), 0.0)
+    inter = iw * ih
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter, area_a + area_b - inter
 
 
 def _empty_or_arrays(a, b):
@@ -150,6 +153,14 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
+    inter, union = _pairwise_parts(a[:, None], b[None, :])
+    return inter / union
+
+
+def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row of ``a`` with the same row of ``b``, two (C, 4) arrays
+    of corner-form boxes; shape (C,). Each value has the bits of the
+    matching ``iou_matrix`` entry."""
     inter, union = _pairwise_parts(a, b)
     return inter / union
 
@@ -166,7 +177,7 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    inter, union = _pairwise_parts(a, b)
+    inter, union = _pairwise_parts(a[:, None], b[None, :])
     hull_w = np.maximum(a[:, None, 2], b[None, :, 2]) - np.minimum(a[:, None, 0], b[None, :, 0])
     hull_h = np.maximum(a[:, None, 3], b[None, :, 3]) - np.minimum(a[:, None, 1], b[None, :, 1])
     hull = hull_w * hull_h
@@ -177,7 +188,7 @@ def diou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    inter, union = _pairwise_parts(a, b)
+    inter, union = _pairwise_parts(a[:, None], b[None, :])
     acx = (a[:, 0] + a[:, 2]) / 2.0
     acy = (a[:, 1] + a[:, 3]) / 2.0
     bcx = (b[:, 0] + b[:, 2]) / 2.0

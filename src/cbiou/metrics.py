@@ -10,25 +10,30 @@ several sequences together, pool them with ``evaluate_many`` which merges
 them onto disjoint frame/identity ranges so raw counts pool rather than
 ratios average.
 
-``evaluate`` aligns the two labelings once: for every frame with boxes on
-both sides it keeps the ids, the IoU matrix of the two row ranges' corner
-boxes and the matrix's conflict level (its largest second-highest entry over
-all rows and columns), plus per-id presence counts and box totals.
-``clear_mota`` and ``idf1`` (at IoU ``IOU_THRESHOLD``) and ``hota`` (over the
-fixed grid ``ALPHAS``) each take that table.
+``evaluate`` aligns the two labelings once, as whole-sequence arrays. Every
+(gt row, pred row) cell of every frame with boxes on both sides gets its IoU
+in one vectorised pass per chunk of frames (at most ``_CHUNK_CELLS`` cells),
+and the positive cells are kept as flat arrays in (frame, gt row, pred row)
+order. A frame's conflict level is the largest second-highest IoU over its
+rows and columns. A frame whose level is above 0 has a row or column with
+two positive cells, and keeps a dense IoU matrix. In every other frame the
+positive cells form a matching, which no assignment can change: its CLEAR
+matches are its cells with IoU >= ``IOU_THRESHOLD``, and at each alpha its
+HOTA matches are its cells with IoU >= alpha. Only conflict frames are
+solved, by ``gated_match`` for CLEAR and by ``solve`` for HOTA at the alphas
+up to the frame's level. ``clear_mota`` and ``idf1`` (at ``IOU_THRESHOLD``)
+and ``hota`` (over the fixed grid ``ALPHAS``) each take that table.
 
-HOTA matches each frame at every alpha with scores 1 + IoU for pairs whose
-IoU passes alpha and 0 otherwise. At an alpha above the frame's conflict
-level no row or column holds two passing pairs, so the passing pairs form a
-matching, and since each of them scores more than every other entry, every
-optimal assignment contains exactly them. Those alphas take the passing
-pairs directly; only alphas at or below the conflict level are solved.
+Above a frame's conflict level no row or column holds two passing pairs, so
+the passing pairs form a matching; since each of them scores more than every
+other entry, every optimal assignment contains exactly them. Those alphas
+take the passing pairs directly, in conflict frames too.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -66,29 +71,7 @@ class SequenceAnnotations:
     """
 
     def __init__(self, frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]):
-        rows: dict[int, dict[int, BoundingBox]] = {}
-        for key, items in frames.items():
-            if key % 1:  # fractional, NaN or infinite: int() would make 1.5 and 1.7 both 1
-                raise ValueError(f"frame {key!r} is not an integer")
-            frame = int(key)
-            rows[frame] = frame_rows = {}
-            for identity, box in items:
-                if identity % 1:
-                    raise ValueError(f"identity {identity!r} is not an integer")
-                identity = int(identity)
-                if identity in frame_rows:
-                    raise ValueError(f"duplicate identity {identity} in frame {frame}")
-                frame_rows[identity] = box
-        keys = sorted(rows)
-        try:
-            self._store(
-                keys,
-                np.repeat(np.array(keys, dtype=np.int64), [len(rows[frame]) for frame in keys]),
-                [identity for frame in keys for identity in rows[frame]],
-                [(box.x, box.y, box.w, box.h) for frame in keys for box in rows[frame].values()],
-            )
-        except OverflowError:
-            raise LabelOverflowError("frames and identities must fit in 64 bits") from None
+        self._store(*_label_arrays(frames.items()))
 
     @classmethod
     def from_arrays(cls, frame_keys, row_frames, ids, tlwh) -> "SequenceAnnotations":
@@ -140,13 +123,57 @@ class SequenceAnnotations:
 
     @classmethod
     def from_frame_outputs(cls, outputs) -> "SequenceAnnotations":
-        """Build annotations from tracker ``FrameOutput`` records, one per frame."""
-        frames = {}
+        """Build annotations from tracker ``FrameOutput`` records, one output
+        per frame; frames without records are dropped."""
+        records = {}
         for out in outputs:
-            if out.frame in frames:
+            if out.frame in records:
                 raise ValueError(f"frame {out.frame} has more than one output")
-            frames[out.frame] = [(tid, box) for tid, box, _conf in out.records]
-        return cls({frame: rows for frame, rows in frames.items() if rows})
+            records[out.frame] = out.records
+        return cls.from_arrays(*_label_arrays((frame, rows) for frame, rows in records.items() if rows))
+
+
+def _label_arrays(frames: Iterable[tuple[int, Iterable]]) -> tuple[np.ndarray, ...]:
+    """``frame_keys``, ``row_frames``, ``ids`` and ``tlwh`` of (frame, rows)
+    items whose rows start with an identity and a ``BoundingBox``: frames
+    ascending, rows in given order within a frame. Frames and identities must
+    be integers that fit in int64, and no identity may repeat in a frame."""
+    keys, counts, ids, tlwh = [], [], [], []
+    for key, rows in frames:
+        if key % 1:  # fractional, NaN or infinite: int() would make 1.5 and 1.7 both 1
+            raise ValueError(f"frame {key!r} is not an integer")
+        keys.append(int(key))
+        start = len(ids)
+        for row in rows:
+            ids.append(row[0])
+            box = row[1]
+            tlwh += box.x, box.y, box.w, box.h
+        frame_ids = ids[start:]
+        counts.append(len(frame_ids))
+        if len(set(frame_ids)) < len(frame_ids) or not all(type(i) is int for i in frame_ids):
+            ids[start:] = _frame_identities(frame_ids, keys[-1])
+    try:
+        keys = np.array(keys, dtype=np.int64)
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise LabelOverflowError("frames and identities must fit in 64 bits") from None
+    row_frames = np.repeat(keys, counts)
+    order = np.argsort(row_frames, kind="stable")
+    return np.sort(keys), row_frames[order], ids[order], np.array(tlwh, dtype=float).reshape(-1, 4)[order]
+
+
+def _frame_identities(identities: list, frame: int) -> list[int]:
+    """One frame's identities as ints, checked in row order: each must be
+    an integer, and none may repeat."""
+    seen: dict[int, None] = {}
+    for identity in identities:
+        if identity % 1:
+            raise ValueError(f"identity {identity!r} is not an integer")
+        identity = int(identity)
+        if identity in seen:
+            raise ValueError(f"duplicate identity {identity} in frame {frame}")
+        seen[identity] = None
+    return list(seen)
 
 
 @dataclass(frozen=True)
@@ -166,61 +193,153 @@ class MetricsReport:
     per_alpha: tuple[tuple[float, float, float, float], ...]  # (alpha, hota, deta, assa)
 
 
-class _Frame(NamedTuple):
-    """One frame with boxes on both sides: ids in row/column order, their
-    IoU matrix and its conflict level."""
+# Largest number of cells whose IoU one vectorised pass computes. The pass
+# holds a few hundred bytes per cell, so this bounds it near 1 MB whatever
+# the sequence; a frame with more cells gets a pass of its own.
+_CHUNK_CELLS = 4096
+_ALPHA_GRID = np.asarray(ALPHAS)
+_ALPHA_COLUMNS = np.arange(len(ALPHAS))
+_INT64_MAX = np.iinfo(np.int64).max
 
-    gids: list[int]
-    pids: list[int]
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending, as ``np.unique`` returns
+    them. ``np.unique`` imports ``numpy.ma`` on first use, which costs each
+    ``cbiou eval`` process about 13 ms and 1.3 MB."""
+    values = np.sort(values)
+    first = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+class _Conflict(NamedTuple):
+    """A frame with a row or column holding two positive IoUs: its first row
+    on each side, its IoU matrix and its conflict level (NaN when the matrix
+    holds a non-finite entry)."""
+
+    gt_start: int
+    pred_start: int
     sim: np.ndarray
-    conflict: float
+    level: float
 
 
 @dataclass(frozen=True)
-class _FrameTable:
-    """Per-frame work shared by every metric of one (gt, pred) pair."""
+class _Table:
+    """What every metric of one (gt, pred) pair reads.
 
-    frames: list[_Frame]
-    gt_presence: Counter[int]
-    pred_presence: Counter[int]
+    ``gt_index`` gives each gt row's place among the distinct gt ids, and
+    ``gt_presence`` counts the rows of each distinct id; ``pred_index`` and
+    ``pred_presence`` do the same for predictions. ``gt_rows``,
+    ``pred_rows``, ``pairs`` and ``iou`` describe the cells with a positive
+    IoU in frames with boxes on both sides, in (frame, gt row, pred row)
+    order: the row on each side, the pair of their id places as
+    ``gt place * len(pred_presence) + pred place``, and the IoU. ``free``
+    marks the cells of frames without a conflict; the frames with one are
+    in ``conflicts``, in frame order.
+    """
+
+    gt_index: np.ndarray
+    gt_presence: np.ndarray
+    pred_index: np.ndarray
+    pred_presence: np.ndarray
+    gt_rows: np.ndarray
+    pred_rows: np.ndarray
+    pairs: np.ndarray
+    iou: np.ndarray
+    free: np.ndarray
+    conflicts: tuple[_Conflict, ...]
     gt_total: int
     pred_total: int
 
 
-def _conflict_level(sim: np.ndarray) -> float:
-    """Largest second-highest entry over all rows and columns of ``sim``.
-
-    Every row and column holds at most one entry above this level. A row or
-    column with a single entry has no second-highest, so a 1x1 matrix gives
-    -inf. A NaN entry may make the level NaN.
-    """
-    rows, cols = sim.shape
-    seconds = []
-    if cols > 1:
-        seconds.append(np.sort(sim, axis=1)[:, -2])
-    if rows > 1:
-        seconds.append(np.sort(sim, axis=0)[-2])
-    return float(np.concatenate(seconds).max()) if seconds else -math.inf
+def _id_index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's place among the distinct ids, and the rows of each."""
+    index = np.searchsorted(sorted_unique(ids), ids)
+    return index, np.bincount(index)
 
 
-def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _FrameTable:
-    gt_ids = gt.ids.tolist()
-    pred_ids = pred.ids.tolist()
+def _frame_cells(gt_xyxy, pred_xyxy, gt_starts, pred_starts, widths, cells):
+    """Every cell of a run of frames, as (frame, gt row, pred row, IoU), where
+    frames are numbered within the run and each frame's cells come gt row
+    by gt row."""
+    frame = np.repeat(np.arange(len(cells)), cells)
+    offset = np.arange(len(frame)) - np.repeat(np.cumsum(cells) - cells, cells)
+    row, col = np.divmod(offset, widths[frame])
+    gt_rows = gt_starts[frame] + row
+    pred_rows = pred_starts[frame] + col
+    return frame, gt_rows, pred_rows, geometry.paired_iou(gt_xyxy[gt_rows], pred_xyxy[pred_rows])
+
+
+def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
     # Frames with rows on both sides, ascending, and each side's row range.
-    common = np.intersect1d(gt.row_frames, pred.row_frames)
+    frames = sorted_unique(gt.row_frames)
     bounds = [
-        np.searchsorted(labels.row_frames, common, side=side).tolist()
+        np.searchsorted(labels.row_frames, frames, side=side)
         for labels in (gt, pred)
         for side in ("left", "right")
     ]
-    frames: list[_Frame] = []
-    for g0, g1, p0, p1 in zip(*bounds):
-        sim = geometry.iou_matrix(gt.xyxy[g0:g1], pred.xyxy[p0:p1])
-        frames.append(_Frame(gt_ids[g0:g1], pred_ids[p0:p1], sim, _conflict_level(sim)))
-    return _FrameTable(frames, Counter(gt_ids), Counter(pred_ids), len(gt_ids), len(pred_ids))
+    both = bounds[3] > bounds[2]
+    g0, g1, p0, p1 = (bound[both] for bound in bounds)
+    widths = p1 - p0
+    cells = (g1 - g0) * widths
+    ends = np.cumsum(cells).tolist()
+
+    # The positive cells, one chunk of frames at a time, and the frames with
+    # a non-finite cell.
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.zeros(0))]
+    nonfinite = [empty]
+    start = 0
+    while start < len(ends):
+        stop = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + _CHUNK_CELLS))
+        frame, gt_rows, pred_rows, iou = _frame_cells(
+            gt.xyxy, pred.xyxy, g0[start:stop], p0[start:stop], widths[start:stop], cells[start:stop]
+        )
+        frame += start
+        finite = np.isfinite(iou)
+        if not finite.all():
+            nonfinite.append(frame[~finite])
+        positive = iou > 0
+        parts.append((frame[positive], gt_rows[positive], pred_rows[positive], iou[positive]))
+        start = stop
+    frame, gt_rows, pred_rows, iou = map(np.concatenate, zip(*parts))
+
+    # Sorted by row or column, then IoU: every entry but the last of its line
+    # is below the line's largest, and the largest of those is its second.
+    lines = np.concatenate((gt_rows, pred_rows + len(gt.ids)))
+    order = np.lexsort((np.concatenate((iou, iou)), lines))
+    lines = lines[order]
+    seconds = order[:-1][lines[1:] == lines[:-1]] % max(len(iou), 1)
+    level = np.zeros(len(ends))
+    np.maximum.at(level, frame[seconds], iou[seconds])
+    level[np.concatenate(nonfinite)] = math.nan
+    conflicted = np.flatnonzero(~(level <= 0))
+    conflicts = tuple(
+        _Conflict(g, p, geometry.iou_matrix(gt.xyxy[g:g_end], pred.xyxy[p:p_end]), lvl)
+        for g, g_end, p, p_end, lvl in zip(
+            *(values[conflicted].tolist() for values in (g0, g1, p0, p1, level))
+        )
+    )
+    gt_index, gt_presence = _id_index(gt.ids)
+    pred_index, pred_presence = _id_index(pred.ids)
+    pairs = gt_index[gt_rows] * len(pred_presence) + pred_index[pred_rows]
+    return _Table(
+        gt_index,
+        gt_presence,
+        pred_index,
+        pred_presence,
+        gt_rows,
+        pred_rows,
+        pairs,
+        iou,
+        (level <= 0)[frame],
+        conflicts,
+        len(gt.ids),
+        len(pred.ids),
+    )
 
 
-def clear_mota(table: _FrameTable) -> tuple[float, int, int, int, int]:
+def clear_mota(table: _Table) -> tuple[float, int, int, int, int]:
     """CLEAR accuracy: MOTA = 1 - (FN + FP + IDSW) / total GT boxes.
 
     Boxes are matched per frame by maximum total IoU gated at
@@ -228,17 +347,22 @@ def clear_mota(table: _FrameTable) -> tuple[float, int, int, int, int]:
     identity's matched prediction differs from its last known match.
     ``table`` is the aligned (gt, pred) pair as ``evaluate`` builds it.
     """
-    tp = idsw = 0
-    last_match: dict[int, int] = {}
-    for gids, pids, sim, _conflict in table.frames:
-        pairs = assignment.gated_match(sim, IOU_THRESHOLD).pairs
-        tp += len(pairs)
-        for i, j in pairs:
-            gid = gids[i]
-            pid = pids[j]
-            if gid in last_match and last_match[gid] != pid:
-                idsw += 1
-            last_match[gid] = pid
+    # (gt row, pred row) of each match in a conflict frame, flat.
+    matched: list[int] = []
+    for gt_start, pred_start, sim, _level in table.conflicts:
+        for i, j in assignment.gated_match(sim, IOU_THRESHOLD).pairs:
+            matched += gt_start + i, pred_start + j
+    conflict_gt, conflict_pred = np.array(matched, dtype=np.int64).reshape(-1, 2).T
+    hits = table.free & (table.iou >= IOU_THRESHOLD)
+    gt_rows = np.concatenate((table.gt_rows[hits], conflict_gt))
+    pred_rows = np.concatenate((table.pred_rows[hits], conflict_pred))
+    tp = len(gt_rows)
+    # Matches by ground-truth identity, then row: rows are in frame order.
+    gids = table.gt_index[gt_rows]
+    order = np.lexsort((gt_rows, gids))
+    gids = gids[order]
+    pids = table.pred_index[pred_rows[order]]
+    idsw = int(np.count_nonzero((gids[1:] == gids[:-1]) & (pids[1:] != pids[:-1])))
     # Every box lies in some frame of the union, so what is not matched is missed.
     fn = table.gt_total - tp
     fp = table.pred_total - tp
@@ -249,23 +373,18 @@ def clear_mota(table: _FrameTable) -> tuple[float, int, int, int, int]:
     return mota, tp, fn, fp, idsw
 
 
-def idf1(table: _FrameTable) -> float:
+def idf1(table: _Table) -> float:
     """Identity F1 under the optimal global GT-to-prediction identity mapping,
     counting pairs with IoU >= ``IOU_THRESHOLD``. ``table`` is as for
     ``clear_mota``."""
-    gt_ids = sorted(table.gt_presence)
-    pred_ids = sorted(table.pred_presence)
-    if not gt_ids and not pred_ids:
+    n_gt = len(table.gt_presence)
+    n_pred = len(table.pred_presence)
+    if not n_gt and not n_pred:
         return 1.0
-    if not gt_ids or not pred_ids:
+    if not n_gt or not n_pred:
         return 0.0
-    g_index = {g: i for i, g in enumerate(gt_ids)}
-    p_index = {p: j for j, p in enumerate(pred_ids)}
-    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=float)
-    for gids, pids, sim, _conflict in table.frames:
-        hit_g, hit_p = np.nonzero(sim >= IOU_THRESHOLD)
-        for i, j in zip(hit_g.tolist(), hit_p.tolist()):
-            overlap[g_index[gids[i]], p_index[pids[j]]] += 1.0
+    overlap = np.zeros((n_gt, n_pred), dtype=float)
+    np.add.at(overlap.reshape(-1), table.pairs[table.iou >= IOU_THRESHOLD], 1.0)
     idtp = int(sum(overlap[i, j] for i, j in assignment.solve(overlap)))
     idfn = table.gt_total - idtp
     idfp = table.pred_total - idtp
@@ -273,48 +392,78 @@ def idf1(table: _FrameTable) -> float:
     return (2 * idtp / denom) if denom else 1.0
 
 
-def hota(table: _FrameTable) -> tuple[float, float, float, tuple[tuple[float, float, float, float], ...]]:
+def hota(table: _Table) -> tuple[float, float, float, tuple[tuple[float, float, float, float], ...]]:
     """HOTA and its DetA/AssA decomposition, averaged over ``ALPHAS``.
 
-    Per alpha, frames are matched by an assignment score that first maximizes
-    the number of gate-passing pairs (IoU >= alpha) and then their total IoU.
-    DetA_a = TP/(TP+FN+FP); AssA_a averages, over TP instances, the alignment
-    TPA/(TPA+FNA+FPA) of each matched (gt id, pred id) pair across the whole
-    sequence; HOTA_a = sqrt(DetA_a * AssA_a). ``table`` is as for
-    ``clear_mota``.
+    Per alpha, each frame is matched by a maximum-total-score assignment in
+    which a pair whose IoU passes alpha (IoU >= alpha) scores 1 + IoU and
+    every other pair 0, and the matched pairs that pass are kept. This
+    favours passing pairs but need not maximize their number: gt boxes
+    x in [0, 10], [9, 19], [-9, 1] against predictions [0, 10], [9, 19],
+    [18, 28], all 10 high, match two pairs at alpha 0.05 although three
+    pass it together. DetA_a = TP/(TP+FN+FP); AssA_a averages, over TP
+    instances, the alignment TPA/(TPA+FNA+FPA) of each matched (gt id,
+    pred id) pair across the whole sequence, summed in the order in which
+    the pairs are first matched at that alpha; HOTA_a = sqrt(DetA_a *
+    AssA_a). ``table`` is as for ``clear_mota``.
     """
-    # Each alpha has one Counter of matched (gt id, pred id) pairs, which
-    # receives a frame's pairs in row order, as a row-sorted matching lists
-    # them: AssA sums in that order.
-    grid = np.asarray(ALPHAS)
-    pair_counts: list[Counter[tuple[int, int]]] = [Counter() for _ in ALPHAS]
-    for gids, pids, sim, conflict in table.frames:
+    n_alphas = len(ALPHAS)
+    # Cells of frames without a conflict that pass the lowest alpha: each is
+    # matched at every alpha below its reach.
+    kept = table.free & (table.iou >= ALPHAS[0])
+    free_gt = table.gt_rows[kept]
+    free_keys = table.pairs[kept]
+    reach = np.searchsorted(_ALPHA_GRID, table.iou[kept], side="right")
+    # (gt row, pred row, alpha index) of each match in a conflict frame, flat.
+    matched: list[int] = []
+    for gt_start, pred_start, sim, level in table.conflicts:
         hit_g, hit_p = np.nonzero(sim >= ALPHAS[0])
         if not hit_g.size:
             continue
         # Alphas at or below the conflict level (all, if it is NaN) are solved.
-        solved = int(np.searchsorted(grid, conflict, side="right"))
-        for alpha, counts in zip(ALPHAS[:solved], pair_counts):
+        solved = int(np.searchsorted(_ALPHA_GRID, level, side="right"))
+        for a, alpha in enumerate(ALPHAS[:solved]):
             passing = sim >= alpha
             if not passing.any():
                 continue
             score = np.where(passing, 1.0 + sim, 0.0)
             for i, j in assignment.solve(score):
                 if passing[i, j]:
-                    counts[(gids[i], pids[j])] += 1
-        # Above the conflict level no row or column holds two passing
-        # entries, so the passing pairs form a matching. Each scores at least
-        # 1 + alpha and every other entry 0, so every optimal assignment
-        # consists of exactly these pairs: no solve is needed.
-        reached = np.searchsorted(grid, sim[hit_g, hit_p], side="right").tolist()
+                    matched += gt_start + i, pred_start + j, a
+        reached = np.searchsorted(_ALPHA_GRID, sim[hit_g, hit_p], side="right").tolist()
         for i, j, top in zip(hit_g.tolist(), hit_p.tolist(), reached):
-            pair = (gids[i], pids[j])
-            for counts in pair_counts[solved:top]:
-                counts[pair] += 1
+            for a in range(solved, top):
+                matched += gt_start + i, pred_start + j, a
+    conflict_gt, conflict_pred, conflict_alpha = np.array(matched, dtype=np.int64).reshape(-1, 3).T
+    conflict_keys = table.gt_index[conflict_gt] * len(table.pred_presence) + table.pred_index[conflict_pred]
+    keys = sorted_unique(np.concatenate((free_keys, conflict_keys)))
+    n_pairs = len(keys)
+    free_pair = np.searchsorted(keys, free_keys)
+
+    # Per matched pair and reach, the free cells and the least of their gt
+    # rows. At alpha a a pair's match count sums, and the gt row of its first
+    # match is the least of, those over the reaches above a.
+    span = n_alphas + 1
+    slot = free_pair * span + reach
+    by_reach = np.bincount(slot, minlength=n_pairs * span).reshape(n_pairs, span)
+    first_by_reach = np.full(n_pairs * span, _INT64_MAX)  # past every row: no match
+    np.minimum.at(first_by_reach, slot, free_gt)
+    counts = np.cumsum(by_reach[:, :0:-1], axis=1)[:, ::-1]
+    first = np.minimum.accumulate(first_by_reach.reshape(n_pairs, span)[:, :0:-1], axis=1)[:, ::-1]
+    conflict_slot = (np.searchsorted(keys, conflict_keys), conflict_alpha)
+    np.add.at(counts, conflict_slot, 1)
+    np.minimum.at(first, conflict_slot, conflict_gt)
+
+    # AssA sums each alpha's pairs in the order they are first matched, one
+    # by one as np.cumsum adds; pairs not matched at an alpha add 0.
+    gt_of_pair, pred_of_pair = np.divmod(keys, max(len(table.pred_presence), 1))
+    presence = (table.gt_presence[gt_of_pair] + table.pred_presence[pred_of_pair])[:, None]
+    weights = counts * (counts / (presence - counts))
+    ordered = weights[np.argsort(first, axis=0), _ALPHA_COLUMNS]
+    weighted = np.cumsum(ordered, axis=0)[-1].tolist() if n_pairs else [0.0] * n_alphas
 
     per_alpha = []
-    for alpha, counts in zip(ALPHAS, pair_counts):
-        tp = sum(counts.values())
+    for alpha, tp, weighted_a in zip(ALPHAS, counts.sum(axis=0).tolist(), weighted):
         fn = table.gt_total - tp
         fp = table.pred_total - tp
         denom = tp + fn + fp
@@ -323,16 +472,7 @@ def hota(table: _FrameTable) -> tuple[float, float, float, tuple[tuple[float, fl
             assa_a = 1.0
         else:
             deta_a = tp / denom
-            if tp == 0:
-                assa_a = 0.0
-            else:
-                weighted = 0.0
-                for (gid, pid), count in counts.items():
-                    alignment = count / (
-                        table.gt_presence[gid] + table.pred_presence[pid] - count
-                    )
-                    weighted += count * alignment
-                assa_a = weighted / tp
+            assa_a = weighted_a / tp if tp else 0.0
         per_alpha.append((alpha, math.sqrt(deta_a * assa_a), deta_a, assa_a))
 
     n = len(per_alpha)
@@ -366,7 +506,7 @@ def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsRepor
 def _rebase(values: np.ndarray, lo: int, base: int) -> np.ndarray:
     """``values - lo + base`` in int64, for ``lo <= values.min()``; raises
     ``LabelOverflowError`` where the result would not fit."""
-    if values.size and base + int(values.max()) - lo > np.iinfo(np.int64).max:
+    if values.size and base + int(values.max()) - lo > _INT64_MAX:
         raise LabelOverflowError("pooled frames or identities do not fit in 64 bits")
     return (values - np.int64(lo)) + np.int64(base)
 
@@ -388,7 +528,7 @@ def pool_sequences(
     frame_base = 0
     id_bases = [0, 0]
     for gt, pred in pairs:
-        keys = np.union1d(gt.frame_keys, pred.frame_keys)
+        keys = sorted_unique(np.concatenate((gt.frame_keys, pred.frame_keys)))
         if not keys.size:
             continue
         lo, hi = int(keys[0]), int(keys[-1])

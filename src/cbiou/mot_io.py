@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import MAX_ABS_COORDINATE, BoundingBox
-from .metrics import SequenceAnnotations
+from .metrics import SequenceAnnotations, sorted_unique
 from .tracker import Detection, FrameOutput
 
 _INT64 = np.iinfo(np.int64)
@@ -288,7 +288,7 @@ def _annotations(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> Seq
     order = np.argsort(frames, kind="stable")
     row_frames = frames[order]
     return SequenceAnnotations.from_arrays(
-        np.unique(row_frames), row_frames, ids[order], values[order, 2:6]
+        sorted_unique(row_frames), row_frames, ids[order], values[order, 2:6]
     )
 
 

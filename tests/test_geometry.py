@@ -318,6 +318,16 @@ class TestMatrixForms:
             for kind, value in expected.items():
                 assert got[kind][k] == pytest.approx(float(value), abs=1e-12), (kind, k)
 
+    def test_paired_iou_has_the_bits_of_the_matrix(self):
+        rng = np.random.default_rng(12)
+        a = geometry.to_xyxy([random_box(rng) for _ in range(9)] + [BoundingBox(0, 0, 1, 1)] * 2)
+        b = geometry.to_xyxy([random_box(rng) for _ in range(7)] + [BoundingBox(0, 0, 1, 1)])
+        a[0, 2] = np.nan  # a non-finite cell stays non-finite
+        rows, cols = (grid.ravel() for grid in np.indices((len(a), len(b))))
+        paired = geometry.paired_iou(a[rows], b[cols])
+        assert paired.tobytes() == geometry.iou_matrix(a, b).ravel().tobytes()
+        assert np.isnan(paired[: len(b)]).all() and paired[-1] == 1.0
+
     def test_empty_inputs(self):
         empty = geometry.to_xyxy([])
         some = geometry.to_xyxy([BoundingBox(0, 0, 1, 1)])

@@ -146,6 +146,43 @@ class TestSequenceAnnotations:
         with pytest.raises(ValueError, match="frame 3 has more than one output"):
             SequenceAnnotations.from_frame_outputs(outputs)
 
+    def test_from_frame_outputs_rows(self):
+        # frames ascending, records in order within a frame, frames without
+        # records dropped
+        outputs = [
+            FrameOutput(4, ((9, box(5), 0.5), (-2, box(1), 1.0))),
+            FrameOutput(2, ()),
+            FrameOutput(1, ((3, box(0), 1.0),)),
+        ]
+        ann = SequenceAnnotations.from_frame_outputs(outputs)
+        assert ann == SequenceAnnotations({1: [(3, box(0))], 4: [(9, box(5)), (-2, box(1))]})
+        assert ann.frame_keys.tolist() == [1, 4]
+        with pytest.raises(ValueError):
+            ann.ids[0] = 5
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (((7, box(0), 1.0), (7, box(30), 1.0)), "duplicate identity 7 in frame 3"),
+            (((1.5, box(0), 1.0),), "identity 1.5 is not an integer"),
+        ],
+        ids=["duplicate", "non_integral"],
+    )
+    def test_from_frame_outputs_checks_identities(self, records, message):
+        with pytest.raises(ValueError, match=message):
+            SequenceAnnotations.from_frame_outputs([FrameOutput(1, ()), FrameOutput(3, records)])
+
+    def test_from_frame_outputs_past_int64_is_a_value_error(self):
+        with pytest.raises(metrics.LabelOverflowError):
+            SequenceAnnotations.from_frame_outputs([FrameOutput(1, ((2**63, box(0), 1.0),))])
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(8)
+    for size in (0, 1, 2, 50):
+        values = rng.integers(-5, 5, size)
+        assert metrics.sorted_unique(values).tolist() == np.unique(values).tolist()
+
 
 class TestClearMota:
     def test_perfect(self):
@@ -339,25 +376,25 @@ class TestPooling:
         assert len(report.per_alpha) == 19
 
 
-def per_alpha_solve_hota(gt, pred):
-    """Reference HOTA: one assignment per frame and alpha, on the score
-    1 + IoU for pairs passing alpha and 0 otherwise, keeping passing pairs."""
-    frames = sorted(set(gt.frames) | set(pred.frames))
+def reference_tables(gt, pred):
+    """Per frame with boxes on both sides: gt ids, pred ids and one IoU
+    matrix, in frame order; and each side's rows per id."""
     per_frame = []
-    gt_presence = Counter()
-    pred_presence = Counter()
-    for frame in frames:
+    for frame in sorted(set(gt.frames) | set(pred.frames)):
         g_rows = gt.frames.get(frame, ())
         p_rows = pred.frames.get(frame, ())
-        for gid, _ in g_rows:
-            gt_presence[gid] += 1
-        for pid, _ in p_rows:
-            pred_presence[pid] += 1
         if g_rows and p_rows:
             sim = geometry.iou_matrix(
                 geometry.to_xyxy([b for _, b in g_rows]), geometry.to_xyxy([b for _, b in p_rows])
             )
             per_frame.append((tuple(g for g, _ in g_rows), tuple(p for p, _ in p_rows), sim))
+    return per_frame, Counter(gt.ids.tolist()), Counter(pred.ids.tolist())
+
+
+def per_alpha_solve_hota(gt, pred):
+    """Reference HOTA: one assignment per frame and alpha, on the score
+    1 + IoU for pairs passing alpha and 0 otherwise, keeping passing pairs."""
+    per_frame, gt_presence, pred_presence = reference_tables(gt, pred)
     gt_total = gt.box_count()
     pred_total = pred.box_count()
     per_alpha = []
@@ -396,6 +433,60 @@ def per_alpha_solve_hota(gt, pred):
     )
 
 
+def reference_evaluate(gt, pred):
+    """The per-frame evaluation: one IoU matrix per frame with boxes on both
+    sides, CLEAR matches from ``gated_match`` at 0.5 with an identity switch
+    wherever a gt id's match differs from its last one, IDF1 from every cell
+    at 0.5 or more, and HOTA from one ``solve`` per frame and alpha."""
+    per_frame, gt_presence, pred_presence = reference_tables(gt, pred)
+    gt_total = gt.box_count()
+    pred_total = pred.box_count()
+    tp = idsw = 0
+    last_match = {}
+    for gids, pids, sim in per_frame:
+        for i, j in assignment.gated_match(sim, 0.5).pairs:
+            tp += 1
+            if gids[i] in last_match and last_match[gids[i]] != pids[j]:
+                idsw += 1
+            last_match[gids[i]] = pids[j]
+    fn = gt_total - tp
+    fp = pred_total - tp
+    if gt_total:
+        mota = 1.0 - (fn + fp + idsw) / gt_total
+    else:
+        mota = 1.0 if (fp + idsw) == 0 else float("-inf")
+
+    gt_ids = sorted(gt_presence)
+    pred_ids = sorted(pred_presence)
+    if not gt_ids and not pred_ids:
+        idf1_score = 1.0
+    elif not gt_ids or not pred_ids:
+        idf1_score = 0.0
+    else:
+        overlap = np.zeros((len(gt_ids), len(pred_ids)))
+        for gids, pids, sim in per_frame:
+            for i, j in zip(*np.nonzero(sim >= 0.5)):
+                overlap[gt_ids.index(gids[i]), pred_ids.index(pids[j])] += 1.0
+        idtp = int(sum(overlap[i, j] for i, j in assignment.solve(overlap)))
+        denom = 2 * idtp + (pred_total - idtp) + (gt_total - idtp)
+        idf1_score = 2 * idtp / denom if denom else 1.0
+
+    hota_score, deta, assa, per_alpha = per_alpha_solve_hota(gt, pred)
+    return MetricsReport(
+        hota=hota_score,
+        deta=deta,
+        assa=assa,
+        mota=mota,
+        idf1=idf1_score,
+        tp=tp,
+        fn=fn,
+        fp=fp,
+        idsw=idsw,
+        gt_total=gt_total,
+        per_alpha=per_alpha,
+    )
+
+
 def strip(x, w):
     return BoundingBox(x, 0, w, 1)
 
@@ -406,13 +497,18 @@ def strip(x, w):
 STRIPS = [strip(x, w) for x in (0, 2, 3, 5) for w in (5, 7, 10)] + [strip(100, 5)]
 
 
-def labelings(max_ids):
+def labelings(max_ids, min_id=1, max_rows=4, max_frames=4):
     rows = st.lists(
-        st.tuples(st.integers(1, max_ids), st.sampled_from(STRIPS)),
-        max_size=4,
+        st.tuples(st.integers(min_id, max_ids), st.sampled_from(STRIPS)),
+        max_size=max_rows,
         unique_by=lambda row: row[0],
     )
-    return st.dictionaries(st.integers(1, 4), rows, max_size=4).map(SequenceAnnotations)
+    return st.dictionaries(st.integers(1, max_frames), rows, max_size=max_frames).map(SequenceAnnotations)
+
+
+# Crowded frames of up to six boxes, ids down to -2, frames without rows and
+# frames with rows on one side only.
+CROWDED = labelings(5, min_id=-2, max_rows=6, max_frames=5)
 
 
 class TestHotaShortcut:
@@ -443,11 +539,19 @@ class TestHotaShortcut:
     def test_equals_per_alpha_solve(self, gt, pred):
         assert hota(metrics._align(gt, pred)) == per_alpha_solve_hota(gt, pred)
 
-    def test_evaluate_builds_one_iou_matrix_per_frame(self, monkeypatch):
+    def test_evaluate_builds_one_iou_matrix_per_conflict_frame(self, monkeypatch):
         gt = SequenceAnnotations(
-            {1: [(1, box(0)), (2, box(30))], 2: [(1, box(2))], 3: [(1, box(4))], 5: []}
+            {
+                1: [(1, box(0)), (2, box(30))],
+                2: [(1, box(2))],
+                3: [(1, box(4)), (2, box(8))],
+                5: [],
+                6: [(1, box(0))],
+            }
         )
-        pred = SequenceAnnotations({1: [(7, box(1))], 3: [(7, box(5)), (8, box(60))], 4: [(7, box(6))]})
+        pred = SequenceAnnotations(
+            {1: [(7, box(1))], 3: [(7, box(5)), (8, box(60))], 4: [(7, box(6))], 6: [(7, box(1)), (8, box(2))]}
+        )
         calls = Counter()
         for module, name in (
             (geometry, "iou_matrix"),
@@ -463,8 +567,11 @@ class TestHotaShortcut:
 
             monkeypatch.setattr(module, name, counted)
         evaluate(gt, pred)
-        # frames 1 and 3 have boxes on both sides; each metric is called
-        # through the module, where a tracer can wrap it
+        # Frames 1, 3 and 6 have boxes on both sides. In frame 1 each row and
+        # column has at most one positive IoU; frame 3's box 5 overlaps gt
+        # boxes 4 and 8, and frame 6's gt box 0 overlaps both predictions, so
+        # only those two need a matrix. Each metric is called through the
+        # module, where a tracer can wrap it.
         assert calls == {"iou_matrix": 2, "clear_mota": 1, "idf1": 1, "hota": 1}
 
     @pytest.mark.parametrize("shift", [0.0, 1.0, 500.0], ids=["equal", "one_to_one", "disjoint"])
@@ -478,6 +585,59 @@ class TestHotaShortcut:
         monkeypatch.setattr(assignment, "solve", lambda m: solves.append(m) or real(m))
         hota(metrics._align(gt, pred))
         assert solves == []
+
+
+class TestArrayTable:
+    @settings(max_examples=400)
+    @given(CROWDED, CROWDED)
+    # two equal boxes on each side: exact ties in a conflict frame
+    @example(
+        SequenceAnnotations({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
+        SequenceAnnotations({1: [(-1, strip(0, 7)), (2, strip(0, 7))]}),
+    )
+    # a conflict frame between free ones, and frames on one side only
+    @example(
+        SequenceAnnotations({1: [(1, strip(0, 10))], 2: [(1, strip(0, 7)), (2, strip(3, 7))], 3: [], 4: [(2, strip(5, 5))]}),
+        SequenceAnnotations({1: [(4, strip(0, 7))], 2: [(4, strip(2, 7))], 3: [(4, strip(0, 5))], 5: [(5, strip(0, 5))]}),
+    )
+    @example(SequenceAnnotations({}), SequenceAnnotations({}))
+    def test_equals_per_frame_reference(self, gt, pred):
+        assert repr(evaluate(gt, pred)) == repr(reference_evaluate(gt, pred))
+
+    @settings(max_examples=100)
+    @given(CROWDED, CROWDED, st.sampled_from([1, 7]))
+    def test_chunk_boundaries_do_not_matter(self, gt, pred, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_CHUNK_CELLS", chunk)
+            assert repr(evaluate(gt, pred)) == repr(reference_evaluate(gt, pred))
+
+    def test_pooled_irregular_scene_equals_reference(self):
+        gt = random_scene(np.random.default_rng(3), max_ids=12, max_frames=30)
+        pred = random_scene(np.random.default_rng(4), max_ids=12, max_frames=30)
+        assert metrics._align(gt, pred).conflicts
+        assert repr(evaluate(gt, pred)) == repr(reference_evaluate(gt, pred))
+
+    @pytest.mark.parametrize("nan_side", ["gt", "pred"])
+    @pytest.mark.parametrize("others", [1, 3], ids=["one_by_one", "one_by_three"])
+    def test_non_finite_box_still_raises(self, nan_side, others):
+        # from_arrays takes rows unchecked; a NaN box must not be dropped as a
+        # cell without overlap
+        bad = SequenceAnnotations.from_arrays([1, 2], [1, 2], [1, 1], [[math.nan, 0, 10, 10], [0, 0, 10, 10]])
+        good = SequenceAnnotations({f: [(k, box(40.0 * k)) for k in range(others)] for f in (1, 2)})
+        pair = (bad, good) if nan_side == "gt" else (good, bad)
+        with pytest.raises(ValueError, match="similarity matrix contains non-finite values"):
+            evaluate(*pair)
+
+    def test_hota_need_not_match_every_passing_pair(self):
+        # gt x in [0, 10], [9, 19], [-9, 1] against pred [0, 10], [9, 19],
+        # [18, 28]: the three pairs at IoU 1/19 all pass 0.05 together, but
+        # the two pairs at IoU 1 score more (4 > 3 + 3/19).
+        gt = SequenceAnnotations({1: [(1, box(0)), (2, box(9)), (3, box(-9))]})
+        pred = SequenceAnnotations({1: [(1, box(0)), (2, box(9)), (3, box(18))]})
+        assert all(iou(box(g), box(p)) == 1 / 19 for g, p in ((-9, 0), (0, 9), (9, 18)))
+        _score, _deta, _assa, per_alpha = hota(metrics._align(gt, pred))
+        assert per_alpha[0][0] == 0.05
+        assert per_alpha[0][2] == 0.5
 
 
 def test_pooling_keeps_negative_gt_ids_apart():
