@@ -10,10 +10,14 @@ from .synth import NoiseSpec, OcclusionSpec, ScenarioSpec, generate, oracle_dete
 from .tracker import (
     CBiouTracker,
     Detection,
+    DetectionTable,
     FrameOutput,
+    FrameRows,
+    TableFrame,
     TrackerConfig,
     cascade_match,
     run_sequence,
+    track_table,
 )
 
 __all__ = [
@@ -28,9 +32,13 @@ __all__ = [
     "TrackerConfig",
     "Detection",
     "FrameOutput",
+    "FrameRows",
+    "TableFrame",
     "CBiouTracker",
+    "DetectionTable",
     "cascade_match",
     "run_sequence",
+    "track_table",
     "SequenceAnnotations",
     "MetricsReport",
     "evaluate",

@@ -31,6 +31,12 @@ entry >= 0), and a ``gated_match`` with ``min_sim <= 0``, whose result would
 show which zero-valued pairs an optimal assignment holds. Two bounds on the
 core, from counts of nonzeros per matrix, row and column, send most large
 or dense matrices to scipy before any Python loop runs over their entries.
+
+The reduction reads the nonzeros as Python lists. On the matrices the
+tracker builds (about 12 x 5 with a few nonzeros) that is cheaper than array
+operations, whose fixed cost per numpy call dominates: an array form of the
+one-to-one case (every nonzero alone in its row and column) made ``_reduced``
+about a third slower over the matchings of a benchmark ablation round.
 """
 
 from __future__ import annotations

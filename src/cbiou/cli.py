@@ -170,7 +170,7 @@ def _discover_pairs(dets_path, gt_path) -> list[tuple[Path, Path]]:
 def _load_pairs(args):
     """Read the paired sequences of ``--dets``/``--gt``; also return the manifest's inputs."""
     pairs = _discover_pairs(args.dets, args.gt)
-    det_seqs = [mot_io.read_detections(d) for d, _ in pairs]
+    det_seqs = [mot_io.read_detection_table(d) for d, _ in pairs]
     gt_seqs = [mot_io.read_ground_truth(g) for _, g in pairs]
     inputs = {"dets": str(args.dets), "gt": str(args.gt), "sequences": [d.stem for d, _ in pairs]}
     return det_seqs, gt_seqs, inputs
@@ -186,9 +186,9 @@ def _write_report(args, lines: list[str]) -> None:
 
 def cmd_track(args) -> tuple[str, dict]:
     config = resolve_config(args)
-    dets = mot_io.read_detections(args.dets)
-    outputs = tracker.run_sequence(config, dets, interpolate_gaps=args.interpolate)
-    mot_io.write_results(args.out, outputs)
+    table = mot_io.read_detection_table(args.dets)
+    rows = tracker.result_rows(config, table, interpolate_gaps=args.interpolate)
+    mot_io.write_result_rows(args.out, *rows)
     return args.out, {
         "command": "track",
         "config": asdict(config),

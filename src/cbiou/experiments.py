@@ -3,7 +3,9 @@ comparison and buffer-scale grid search.
 
 Grid and comparison cells are pure functions of (config, sequences), so they
 may be evaluated in parallel; results are reduced in a fixed order and equal
-the serial ones.
+the serial ones. A call turns each detection sequence into a
+``DetectionTable`` once and every cell shares it; a parallel call sends each
+task the tables' arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Mapping, Sequence
 
 from . import metrics, tracker
 from .metrics import MetricsReport, SequenceAnnotations
-from .tracker import Detection, TrackerConfig
+from .tracker import Detection, DetectionTable, TrackerConfig
 
 VARIANT_ORDER = ("IoU", "GIoU", "DIoU", "BIoU", "C-BIoU", "C-BIoU+motion")
 
@@ -37,17 +39,30 @@ def variant_configs(base: TrackerConfig) -> dict[str, TrackerConfig]:
 
 def track_and_evaluate(
     config: TrackerConfig,
-    det_seqs: Sequence[Mapping[int, Sequence[Detection]]],
+    det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
     gt_seqs: Sequence[SequenceAnnotations],
 ) -> MetricsReport:
-    """Run one config over paired sequences and evaluate with pooled counts."""
+    """Run one config over paired sequences and evaluate with pooled counts.
+
+    Each detection sequence is a ``DetectionTable`` or a per-frame
+    ``Detection`` mapping; the tracker's rows become the prediction labels
+    as arrays.
+    """
     if len(det_seqs) != len(gt_seqs):
         raise ValueError(f"got {len(det_seqs)} detection sequences for {len(gt_seqs)} gt sequences")
     pairs = []
-    for dets, gt in zip(det_seqs, gt_seqs):
-        outputs = tracker.run_sequence(config, dets)
-        pairs.append((gt, SequenceAnnotations.from_frame_outputs(outputs)))
+    for table, gt in zip(_tables(det_seqs), gt_seqs):
+        frames, tids, tlwh, _confidence = tracker.result_rows(config, table)
+        pairs.append((gt, SequenceAnnotations.from_arrays(metrics.sorted_unique(frames), frames, tids, tlwh)))
     return metrics.evaluate_many(pairs)
+
+
+def _tables(det_seqs) -> list[DetectionTable]:
+    """Each detection sequence as a table, built once for all of a call's cells."""
+    return [
+        dets if isinstance(dets, DetectionTable) else DetectionTable.from_detections(dets)
+        for dets in det_seqs
+    ]
 
 
 def _pool_map(fn, items, jobs: int):
@@ -67,14 +82,15 @@ def _pool_map(fn, items, jobs: int):
 
 def run_compare(
     base: TrackerConfig,
-    det_seqs: Sequence[Mapping[int, Sequence[Detection]]],
+    det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
     gt_seqs: Sequence[SequenceAnnotations],
     jobs: int = 1,
 ) -> dict[str, MetricsReport]:
     """Evaluate the six tracker variants on the same inputs."""
     configs = variant_configs(base)
     ordered = [configs[name] for name in VARIANT_ORDER]
-    reports = _pool_map(partial(track_and_evaluate, det_seqs=det_seqs, gt_seqs=gt_seqs), ordered, jobs)
+    task = partial(track_and_evaluate, det_seqs=_tables(det_seqs), gt_seqs=gt_seqs)
+    reports = _pool_map(task, ordered, jobs)
     return dict(zip(VARIANT_ORDER, reports))
 
 
@@ -108,7 +124,7 @@ class GridResult:
 
 def run_grid(
     base: TrackerConfig,
-    det_seqs: Sequence[Mapping[int, Sequence[Detection]]],
+    det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
     gt_seqs: Sequence[SequenceAnnotations],
     combos: Sequence[tuple[float, float]],
     jobs: int = 1,
@@ -118,7 +134,8 @@ def run_grid(
     if not combos:
         raise ValueError("empty buffer grid")
     configs = [replace(base, b1=b1, b2=b2, similarity_kind="biou", cascade_enabled=True) for b1, b2 in combos]
-    reports = _pool_map(partial(track_and_evaluate, det_seqs=det_seqs, gt_seqs=gt_seqs), configs, jobs)
+    task = partial(track_and_evaluate, det_seqs=_tables(det_seqs), gt_seqs=gt_seqs)
+    reports = _pool_map(task, configs, jobs)
     scores = tuple((b1, b2, report) for (b1, b2), report in zip(combos, reports))
     best_idx = 0
     for i in range(1, len(scores)):

@@ -1,14 +1,24 @@
 """Axis-aligned bounding boxes and pairwise similarity measures.
 
 ``BoundingBox`` is the validated top-left/width/height value that input and
-the synthetic generator produce. Every similarity kind (IoU, GIoU, DIoU and
+the synthetic generator produce. Its check has one array form,
+``valid_tlwh``, which the file readers and the tracker's gap filling use on
+(N, 4) rows; ``box_arrays`` gives such rows in corner form, for the label
+and detection tables. Every similarity kind (IoU, GIoU, DIoU and
 the buffered BIoU) has one implementation, the ``*_matrix`` form over (N, 4)
 arrays of corner-form boxes; the tracker and the metrics call these on whole
-frames. ``paired_iou`` gives IoU cell by cell for two row-paired arrays, from
-the same intersection and union code as ``iou_matrix``; the metrics call it
-on every cell of a sequence at once. The scalar ``corner_iou`` and its
-``BoundingBox`` form ``iou`` are kept for single-pair checks (see their
-docstrings).
+frames. ``paired_iou`` gives IoU cell by cell for two row-paired arrays; the
+metrics call it on every cell of a sequence at once. The scalar
+``corner_iou`` and its ``BoundingBox`` form ``iou`` are kept for single-pair
+checks (see their docstrings).
+
+The tracker's matrices are small (about 13 x 7), so numpy's fixed cost per
+call, not the arithmetic, sets their price. Every array form therefore
+shares one fused overlap routine, ``_overlap``: it takes the overlap's low
+and high corners as two broadcast max/min calls over coordinate pairs and
+computes each side's areas once. ``buffer_xyxy`` moves all four corners with
+one addition. Each gives the bits of the one-call-per-coordinate formulas it
+replaced.
 """
 
 from __future__ import annotations
@@ -109,6 +119,29 @@ def to_xyxy(boxes: Iterable[BoundingBox]) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 4)
 
 
+def box_arrays(tlwh) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 4) top-left/width/height rows as given and the same boxes in
+    corner form, both read-only float arrays; the corners are the ones
+    ``to_xyxy`` gives for the boxes of those rows, bit for bit."""
+    tlwh = np.asarray(tlwh, dtype=float).reshape(-1, 4)
+    xyxy = tlwh.copy()
+    xyxy[:, 2:] += tlwh[:, :2]
+    tlwh.flags.writeable = False
+    xyxy.flags.writeable = False
+    return tlwh, xyxy
+
+
+def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
+    """One bool per (N, 4) top-left/width/height row: whether its corners
+    pass ``BoundingBox``'s check. Non-finite rows fail it."""
+    x, y, w, h = np.asarray(tlwh, dtype=float).reshape(-1, 4).T
+    limit = MAX_ABS_COORDINATE
+    with np.errstate(invalid="ignore", over="ignore"):
+        x2, y2 = x + w, y + h
+        # x < x + w also holds w > 0 (and y < y + h, h > 0)
+        return (-limit <= x) & (x < x2) & (x2 <= limit) & (-limit <= y) & (y < y2) & (y2 <= limit)
+
+
 def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:
     """Expand each box by ``scale`` times its own width and height on every
     side: same centre, same aspect ratio, area scaled by (1 + 2 * scale)^2."""
@@ -118,26 +151,40 @@ def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=float)
     if boxes.size == 0:
         return boxes.reshape(0, 4)
-    w = boxes[:, 2] - boxes[:, 0]
-    h = boxes[:, 3] - boxes[:, 1]
-    out = np.empty_like(boxes)
-    out[:, 0] = boxes[:, 0] - scale * w
-    out[:, 1] = boxes[:, 1] - scale * h
-    out[:, 2] = boxes[:, 2] + scale * w
-    out[:, 3] = boxes[:, 3] + scale * h
-    return out
+    # x1 - s * w is x1 + -(s * w) bit for bit, so one addition moves all four corners.
+    grow = scale * (boxes[:, 2:] - boxes[:, :2])
+    return boxes + np.concatenate((-grow, grow), axis=1)
 
 
-def _pairwise_parts(a: np.ndarray, b: np.ndarray):
-    """Intersection and union areas of corner-form boxes ``a[..., 4]`` and
-    ``b[..., 4]``, broadcast against each other: (N, 1, 4) against (1, M, 4)
-    gives every pair, two (C, 4) arrays give row-paired cells."""
-    iw = np.maximum(np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]), 0.0)
-    ih = np.maximum(np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]), 0.0)
-    inter = iw * ih
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    # Areas come from corner coordinates, so identical boxes give an
+    # intersection exactly equal to each area (f(a, a) == 1 bit-exact).
+    wh = boxes[..., 2:] - boxes[..., :2]
+    return wh[..., 0] * wh[..., 1]
+
+
+def _overlap(a: np.ndarray, b: np.ndarray, pairwise: bool):
+    """Intersection and union areas of corner-form boxes: of every (row of
+    ``a``, row of ``b``) pair, shape (N, M), or with ``pairwise`` false of
+    each row of ``a`` with the same row of ``b``, shape (C,).
+
+    The one overlap formula of every similarity kind: the overlap's corners
+    are the broadcast elementwise max of the low corners and min of the high
+    ones, and each side's areas are computed once.
+    """
+    area_a, area_b = _areas(a), _areas(b)
+    if pairwise:
+        a, b, area_a = a[:, None], b[None, :], area_a[:, None]
+    wh = np.minimum(a[..., 2:], b[..., 2:])
+    wh -= np.maximum(a[..., :2], b[..., :2])
+    np.maximum(wh, 0.0, out=wh)
+    inter = wh[..., 0] * wh[..., 1]
     return inter, area_a + area_b - inter
+
+
+def _hull_wh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Width and height of each pair's enclosing box; shape (N, M, 2)."""
+    return np.maximum(a[:, None, 2:], b[None, :, 2:]) - np.minimum(a[:, None, :2], b[None, :, :2])
 
 
 def _empty_or_arrays(a, b):
@@ -153,7 +200,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    inter, union = _pairwise_parts(a[:, None], b[None, :])
+    inter, union = _overlap(a, b, pairwise=True)
     return inter / union
 
 
@@ -161,7 +208,7 @@ def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of each row of ``a`` with the same row of ``b``, two (C, 4) arrays
     of corner-form boxes; shape (C,). Each value has the bits of the
     matching ``iou_matrix`` entry."""
-    inter, union = _pairwise_parts(a, b)
+    inter, union = _overlap(a, b, pairwise=False)
     return inter / union
 
 
@@ -170,17 +217,17 @@ def biou_matrix(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    return iou_matrix(buffer_xyxy(a, scale), buffer_xyxy(b, scale))
+    inter, union = _overlap(buffer_xyxy(a, scale), buffer_xyxy(b, scale), pairwise=True)
+    return inter / union
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    inter, union = _pairwise_parts(a[:, None], b[None, :])
-    hull_w = np.maximum(a[:, None, 2], b[None, :, 2]) - np.minimum(a[:, None, 0], b[None, :, 0])
-    hull_h = np.maximum(a[:, None, 3], b[None, :, 3]) - np.minimum(a[:, None, 1], b[None, :, 1])
-    hull = hull_w * hull_h
+    inter, union = _overlap(a, b, pairwise=True)
+    hull_wh = _hull_wh(a, b)
+    hull = hull_wh[..., 0] * hull_wh[..., 1]
     return inter / union - (hull - union) / hull
 
 
@@ -188,16 +235,13 @@ def diou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    inter, union = _pairwise_parts(a[:, None], b[None, :])
-    acx = (a[:, 0] + a[:, 2]) / 2.0
-    acy = (a[:, 1] + a[:, 3]) / 2.0
-    bcx = (b[:, 0] + b[:, 2]) / 2.0
-    bcy = (b[:, 1] + b[:, 3]) / 2.0
-    dcx = acx[:, None] - bcx[None, :]
-    dcy = acy[:, None] - bcy[None, :]
-    hull_w = np.maximum(a[:, None, 2], b[None, :, 2]) - np.minimum(a[:, None, 0], b[None, :, 0])
-    hull_h = np.maximum(a[:, None, 3], b[None, :, 3]) - np.minimum(a[:, None, 1], b[None, :, 1])
-    return inter / union - (dcx * dcx + dcy * dcy) / (hull_w * hull_w + hull_h * hull_h)
+    inter, union = _overlap(a, b, pairwise=True)
+    # Centre offsets (dx, dy) and hull extents, squared, each summed x then y.
+    dc = ((a[:, :2] + a[:, 2:]) / 2.0)[:, None] - ((b[:, :2] + b[:, 2:]) / 2.0)[None, :]
+    dc *= dc
+    hull_wh = _hull_wh(a, b)
+    hull_wh *= hull_wh
+    return inter / union - (dc[..., 0] + dc[..., 1]) / (hull_wh[..., 0] + hull_wh[..., 1])
 
 
 def similarity_matrix(kind: str, a: np.ndarray, b: np.ndarray, buffer_scale: float = 0.0) -> np.ndarray:

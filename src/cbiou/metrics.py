@@ -86,10 +86,8 @@ class SequenceAnnotations:
         self.frame_keys = np.asarray(frame_keys, dtype=np.int64)
         self.row_frames = np.asarray(row_frames, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.tlwh = np.asarray(tlwh, dtype=float).reshape(-1, 4)
-        self.xyxy = self.tlwh.copy()
-        self.xyxy[:, 2:] += self.tlwh[:, :2]
-        for values in (self.frame_keys, self.row_frames, self.ids, self.tlwh, self.xyxy):
+        self.tlwh, self.xyxy = geometry.box_arrays(tlwh)
+        for values in (self.frame_keys, self.row_frames, self.ids):
             values.flags.writeable = False
 
     def __reduce__(self):
@@ -552,6 +550,9 @@ def pool_sequences(
 def evaluate_many(
     pairs: Sequence[tuple[SequenceAnnotations, SequenceAnnotations]],
 ) -> MetricsReport:
-    """Evaluate several sequences with pooled raw counts."""
+    """Evaluate several sequences with pooled raw counts; a single pair is
+    evaluated as it is, which gives the report its pooled copy would."""
+    if len(pairs) == 1:
+        return evaluate(*pairs[0])
     gt, pred = pool_sequences(pairs)
     return evaluate(gt, pred)

@@ -16,8 +16,8 @@ is read again exactly. The earliest failing line is reported, as
 ``_check_row`` words it for one row: bytes that are not UTF-8 and rows that
 do not parse as parse errors, the rest as data errors. Ground truth and
 results become ``SequenceAnnotations`` arrays, and ``write_ground_truth``
-writes from them, without a ``BoundingBox`` per row; detections become
-``Detection`` lists for the tracker.
+writes from them, without a ``BoundingBox`` per row; detections become the
+tracker's ``DetectionTable``, or ``Detection`` lists in the mapping form.
 
 Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
 coordinates at fixed 2-decimal precision.
@@ -32,9 +32,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import MAX_ABS_COORDINATE, BoundingBox
+from .geometry import BoundingBox, valid_tlwh
 from .metrics import SequenceAnnotations, sorted_unique
-from .tracker import Detection, FrameOutput
+from .tracker import Detection, DetectionTable, FrameOutput
 
 _INT64 = np.iinfo(np.int64)
 # Frames and ids of this magnitude or more may have been rounded by float64.
@@ -195,23 +195,15 @@ def _convert(path, lines: list[str], layout: _Layout):
 def _faults(values: np.ndarray, layout: _Layout) -> np.ndarray:
     """Rows that fail a row check, and rows whose frame or id float64 may
     have rounded, which ``_check_row`` must read again; one bool per row."""
-    frame, identity, x, y, w, h = values[:, :6].T
+    frame, identity = values[:, :2].T
     integers = values[:, [0, 1, *(6 + k for k, extra in enumerate(layout.extras) if extra[3])]]
-    limit = MAX_ABS_COORDINATE
-    with np.errstate(invalid="ignore", over="ignore"):
-        x2, y2 = x + w, y + h
+    with np.errstate(invalid="ignore"):
         ok = (
             np.isfinite(values).all(axis=1)
             & (integers == np.floor(integers)).all(axis=1)
             & (np.abs(values[:, :2]) < _FLOAT_EXACT).all(axis=1)
             & (frame >= 1)
-            # x < x + w also holds w > 0 (and y < y + h, h > 0)
-            & (-limit <= x)
-            & (x < x2)
-            & (x2 <= limit)
-            & (-limit <= y)
-            & (y < y2)
-            & (y2 <= limit)
+            & valid_tlwh(values[:, 2:6])
         )
     if layout.real_ids:
         ok &= identity >= 0
@@ -270,18 +262,28 @@ def _read(path, layout: _Layout, keep=None):
     return frames[rows], ids[rows], values[rows]
 
 
-def read_detections(path) -> dict[int, list[Detection]]:
-    """Read a detection file into per-frame lists, ordered by frame.
+def read_detection_table(path) -> DetectionTable:
+    """Read a detection file into the tracker's ``DetectionTable``, with no
+    ``BoundingBox`` per row.
 
     The id column is ignored; a missing confidence column defaults to 1.0.
     """
     frames, _ids, values = _read(path, _DETECTIONS)
-    grouped: dict[int, list[Detection]] = {}
-    for frame, x, y, w, h, conf in zip(frames.tolist(), *values[:, 2:].T.tolist()):
-        grouped.setdefault(frame, []).append(
-            Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf)
-        )
-    return {frame: grouped[frame] for frame in sorted(grouped)}
+    order = np.argsort(frames, kind="stable")
+    row_frames = frames[order]
+    values = values[order]
+    return DetectionTable(sorted_unique(row_frames), row_frames, values[:, 2:6], values[:, 6])
+
+
+def read_detections(path) -> dict[int, list[Detection]]:
+    """Read a detection file into per-frame lists, ordered by frame; the
+    mapping form of ``read_detection_table``."""
+    table = read_detection_table(path)
+    grouped: dict[int, list[Detection]] = {frame: [] for frame in table.frame_keys.tolist()}
+    columns = (table.row_frames, *table.tlwh.T, table.confidence)
+    for frame, x, y, w, h, conf in zip(*(column.tolist() for column in columns)):
+        grouped[frame].append(Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf))
+    return grouped
 
 
 def _annotations(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> SequenceAnnotations:
@@ -312,22 +314,31 @@ def read_results(path) -> SequenceAnnotations:
     return _annotations(*_read(path, _RESULTS))
 
 
+_RESULT_ROW = "{},{},{:.2f},{:.2f},{:.2f},{:.2f},{:.2f},-1,-1,-1\n"
+
+
 def result_lines(outputs: Iterable[FrameOutput]) -> list[str]:
     """Format tracker outputs as result-file rows sorted by (frame, id)."""
     rows = []
     for out in outputs:
         for tid, box, conf in out.records:
-            rows.append((out.frame, tid, box, conf))
+            rows.append((out.frame, tid, box.x, box.y, box.w, box.h, conf))
     rows.sort(key=lambda row: (row[0], row[1]))
-    return [
-        f"{frame},{tid},{box.x:.2f},{box.y:.2f},{box.w:.2f},{box.h:.2f},{conf:.2f},-1,-1,-1\n"
-        for frame, tid, box, conf in rows
-    ]
+    return [_RESULT_ROW.format(*row) for row in rows]
 
 
 def write_results(path, outputs: Iterable[FrameOutput]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(result_lines(outputs))
+
+
+def write_result_rows(path, frames, ids, tlwh, confidence) -> None:
+    """Write result rows given as arrays (``tracker.result_rows``), sorted by
+    (frame, id); the same bytes as ``write_results`` of the same records."""
+    order = np.lexsort((ids, frames))
+    columns = (frames[order], ids[order], *tlwh[order].T, confidence[order])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_RESULT_ROW.format(*row) for row in zip(*(column.tolist() for column in columns)))
 
 
 def write_detections(path, detections_by_frame: Mapping[int, Sequence[Detection]]) -> None:

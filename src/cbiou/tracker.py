@@ -6,13 +6,27 @@ large buffer for the leftovers). Matched tracks adopt the detection box as
 their new state; unmatched tracks coast and age out after ``max_age`` frames;
 unmatched detections start new tracks. Only tracks matched in the current
 frame are reported.
+
+``CBiouTracker.step`` advances one frame. It takes the frame's detections in
+one of two forms and answers in the same form: a ``Detection`` list gives a
+``FrameOutput`` of boxes, and a ``TableFrame``, the frame's rows of a
+``DetectionTable``, gives a ``FrameRows`` of table rows. Both go through one
+private per-frame core, ``CBiouTracker._advance``, over a corner-form array.
+A ``DetectionTable`` holds a sequence's detections as arrays, built once;
+``track_table`` steps a tracker over it and returns (frame, track id, table
+row) arrays, and ``result_rows`` turns those into result rows, so ``cbiou
+track``, ``compare`` and ``grid`` read files into tables and build no
+``BoundingBox``. ``run_sequence`` keeps the ``Detection`` mapping as an
+input: it builds the table once and wraps the rows into ``FrameOutput``s
+that hold each ``Detection``'s own box.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,6 +101,25 @@ class FrameOutput:
     records: tuple[tuple[int, BoundingBox, float], ...]
 
 
+@dataclass(frozen=True)
+class FrameRows:
+    """Records reported for one frame of a ``DetectionTable``: (track id,
+    table row, confidence) tuples; the row holds the box as the table has it."""
+
+    frame: int
+    records: tuple[tuple[int, int, float], ...]
+
+
+class TableFrame(NamedTuple):
+    """One frame's admitted rows of a ``DetectionTable``, as
+    ``DetectionTable.frames`` yields them: their (M, 4) corners, their row
+    numbers in the table and their confidences."""
+
+    xyxy: np.ndarray
+    rows: list[int]
+    confidence: list[float]
+
+
 def cascade_match(
     t_xyxy: np.ndarray,
     d_xyxy: np.ndarray,
@@ -109,7 +142,7 @@ def cascade_match(
     un_dets = list(round1.unmatched_cols)
     if config.cascade_enabled and un_tracks and un_dets:
         sim2 = geometry.similarity_matrix(
-            config.similarity_kind, t_xyxy[un_tracks], d_xyxy[un_dets], config.b2
+            config.similarity_kind, t_xyxy.take(un_tracks, 0), d_xyxy.take(un_dets, 0), config.b2
         )
         round2 = assignment.gated_match(sim2, config.min_sim)
         matches.extend((un_tracks[i], un_dets[j]) for i, j in round2.pairs)
@@ -119,12 +152,88 @@ def cascade_match(
     return matches, un_tracks, un_dets
 
 
+class DetectionTable:
+    """One sequence's detections as arrays, built once and shared by every
+    run over the sequence.
+
+    Rows are grouped by ascending frame and keep their given order within a
+    frame: ``row_frames`` (N,) int64, each row's frame; ``tlwh`` (N, 4) and
+    ``confidence`` (N,), each box and confidence as given, which result rows
+    echo; ``xyxy`` (N, 4), the same box in corner form, which matching uses.
+    ``frame_keys`` holds every frame the sequence names, ascending, frames
+    without rows included: a run steps every frame from the first to the
+    last. Each run admits the rows at or above its own ``det_conf_min``.
+    """
+
+    def __init__(self, frame_keys, row_frames, tlwh, confidence):
+        self.frame_keys = np.asarray(frame_keys, dtype=np.int64)
+        self.row_frames = np.asarray(row_frames, dtype=np.int64)
+        self.tlwh, self.xyxy = geometry.box_arrays(tlwh)
+        self.confidence = np.asarray(confidence, dtype=float)
+        for values in (self.frame_keys, self.row_frames, self.confidence):
+            values.flags.writeable = False
+
+    @classmethod
+    def from_detections(cls, detections_by_frame: Mapping[int, Sequence[Detection]]) -> "DetectionTable":
+        """The table of per-frame ``Detection`` lists."""
+        return cls._of(*_detection_rows(detections_by_frame))
+
+    @classmethod
+    def _of(cls, frame_keys: list[int], detections: list[Detection]) -> "DetectionTable":
+        # One flat pass: a tuple per detection would all be alive at once.
+        tlwh = np.fromiter(
+            itertools.chain.from_iterable((d.box.x, d.box.y, d.box.w, d.box.h) for d in detections),
+            dtype=float,
+            count=4 * len(detections),
+        )
+        return cls(frame_keys, [d.frame for d in detections], tlwh, [d.confidence for d in detections])
+
+    def frames(self, det_conf_min: float) -> Iterator[tuple[int, TableFrame]]:
+        """Every frame from the table's first to its last, ascending, with
+        its rows at or above ``det_conf_min``; a frame without such rows
+        gets an empty ``TableFrame``."""
+        if not len(self.frame_keys):
+            return
+        admitted = np.flatnonzero(self.confidence >= det_conf_min)
+        rows, confidence = admitted.tolist(), self.confidence[admitted].tolist()
+        xyxy = self.xyxy[admitted]
+        first, last = int(self.frame_keys[0]), int(self.frame_keys[-1])
+        bounds = np.searchsorted(self.row_frames[admitted], np.arange(first, last + 2)).tolist()
+        for frame, lo, hi in zip(range(first, last + 1), bounds, bounds[1:]):
+            yield frame, TableFrame(xyxy[lo:hi], rows[lo:hi], confidence[lo:hi])
+
+
+def _detection_rows(
+    detections_by_frame: Mapping[int, Sequence[Detection]],
+) -> tuple[list[int], list[Detection]]:
+    """The frames of a per-frame mapping, ascending, and its detections in
+    table row order. A frame must be an integer >= 1 that its detections
+    name."""
+    frames = []
+    for key, dets in detections_by_frame.items():
+        if key % 1:  # fractional, NaN or infinite: int() would make 1.5 frame 1
+            raise ValueError(f"frame {key!r} is not an integer")
+        frame = int(key)
+        if frame < 1:
+            raise ValueError(f"frame index must be a positive integer, got {key!r}")
+        dets = list(dets)
+        for det in dets:
+            if det.frame != frame:
+                raise ValueError(f"detection for frame {det.frame} listed under frame {key!r}")
+        frames.append((frame, dets))
+    frames.sort(key=lambda item: item[0])
+    return [frame for frame, _ in frames], [det for _, dets in frames for det in dets]
+
+
 class CBiouTracker:
     """State machine over one sequence; feed frames in strictly increasing order.
 
     Alive tracks are held as arrays in creation order: ids (N,), corner-form
     states (N, 4), ages (N,) in frames since the last match, and each track's
     history window (N, n_max + 1, 5) as laid out in ``motion``.
+
+    ``step`` takes one frame's ``Detection`` list or ``TableFrame``;
+    ``track_table`` steps a tracker over a whole ``DetectionTable``.
 
     Instances are single-threaded; independent instances may run on different
     sequences concurrently.
@@ -149,8 +258,16 @@ class CBiouTracker:
             )
         )
 
-    def step(self, frame_index: int, detections: Sequence[Detection]) -> FrameOutput:
+    def step(
+        self, frame_index: int, detections: Sequence[Detection] | TableFrame
+    ) -> FrameOutput | FrameRows:
         """Advance to ``frame_index`` and return the records matched in it.
+
+        ``detections`` is the frame's ``Detection`` list, of which the ones
+        below ``det_conf_min`` are left out, or a ``TableFrame`` of its
+        admitted table rows. The records come in the same form: a
+        ``FrameOutput`` of (track id, box, confidence), or a ``FrameRows`` of
+        (track id, table row, confidence).
 
         Frames skipped since the previous step count as frames without
         detections: unmatched tracks age by the elapsed frames, and a track
@@ -163,22 +280,37 @@ class CBiouTracker:
             raise ValueError(
                 f"frame index must increase, got {frame_index} after {self._last_frame}"
             )
+        if isinstance(detections, TableFrame):
+            tids, picks = self._advance(int(frame_index), detections.xyxy)
+            rows, confidence = detections.rows, detections.confidence
+            records = tuple([(tid, rows[k], confidence[k]) for tid, k in zip(tids, picks)])
+            return FrameRows(frame=int(frame_index), records=records)
         for det in detections:
             if det.frame != frame_index:
                 raise ValueError(
                     f"detection for frame {det.frame} passed to step for frame {frame_index}"
                 )
+        admitted = [d for d in detections if d.confidence >= self.config.det_conf_min]
+        tids, dets = self._advance(int(frame_index), geometry.to_xyxy(d.box for d in admitted))
+        records = tuple((tid, admitted[di].box, admitted[di].confidence) for tid, di in zip(tids, dets))
+        return FrameOutput(frame=int(frame_index), records=records)
+
+    def _advance(self, frame: int, det_xyxy: np.ndarray) -> tuple[list[int], list[int]]:
+        """The per-frame core: advance to ``frame``, a frame after the last
+        one, with its admitted (M, 4) corner-form detections, and return the
+        frame's (track ids, detection indices) in track id order, matched
+        tracks first and then the tracks born from unmatched detections.
+        The tracker is unchanged if this raises."""
         cfg = self.config
-        admitted = [d for d in detections if d.confidence >= cfg.det_conf_min]
-        det_xyxy = geometry.to_xyxy(d.box for d in admitted)
         ids, states, ages, history = self._ids, self._states, self._ages, self._history
 
         if len(ids):
-            elapsed = int(frame_index) - self._last_frame
+            elapsed = frame - self._last_frame
             if elapsed > 1:
                 # A track whose age would pass max_age inside the gap died there.
-                alive = ages + (elapsed - 1) <= cfg.max_age
-                ids, states, ages, history = ids[alive], states[alive], ages[alive], history[alive]
+                ids, states, ages, history = _rows(
+                    (ages + (elapsed - 1) <= cfg.max_age).nonzero()[0], ids, states, ages, history
+                )
             ages = ages + elapsed
             # Survivors have elapsed <= max_age + 1, which bounds the predict loop.
             if cfg.motion_enabled and len(ids):
@@ -186,37 +318,82 @@ class CBiouTracker:
                 states, _ = motion.predict(states, velocity, elapsed)
 
         matches, _, un_dets = cascade_match(states, det_xyxy, cfg)
-        born_ids = list(range(self._next_id, self._next_id + len(un_dets)))
-        owners = [(int(ids[ti]), di) for ti, di in matches] + list(zip(born_ids, un_dets))
-        records = tuple(
-            (tid, admitted[di].box, admitted[di].confidence) for tid, di in sorted(owners)
-        )
-
+        first_born = self._next_id
         if matches:
-            ti, di = np.asarray(matches).T
-            states[ti] = det_xyxy[di]
+            ti, di = np.array(matches).T
+            matched = det_xyxy.take(di, 0)
+            states[ti] = matched
             ages[ti] = 0
-            history[ti, :-1] = history[ti, 1:]
-            history[ti, -1, 0] = frame_index
-            history[ti, -1, 1:] = states[ti]
-        alive = ages <= cfg.max_age
-        if not alive.all():
-            ids, states, ages, history = ids[alive], states[alive], ages[alive], history[alive]
+            window = history.take(ti, 0)
+            window[:, :-1] = window[:, 1:]
+            window[:, -1, 0] = frame
+            window[:, -1, 1:] = matched
+            history[ti] = window
+            # Ids ascend in creation order, and matches come sorted by track.
+            tids, dets = ids.take(ti).tolist(), di.tolist()
+        else:
+            tids, dets = [], []
+        alive = (ages <= cfg.max_age).nonzero()[0]
+        if len(alive) < len(ids):
+            ids, states, ages, history = _rows(alive, ids, states, ages, history)
         if un_dets:
-            born = det_xyxy[un_dets]
+            born = det_xyxy.take(un_dets, 0)
+            born_ids = np.arange(first_born, first_born + len(un_dets))
             # A new track fills its whole window with its birth entry.
             window = np.empty((len(un_dets), cfg.n_max + 1, 5))
-            window[..., 0] = frame_index
+            window[..., 0] = frame
             window[..., 1:] = born[:, None]
             ids = np.concatenate((ids, born_ids))
             states = np.concatenate((states, born))
             ages = np.concatenate((ages, np.zeros(len(un_dets), dtype=np.int64)))
             history = np.concatenate((history, window))
             self._next_id += len(un_dets)
+            tids += born_ids.tolist()
+            dets += un_dets
 
         self._ids, self._states, self._ages, self._history = ids, states, ages, history
-        self._last_frame = int(frame_index)
-        return FrameOutput(frame=int(frame_index), records=records)
+        self._last_frame = frame
+        return tids, dets
+
+
+def _rows(index: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows ``index`` of each array."""
+    return tuple(values.take(index, 0) for values in arrays)
+
+
+def track_table(config: TrackerConfig, table: DetectionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a tracker over every frame of ``table`` from its first frame to
+    its last, as ``run_sequence`` does, and return every reported record as
+    (frames, track ids, table rows) int64 arrays, ordered by frame and then
+    by track id."""
+    return tuple(np.array(values, dtype=np.int64) for values in _track(config, table))
+
+
+def _track(config: TrackerConfig, table: DetectionTable) -> tuple[list[int], list[int], list[int]]:
+    """``track_table``'s columns as lists, which ``run_sequence`` reads
+    without a copy per record."""
+    tracker = CBiouTracker(config)
+    frames, records = [], []
+    for frame, detections in table.frames(config.det_conf_min):
+        matched = tracker.step(frame, detections).records
+        if matched:
+            frames += [frame] * len(matched)
+            records += matched
+    return frames, [tid for tid, _, _ in records], [row for _, row, _ in records]
+
+
+def result_rows(
+    config: TrackerConfig, table: DetectionTable, *, interpolate_gaps: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Track ``table`` and return the result rows as (frames, track ids,
+    tlwh, confidence) arrays, each box and confidence as the table holds it.
+    Rows are ordered by frame and then by track id, unless
+    ``interpolate_gaps`` adds the rows of ``_interpolate_gaps`` after them."""
+    frames, tids, rows = track_table(config, table)
+    columns = (frames, tids, table.tlwh[rows], table.confidence[rows])
+    if interpolate_gaps:
+        columns = tuple(map(np.concatenate, zip(columns, _interpolate_gaps(*columns))))
+    return columns
 
 
 def run_sequence(
@@ -228,47 +405,56 @@ def run_sequence(
     """Drive a tracker over a whole sequence of per-frame detection lists.
 
     Frame indices absent from the mapping are treated as frames with zero
-    detections. With ``interpolate_gaps`` the reported boxes of each track are
+    detections; a frame key must be an integer >= 1 that its detections
+    name. With ``interpolate_gaps`` the reported boxes of each track are
     linearly interpolated across its match gaps as a post-processing step.
+    Each reported record holds its ``Detection``'s own box and confidence.
     """
-    if not detections_by_frame:
+    frame_keys, detections = _detection_rows(detections_by_frame)
+    if not frame_keys:
         return []
-    frames = sorted(int(f) for f in detections_by_frame)
-    tracker = CBiouTracker(config)
-    outputs = [
-        tracker.step(f, list(detections_by_frame.get(f, ())))
-        for f in range(frames[0], frames[-1] + 1)
-    ]
+    table = DetectionTable._of(frame_keys, detections)
+    frames, tids, rows = _track(config, table)
+    by_frame: dict[int, list] = {}
+    for frame, tid, row in zip(frames, tids, rows):
+        det = detections[row]
+        by_frame.setdefault(frame, []).append((tid, det.box, det.confidence))
     if interpolate_gaps:
-        outputs = _interpolate_gaps(outputs)
-    return outputs
+        frames, tids, rows = (np.array(values, dtype=np.int64) for values in (frames, tids, rows))
+        added = _interpolate_gaps(frames, tids, table.tlwh[rows], table.confidence[rows])
+        for frame, tid, tlwh, conf in zip(*(column.tolist() for column in added)):
+            by_frame.setdefault(frame, []).append((tid, BoundingBox(*tlwh), conf))
+        for records in by_frame.values():
+            records.sort(key=lambda rec: rec[0])
+    return [
+        FrameOutput(frame=frame, records=tuple(by_frame.get(frame, ())))
+        for frame in range(frame_keys[0], frame_keys[-1] + 1)
+    ]
 
 
-def _interpolate_gaps(outputs: list[FrameOutput]) -> list[FrameOutput]:
-    by_track: dict[int, list[tuple[int, BoundingBox, float]]] = {}
-    for out in outputs:
-        for tid, box, conf in out.records:
-            by_track.setdefault(tid, []).append((out.frame, box, conf))
-    extra: dict[int, list[tuple[int, BoundingBox, float]]] = {}
-    for tid, entries in by_track.items():
-        for (f0, b0, c0), (f1, b1, c1) in zip(entries, entries[1:]):
-            for f in range(f0 + 1, f1):
-                t = (f - f0) / (f1 - f0)
-                box = BoundingBox(
-                    b0.x + t * (b1.x - b0.x),
-                    b0.y + t * (b1.y - b0.y),
-                    b0.w + t * (b1.w - b0.w),
-                    b0.h + t * (b1.h - b0.h),
-                )
-                extra.setdefault(f, []).append((tid, box, c0 + t * (c1 - c0)))
-    if not extra:
-        return outputs
-    filled = []
-    for out in outputs:
-        added = extra.get(out.frame)
-        if not added:
-            filled.append(out)
-            continue
-        records = sorted(list(out.records) + added, key=lambda rec: rec[0])
-        filled.append(FrameOutput(frame=out.frame, records=tuple(records)))
-    return filled
+def _interpolate_gaps(
+    frames: np.ndarray, tids: np.ndarray, tlwh: np.ndarray, confidence: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows that fill each track's match gaps, linearly interpolated
+    between the rows around the gap, as (frames, track ids, tlwh,
+    confidence) in (track id, frame) order.
+
+    A filled box must pass ``BoundingBox``'s check: the first one, in that
+    order, that does not raises its ``ValueError``.
+    """
+    order = np.lexsort((frames, tids))
+    frames, tids, tlwh, confidence = frames[order], tids[order], tlwh[order], confidence[order]
+    spans = frames[1:] - frames[:-1]
+    before = np.flatnonzero((tids[1:] == tids[:-1]) & (spans > 1))
+    missing = spans[before] - 1
+    # Row k of the output fills frame f0 + offset of the gap after row before[gap].
+    gap = np.repeat(np.arange(len(before)), missing)
+    offset = np.arange(len(gap)) - np.repeat(np.cumsum(missing) - missing, missing) + 1
+    lo = before[gap]
+    t = offset / spans[lo]
+    filled_tlwh = tlwh[lo] + t[:, None] * (tlwh[lo + 1] - tlwh[lo])
+    filled_conf = confidence[lo] + t * (confidence[lo + 1] - confidence[lo])
+    bad = ~geometry.valid_tlwh(filled_tlwh)
+    if bad.any():
+        BoundingBox(*filled_tlwh[np.argmax(bad)].tolist())
+    return frames[lo] + offset, tids[lo], filled_tlwh, filled_conf

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import cbiou
 from cbiou import cli, experiments, metrics, mot_io, scenarios, synth, tracker
 from cbiou.geometry import BoundingBox
+from cbiou.synth import NoiseSpec
 from cbiou.tracker import TrackerConfig
 
 
@@ -274,6 +276,42 @@ def test_eval_builds_no_bounding_box(tmp_path, count_boxes):
     # the counter sees boxes built after it is installed
     BoundingBox(0, 0, 1, 1)
     assert len(built) == 1
+
+
+def test_track_builds_no_bounding_box(tmp_path, count_boxes):
+    gt, dets = synth.generate(scenarios.bench_scenario(5, 30, 3))
+    paths = {name: tmp_path / f"{name}.txt" for name in ("dets", "res")}
+    mot_io.write_detections(paths["dets"], synth.perturb(dets, NoiseSpec(0.3, 3), gt))
+    built = count_boxes()
+    argv = ["track", "--dets", str(paths["dets"]), "--out", str(paths["res"])]
+    assert cli.main([*argv, "--interpolate"]) == cli.EXIT_OK
+    assert built == []
+    assert paths["res"].read_text(encoding="utf-8")
+    # the counter sees boxes built after it is installed
+    BoundingBox(0, 0, 1, 1)
+    assert len(built) == 1
+
+
+# sha256 of ``cbiou track`` output on the 30%-noise bench scenario, as the
+# per-frame FrameOutput path wrote it; gap filling roughly triples the rows.
+TRACK_FILE_DIGESTS = {
+    (): "7a45a90b40679281a4f5d458ab5cf5f49be1010fae16591c12db54c9957113f0",
+    ("--interpolate",): "4255717676806a3f761672382b89971ead7ba8f1db96af978e0d2b26b92a1d8a",
+}
+
+
+@pytest.mark.parametrize("extra", list(TRACK_FILE_DIGESTS))
+def test_track_file_bytes(tmp_path, extra):
+    gt, dets = synth.generate(scenarios.bench_scenario(30, 100, 7))
+    noisy = synth.perturb(dets, NoiseSpec(0.3, 7), gt)
+    paths = {name: tmp_path / f"{name}.txt" for name in ("dets", "res")}
+    mot_io.write_detections(paths["dets"], noisy)
+    assert cli.main(["track", "--dets", str(paths["dets"]), "--out", str(paths["res"]), *extra]) == cli.EXIT_OK
+    data = paths["res"].read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TRACK_FILE_DIGESTS[extra]
+    # the same bytes as the FrameOutput path over the mapping form
+    outputs = tracker.run_sequence(TrackerConfig(), mot_io.read_detections(paths["dets"]), interpolate_gaps=bool(extra))
+    assert data == "".join(mot_io.result_lines(outputs)).encode("utf-8")
 
 
 def _track_argv(tmp_path, *extra):

@@ -2,11 +2,11 @@ import concurrent.futures
 
 import pytest
 
-from cbiou import experiments, scenarios, synth
+from cbiou import experiments, metrics, scenarios, synth, tracker
 from cbiou.geometry import BoundingBox
 from cbiou.metrics import SequenceAnnotations
 from cbiou.synth import NoiseSpec, ScenarioSpec
-from cbiou.tracker import Detection, TrackerConfig
+from cbiou.tracker import Detection, DetectionTable, TrackerConfig
 
 
 def tiny_sequence():
@@ -112,3 +112,38 @@ def test_grid_later_cell_wins_outright():
     assert [hota == 1.0 for hota in hotas] == [False, False, True, False, True, True]
     assert (result.best_config.b1, result.best_config.b2) == combos[2] == (0.1, 0.4)
     assert result.best_hota == 1.0
+
+
+def test_cells_share_one_table_per_sequence(monkeypatch):
+    # A call builds each sequence's table once; a parallel task carries the
+    # tables' arrays, not the Detection lists.
+    seen = []
+
+    def recording_map(fn, items, jobs):
+        seen.append(fn.keywords["det_seqs"])
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(experiments, "_pool_map", recording_map)
+    det_seqs, gt_seqs = tiny_sequence()
+    by_mapping = experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=2)
+    tables = seen[-1]
+    assert len(tables) == 1 and isinstance(tables[0], DetectionTable)
+    assert not any(isinstance(value, Detection) for value in vars(tables[0]).values())
+    # tables given in: passed through as they are, with the same reports
+    assert experiments.run_compare(TrackerConfig(), tables, gt_seqs, jobs=2) == by_mapping
+    assert seen[-1][0] is tables[0]
+    combos = experiments.enumerate_buffer_grid(0.1, 0.3, 0.1)
+    assert experiments.run_grid(TrackerConfig(), tables, gt_seqs, combos) == experiments.run_grid(
+        TrackerConfig(), det_seqs, gt_seqs, combos
+    )
+
+
+def test_track_and_evaluate_labels_are_the_frame_outputs():
+    det_seqs, gt_seqs = tiny_sequence()
+    config = TrackerConfig(max_age=2)
+    outputs = tracker.run_sequence(config, det_seqs[0])
+    pred = SequenceAnnotations(
+        {out.frame: [(tid, box) for tid, box, _conf in out.records] for out in outputs if out.records}
+    )
+    expected = metrics.evaluate(gt_seqs[0], pred)
+    assert repr(experiments.track_and_evaluate(config, det_seqs, gt_seqs)) == repr(expected)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cbiou import geometry
@@ -77,6 +77,26 @@ sides = st.floats(min_value=0.01, max_value=500, allow_nan=False)
 boxes = st.builds(BoundingBox, coords, coords, sides, sides)
 
 
+# Box fields at and around the edges of BoundingBox's check.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [
+            0.0,
+            1.0,
+            16.0,
+            2.0**57 + 32,
+            geometry.MAX_ABS_COORDINATE,
+            -geometry.MAX_ABS_COORDINATE,
+            geometry.MAX_ABS_COORDINATE / 2,
+            2 * geometry.MAX_ABS_COORDINATE,
+            float("nan"),
+            float("inf"),
+        ]
+    ),
+)
+
+
 class TestBoxTypes:
     def test_rejects_nonpositive_extents(self):
         with pytest.raises(ValueError):
@@ -130,6 +150,29 @@ class TestBoxTypes:
     def test_tlwh_to_corners_is_the_exact_formula(self, box):
         row = tuple(geometry.to_xyxy([box])[0])
         assert row == (box.x, box.y, box.x + box.w, box.y + box.h)
+
+    @given(st.lists(st.tuples(*[EDGE_FLOATS] * 4), min_size=1, max_size=8))
+    @example([(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -1.0), (2.0**57, 0.0, 16.0, 1.0), (2.0**57 + 32, 0.0, 16.0, 1.0)])
+    @example([(-1e100, 1e100 - 1.0, 2e100, 1.0), (1e100 - 1.0, 0.0, 2.0, 1.0), (-2e100, 0.0, 1e100, 1.0)])
+    def test_valid_tlwh_is_the_box_check(self, rows):
+        expected = []
+        for row in rows:
+            try:
+                BoundingBox(*row)
+            except ValueError:
+                expected.append(False)
+            else:
+                expected.append(True)
+        assert geometry.valid_tlwh(np.array(rows)).tolist() == expected
+
+    def test_box_arrays_give_the_corners_of_to_xyxy(self):
+        boxes = [BoundingBox(0.1, 0.2, 0.3, 0.7), BoundingBox(2.0**57 + 32, -5.5, 16.0, 1e-3)]
+        tlwh, xyxy = geometry.box_arrays([[b.x, b.y, b.w, b.h] for b in boxes])
+        assert xyxy.tobytes() == geometry.to_xyxy(boxes).tobytes()
+        assert tlwh.tolist() == [[b.x, b.y, b.w, b.h] for b in boxes]
+        for values in (tlwh, xyxy):
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
 
 
 class TestBuffer:
@@ -358,3 +401,83 @@ class TestMatrixForms:
         assert geometry.similarity_matrix("biou", a, b, 0.3)[0, 0] == pytest.approx(1 / 7)
         with pytest.raises(ValueError):
             geometry.similarity_matrix("ciou", a, b)
+
+
+# The formulas the fused overlap routine replaced, one numpy operation per
+# coordinate, kept as the reference its bits are checked against.
+def reference_buffer(boxes, scale):
+    w = boxes[:, 2] - boxes[:, 0]
+    h = boxes[:, 3] - boxes[:, 1]
+    return np.stack((boxes[:, 0] - scale * w, boxes[:, 1] - scale * h, boxes[:, 2] + scale * w, boxes[:, 3] + scale * h), axis=1)
+
+
+def reference_parts(a, b):
+    iw = np.maximum(np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]), 0.0)
+    ih = np.maximum(np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]), 0.0)
+    inter = iw * ih
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter, area_a + area_b - inter
+
+
+def reference_matrix(kind, a, b, scale):
+    if kind == "biou":
+        a, b = reference_buffer(a, scale), reference_buffer(b, scale)
+    inter, union = reference_parts(a[:, None], b[None, :])
+    iou_values = inter / union
+    if kind in ("iou", "biou"):
+        return iou_values
+    hull_w = np.maximum(a[:, None, 2], b[None, :, 2]) - np.minimum(a[:, None, 0], b[None, :, 0])
+    hull_h = np.maximum(a[:, None, 3], b[None, :, 3]) - np.minimum(a[:, None, 1], b[None, :, 1])
+    if kind == "giou":
+        hull = hull_w * hull_h
+        return iou_values - (hull - union) / hull
+    dcx = ((a[:, 0] + a[:, 2]) / 2.0)[:, None] - ((b[:, 0] + b[:, 2]) / 2.0)[None, :]
+    dcy = ((a[:, 1] + a[:, 3]) / 2.0)[:, None] - ((b[:, 1] + b[:, 3]) / 2.0)[None, :]
+    return iou_values - (dcx * dcx + dcy * dcy) / (hull_w * hull_w + hull_h * hull_h)
+
+
+def random_corners(rng, count: int, magnitude: float) -> np.ndarray:
+    """Valid corner-form boxes with corners up to ``magnitude``; some repeat
+    a box of the same set, so identical pairs occur."""
+    low = (rng.random((count, 2)) - 0.5) * magnitude
+    side = rng.random((count, 2)) * magnitude * rng.choice([1e-3, 0.1, 0.5]) + magnitude * 1e-6
+    boxes = np.concatenate((low, np.minimum(low + side, magnitude / 2)), axis=1)
+    boxes = boxes[(boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])]
+    if len(boxes) > 1:
+        boxes[-1] = boxes[0]
+    return boxes
+
+
+class TestFusedOverlap:
+    """The fused overlap routine and the one-addition buffer keep the bits of
+    the per-coordinate formulas; pytest's warnings-as-errors stays on, so an
+    overflow or invalid value at the limits fails the test."""
+
+    SCALES = [0.0, 1e-3, 0.3, 0.4, 1.7, 1e3, 1e20, geometry.MAX_BUFFER_SCALE]
+    MAGNITUDES = [1.0, 100.0, 1e4, 1e90, 2 * geometry.MAX_ABS_COORDINATE]
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_matrices_have_the_reference_bits(self, magnitude):
+        rng = np.random.default_rng(int(np.log10(magnitude)) + 17)
+        for _ in range(60):
+            a = random_corners(rng, int(rng.integers(1, 14)), magnitude)
+            b = random_corners(rng, int(rng.integers(1, 9)), magnitude)
+            b[: min(2, len(a), len(b))] = a[: min(2, len(a), len(b))]
+            for scale in self.SCALES:
+                assert buffer_xyxy(a, scale).tobytes() == reference_buffer(a, scale).tobytes()
+                for kind in geometry.SIMILARITY_KINDS:
+                    got = geometry.similarity_matrix(kind, a, b, scale)
+                    assert got.tobytes() == reference_matrix(kind, a, b, scale).tobytes(), (kind, scale)
+            rows, cols = (grid.ravel() for grid in np.indices((len(a), len(b))))
+            inter, union = reference_parts(a[rows], b[cols])
+            assert geometry.paired_iou(a[rows], b[cols]).tobytes() == (inter / union).tobytes()
+
+    def test_limit_boxes(self):
+        limit = geometry.MAX_ABS_COORDINATE
+        boxes = np.array([[-limit, -limit, limit, limit], [limit / 2, -limit, limit, -limit / 2], [0.0, 0.0, 1.0, 1.0]])
+        for scale in self.SCALES:
+            for kind in geometry.SIMILARITY_KINDS:
+                got = geometry.similarity_matrix(kind, boxes, boxes[::-1], scale)
+                assert got.tobytes() == reference_matrix(kind, boxes, boxes[::-1], scale).tobytes()
+                assert np.isfinite(got).all()

@@ -640,6 +640,28 @@ class TestArrayTable:
         assert per_alpha[0][2] == 0.5
 
 
+@settings(max_examples=200)
+@given(CROWDED, CROWDED)
+@example(SequenceAnnotations({}), SequenceAnnotations({}))
+# frames far from 1 and negative ids, which pooling moves
+@example(
+    SequenceAnnotations({7: [(-2, strip(0, 7)), (3, strip(3, 7))], 9: [(-2, strip(0, 10))]}),
+    SequenceAnnotations({8: [(5, strip(0, 7))], 9: [(-1, strip(2, 10)), (4, strip(0, 5))]}),
+)
+def test_single_pair_report_is_the_pooled_report(gt, pred):
+    # evaluate_many takes one pair as it is; pooling only moves frames and ids
+    assert repr(evaluate_many([(gt, pred)])) == repr(evaluate(*pool_sequences([(gt, pred)])))
+
+
+def test_single_pair_is_not_pooled(monkeypatch):
+    def fail(_pairs):
+        raise AssertionError("pooled a single pair")
+
+    monkeypatch.setattr(metrics, "pool_sequences", fail)
+    gt, pred = single_track_gt(), id_switch_pred()
+    assert evaluate_many([(gt, pred)]) == evaluate(gt, pred)
+
+
 def test_pooling_keeps_negative_gt_ids_apart():
     # Offsetting by max(id) + 1 alone mapped the second sequence's -1 onto the
     # first's 1: two perfect sequences pooled to IDF1 0.667.

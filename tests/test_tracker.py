@@ -1,19 +1,27 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbiou import assignment, geometry, motion
 from cbiou import tracker as tracker_module
 from cbiou.geometry import BoundingBox
-from cbiou.metrics import SequenceAnnotations, evaluate
-from cbiou.experiments import enumerate_buffer_grid
+from cbiou.metrics import SequenceAnnotations
+from cbiou.experiments import enumerate_buffer_grid, track_and_evaluate
 from cbiou.synth import OcclusionSpec, ScenarioSpec, generate
 from cbiou.tracker import (
     CBiouTracker,
     Detection,
+    DetectionTable,
     FrameOutput,
+    FrameRows,
     TrackerConfig,
     cascade_match,
+    result_rows,
     run_sequence,
+    track_table,
 )
 
 
@@ -297,7 +305,7 @@ class TestRunSequence:
         gt = SequenceAnnotations(
             {f: [(1, dets[f][0].box)] for f in dets}
         )
-        report = evaluate(gt, SequenceAnnotations.from_frame_outputs(outputs))
+        report = track_and_evaluate(TrackerConfig(), [dets], [gt])
         assert report.idf1 == 1.0
         assert report.idsw == 0
 
@@ -316,10 +324,7 @@ class TestRunSequence:
                 dets[f] = [det(f, xa, y=0, w=8, h=8), det(f, xb, y=40, w=8, h=8)]
             else:
                 dets[f] = []
-        outputs = run_sequence(TrackerConfig(max_age=5), dets)
-        report = evaluate(
-            SequenceAnnotations(gt_frames), SequenceAnnotations.from_frame_outputs(outputs)
-        )
+        report = track_and_evaluate(TrackerConfig(max_age=5), [dets], [SequenceAnnotations(gt_frames)])
         assert report.assa == 1.0
         assert report.idsw == 0
 
@@ -388,3 +393,212 @@ class TestFrameOutput:
         )
         ids = [rec[0] for rec in outputs[0].records]
         assert ids == sorted(ids)
+
+
+class TestDetectionTable:
+    def test_rows_grouped_by_frame_in_given_order(self):
+        dets = {4: [det(4, 7, conf=0.5), det(4, 1)], 2: [], 1: [det(1, 3, w=2.5)]}
+        table = DetectionTable.from_detections(dets)
+        assert table.frame_keys.tolist() == [1, 2, 4]
+        assert table.row_frames.tolist() == [1, 4, 4]
+        assert table.tlwh.tolist() == [[3, 0, 2.5, 10], [7, 0, 10, 10], [1, 0, 10, 10]]
+        assert table.confidence.tolist() == [1.0, 0.5, 1.0]
+        assert table.xyxy.tobytes() == geometry.to_xyxy(d.box for f in (1, 4) for d in dets[f]).tobytes()
+        with pytest.raises(ValueError):
+            table.xyxy[0, 0] = 5.0
+
+    @pytest.mark.parametrize("key", [1.5, float("nan"), float("inf")])
+    def test_non_integral_frame_key_rejected(self, key):
+        # int(1.5) named frame 1, whose lookup missed: the detection was dropped
+        message = re.escape(f"frame {key!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            DetectionTable.from_detections({key: [det(1, 0)]})
+        with pytest.raises(ValueError, match=message):
+            run_sequence(TrackerConfig(), {key: [det(1, 0)]})
+
+    def test_detection_of_another_frame_rejected(self):
+        with pytest.raises(ValueError, match="detection for frame 1 listed under frame 2"):
+            run_sequence(TrackerConfig(), {1: [det(1, 0)], 2: [det(1, 5)]})
+
+    def test_frame_below_one_rejected(self):
+        with pytest.raises(ValueError, match="frame index must be a positive integer, got 0"):
+            run_sequence(TrackerConfig(), {0: [], 1: [det(1, 0)]})
+
+    def test_integral_float_frame_key_is_its_integer(self):
+        assert run_sequence(TrackerConfig(), {2.0: [det(2, 0)]}) == run_sequence(TrackerConfig(), {2: [det(2, 0)]})
+
+    def test_rows_index_the_table(self):
+        dets = {1: [det(1, 0), det(1, 100, conf=0.05)], 3: [det(3, 4), det(3, 300)]}
+        table = DetectionTable.from_detections(dets)
+        frames, tids, rows = track_table(TrackerConfig(max_age=3), table)
+        assert frames.tolist() == [1, 3, 3]
+        assert tids.tolist() == [1, 1, 2]
+        # row 1 is below det_conf_min: never admitted, never reported
+        assert rows.tolist() == [0, 2, 3]
+        assert [a.dtype for a in (frames, tids, rows)] == [np.int64] * 3
+
+    def test_empty_table(self):
+        empty = DetectionTable.from_detections({})
+        assert [a.tolist() for a in track_table(TrackerConfig(), empty)] == [[], [], []]
+        assert [len(a) for a in result_rows(TrackerConfig(), empty, interpolate_gaps=True)] == [0] * 4
+
+
+class TestTableFrames:
+    DETS = {1: [det(1, 0), det(1, 100, conf=0.05), det(1, 50)], 3: [det(3, 51, w=9.5), det(3, 2)]}
+
+    def test_frames_admit_rows_and_fill_missing_frames(self):
+        table = DetectionTable.from_detections(self.DETS)
+        frames = list(table.frames(0.1))
+        assert [frame for frame, _ in frames] == [1, 2, 3]
+        assert [rows.rows for _, rows in frames] == [[0, 2], [], [3, 4]]
+        assert [rows.confidence for _, rows in frames] == [[1.0, 1.0], [], [1.0, 1.0]]
+        assert frames[2][1].xyxy.tobytes() == table.xyxy[3:].tobytes()
+        assert frames[1][1].xyxy.shape == (0, 4)
+        assert list(DetectionTable.from_detections({}).frames(0.1)) == []
+
+    def test_step_answers_in_the_form_it_is_given(self):
+        table = DetectionTable.from_detections(self.DETS)
+        by_rows, by_boxes = CBiouTracker(), CBiouTracker()
+        for frame, rows in table.frames(TrackerConfig().det_conf_min):
+            got = by_rows.step(frame, rows)
+            want = by_boxes.step(frame, self.DETS.get(frame, []))
+            assert isinstance(got, FrameRows) and got.frame == want.frame == frame
+            assert [(tid, table.tlwh[row].tolist(), conf) for tid, row, conf in got.records] == [
+                (tid, [box.x, box.y, box.w, box.h], conf) for tid, box, conf in want.records
+            ]
+        assert by_rows.tracks == by_boxes.tracks
+
+    def test_table_runs_step_every_frame(self, monkeypatch):
+        # a wrapped CBiouTracker.step sees each frame of a table run
+        seen = []
+        original = CBiouTracker.step
+
+        def wrapped(self, frame, detections):
+            out = original(self, frame, detections)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(CBiouTracker, "step", wrapped)
+        frames, tids, rows = track_table(TrackerConfig(), DetectionTable.from_detections(self.DETS))
+        assert [out.frame for out in seen] == [1, 2, 3]
+        assert [(out.frame, tid, row) for out in seen for tid, row, _ in out.records] == list(
+            zip(frames.tolist(), tids.tolist(), rows.tolist())
+        )
+
+
+# Boxes on a 60 x 60 arena, with confidences on both sides of det_conf_min:
+# crowded enough that buffers overlap, round 2 runs and tracks coast and die.
+DETECTION = st.builds(
+    lambda x, y, w, h, conf: (x, y, w, h, conf),
+    st.integers(0, 50),
+    st.integers(0, 50),
+    st.integers(2, 15),
+    st.integers(2, 15),
+    st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+)
+SEQUENCES = st.dictionaries(
+    st.integers(1, 14), st.lists(DETECTION, max_size=6), min_size=1, max_size=10
+).map(lambda frames: {f: [det(f, x, y, w, h, conf) for x, y, w, h, conf in rows] for f, rows in frames.items()})
+CONFIGS = st.builds(
+    lambda kind, cascade, motion_on, max_age, conf_min: TrackerConfig(
+        similarity_kind=kind,
+        cascade_enabled=cascade,
+        motion_enabled=motion_on,
+        max_age=max_age,
+        det_conf_min=conf_min,
+    ),
+    st.sampled_from(geometry.SIMILARITY_KINDS),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 2, 30]),
+    st.sampled_from([0.1, 0.6]),
+)
+
+
+def step_every_frame(config, dets):
+    """``run_sequence`` as it was: ``step`` on every frame from the first to the last."""
+    tracker = CBiouTracker(config)
+    return [tracker.step(f, dets.get(f, [])) for f in range(min(dets), max(dets) + 1)]
+
+
+class TestTableLoopEqualsStep:
+    @settings(max_examples=300)
+    @given(CONFIGS, SEQUENCES)
+    def test_outputs_equal(self, config, dets):
+        outputs = run_sequence(config, dets)
+        assert outputs == step_every_frame(config, dets)
+        # each record holds its Detection's own box and confidence
+        given_boxes = {id(d.box) for rows in dets.values() for d in rows}
+        assert all(id(box) in given_boxes for out in outputs for _tid, box, _conf in out.records)
+
+    @settings(max_examples=100)
+    @given(CONFIGS, SEQUENCES)
+    def test_result_rows_equal_frame_outputs(self, config, dets):
+        # the array rows of cbiou track, with and without gap filling
+        table = DetectionTable.from_detections(dets)
+        for interpolate in (False, True):
+            frames, tids, tlwh, conf = result_rows(config, table, interpolate_gaps=interpolate)
+            order = np.lexsort((tids, frames))
+            rows = list(zip(frames[order].tolist(), tids[order].tolist(), tlwh[order].tolist(), conf[order].tolist()))
+            expected = [
+                (out.frame, tid, [box.x, box.y, box.w, box.h], c)
+                for out in run_sequence(config, dets, interpolate_gaps=interpolate)
+                for tid, box, c in out.records
+            ]
+            assert rows == expected
+
+
+class TestInterpolation:
+    def test_reference_loop(self):
+        # the per-record loop the array form replaced
+        _, dets = generate(
+            ScenarioSpec(
+                num_objects=6,
+                num_frames=40,
+                arena=(300.0, 300.0),
+                speed_range=(2.0, 9.0),
+                turn_prob=0.1,
+                size_range=(10.0, 25.0),
+                occlusion=OcclusionSpec(0.1, (2, 5)),
+                seed=8,
+            )
+        )
+        plain = run_sequence(TrackerConfig(), dets)
+        by_track = {}
+        for out in plain:
+            for tid, box, conf in out.records:
+                by_track.setdefault(tid, []).append((out.frame, box, conf))
+        extra = {}
+        for tid, entries in by_track.items():
+            for (f0, b0, c0), (f1, b1, c1) in zip(entries, entries[1:]):
+                for f in range(f0 + 1, f1):
+                    t = (f - f0) / (f1 - f0)
+                    box = BoundingBox(
+                        b0.x + t * (b1.x - b0.x),
+                        b0.y + t * (b1.y - b0.y),
+                        b0.w + t * (b1.w - b0.w),
+                        b0.h + t * (b1.h - b0.h),
+                    )
+                    extra.setdefault(f, []).append((tid, box, c0 + t * (c1 - c0)))
+        assert extra
+        expected = [
+            FrameOutput(out.frame, tuple(sorted(list(out.records) + extra.get(out.frame, []), key=lambda r: r[0])))
+            for out in plain
+        ]
+        assert run_sequence(TrackerConfig(), dets, interpolate_gaps=True) == expected
+
+    def test_collapsed_box_raises_the_box_error(self):
+        # x0 and x1 are odd multiples of the float64 spacing 32 near 2**57, so
+        # x + 16 rounds up; their midpoint is even, and x + 16 rounds back to x
+        x0, x1 = 2.0**57 + 32, 2.0**57 + 96
+        assert x0 + 16 > x0 and x1 + 16 > x1
+        dets = {1: [det(1, x0, w=16, h=1)], 3: [det(3, x1, w=16, h=1)]}
+        config = TrackerConfig(b1=10, b2=20, motion_enabled=False)
+        assert [len(out.records) for out in run_sequence(config, dets)] == [1, 0, 1]
+        with pytest.raises(ValueError) as expected:
+            BoundingBox((x0 + x1) / 2, 0.0, 16.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            run_sequence(config, dets, interpolate_gaps=True)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            result_rows(config, DetectionTable.from_detections(dets), interpolate_gaps=True)
+
