@@ -53,7 +53,7 @@ def track_and_evaluate(
     pairs = []
     for table, gt in zip(_tables(det_seqs), gt_seqs):
         frames, tids, tlwh, _confidence = tracker.result_rows(config, table)
-        pairs.append((gt, SequenceAnnotations.from_arrays(metrics.sorted_unique(frames), frames, tids, tlwh)))
+        pairs.append((gt, SequenceAnnotations(metrics.sorted_unique(frames), frames, tids, tlwh)))
     return metrics.evaluate_many(pairs)
 
 
@@ -137,8 +137,5 @@ def run_grid(
     task = partial(track_and_evaluate, det_seqs=_tables(det_seqs), gt_seqs=gt_seqs)
     reports = _pool_map(task, configs, jobs)
     scores = tuple((b1, b2, report) for (b1, b2), report in zip(combos, reports))
-    best_idx = 0
-    for i in range(1, len(scores)):
-        if scores[i][2].hota > scores[best_idx][2].hota:
-            best_idx = i
+    best_idx = min(range(len(scores)), key=lambda i: (-reports[i].hota, scores[i][:2]))
     return GridResult(scores=scores, best_config=configs[best_idx], best_hota=reports[best_idx].hota)

@@ -1,16 +1,18 @@
 """Axis-aligned bounding boxes and pairwise similarity measures.
 
-``BoundingBox`` is the validated top-left/width/height value that input and
-the synthetic generator produce. Its check has one array form,
-``valid_tlwh``, which the file readers and the tracker's gap filling use on
-(N, 4) rows; ``box_arrays`` gives such rows in corner form, for the label
-and detection tables. Every similarity kind (IoU, GIoU, DIoU and
-the buffered BIoU) has one implementation, the ``*_matrix`` form over (N, 4)
-arrays of corner-form boxes; the tracker and the metrics call these on whole
-frames. ``paired_iou`` gives IoU cell by cell for two row-paired arrays; the
-metrics call it on every cell of a sequence at once. The scalar
-``corner_iou`` and its ``BoundingBox`` form ``iou`` are kept for single-pair
-checks (see their docstrings).
+``BoundingBox`` is the validated top-left/width/height box of the API's
+``Detection`` and ``FrameOutput`` records, which the synthetic generator
+also builds; files are read into (N, 4) arrays of such rows. Its check has
+one array form, ``valid_tlwh``, which the file readers and the tracker's gap
+filling use. ``grouped_rows`` checks the layout that the label and detection
+tables share, rows grouped by frame, and gives their boxes in corner form.
+Every similarity kind (IoU, GIoU, DIoU and the buffered BIoU) has one
+implementation, the ``*_matrix`` form over (N, 4) arrays of corner-form
+boxes; the tracker and the metrics call these on whole frames.
+``paired_iou`` gives IoU cell by cell for two row-paired arrays; the metrics
+call it on every cell of a sequence at once. The scalar ``corner_iou`` and
+its ``BoundingBox`` form ``iou`` are kept for single-pair checks (see their
+docstrings).
 
 The tracker's matrices are small (about 13 x 7), so numpy's fixed cost per
 call, not the arithmetic, sets their price. Every array form therefore
@@ -119,16 +121,69 @@ def to_xyxy(boxes: Iterable[BoundingBox]) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, 4)
 
 
-def box_arrays(tlwh) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 4) top-left/width/height rows as given and the same boxes in
-    corner form, both read-only float arrays; the corners are the ones
-    ``to_xyxy`` gives for the boxes of those rows, bit for bit."""
-    tlwh = np.asarray(tlwh, dtype=float).reshape(-1, 4)
+class LabelOverflowError(ValueError):
+    """Frames or identities that do not fit in int64: a data error."""
+
+
+def int64_values(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array. Each must be an integer: a fractional,
+    NaN or infinite one raises ``ValueError``, naming it as a ``name``, and
+    one outside int64 raises ``LabelOverflowError``."""
+    array = np.asarray(values)
+    if array.dtype.kind == "f":
+        integral = np.isfinite(array) & (np.trunc(array) == array)
+        if not integral.all():
+            raise ValueError(f"{name} {array[~integral][0].item()!r} is not an integer")
+        if ((array < -(2.0**63)) | (array >= 2.0**63)).any():
+            raise LabelOverflowError(f"every {name} must fit in 64 bits")
+        return array.astype(np.int64)
+    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.int64).max:
+        raise LabelOverflowError(f"every {name} must fit in 64 bits")
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise LabelOverflowError(f"every {name} must fit in 64 bits") from None
+
+
+def grouped_rows(frame_keys, row_frames, tlwh, *columns) -> tuple[np.ndarray, ...]:
+    """The arrays of a table of rows grouped by frame, checked and read-only:
+    ``frame_keys`` and ``row_frames`` as int64, ``tlwh`` and the same boxes
+    in corner form, ``xyxy``, as float, then each of ``columns`` as given.
+    The corners are the ones ``to_xyxy`` gives for the boxes of those rows,
+    bit for bit.
+
+    The layout, which the label and detection tables share: ``frame_keys``
+    strictly ascending; ``row_frames`` (N,) non-decreasing, each one of
+    ``frame_keys``; ``tlwh`` (N, 4); and N values in each column. A table
+    not laid out so raises ``ValueError``, and frames as ``int64_values``
+    does.
+    """
+    frame_keys = int64_values(frame_keys, "frame")
+    row_frames = int64_values(row_frames, "frame")
+    tlwh = np.asarray(tlwh, dtype=float)
+    n = len(row_frames) if row_frames.ndim == 1 else -1
+    if frame_keys.ndim != 1 or tlwh.shape != (n, 4) or any(len(values) != n for values in columns):
+        shapes = ", ".join(str(np.shape(values)) for values in (row_frames, tlwh, *columns))
+        raise ValueError(
+            "rows need one-dimensional frame_keys, (N,) row_frames, (N, 4) tlwh and N values "
+            f"per column, got frame_keys {frame_keys.shape} and rows {shapes}"
+        )
+    if (frame_keys[1:] <= frame_keys[:-1]).any():
+        raise ValueError("frame_keys must be strictly ascending")
+    if (row_frames[1:] < row_frames[:-1]).any():
+        raise ValueError("rows must be grouped by ascending frame")
+    # Keys are distinct, so each row counts at most once: all do iff all are keys.
+    counted = np.searchsorted(row_frames, frame_keys, "right") - np.searchsorted(row_frames, frame_keys)
+    if counted.sum() != n:
+        keys = set(frame_keys.tolist())
+        missing = next(frame for frame in row_frames.tolist() if frame not in keys)
+        raise ValueError(f"row frame {missing} is not one of frame_keys")
     xyxy = tlwh.copy()
-    xyxy[:, 2:] += tlwh[:, :2]
-    tlwh.flags.writeable = False
-    xyxy.flags.writeable = False
-    return tlwh, xyxy
+    np.add(tlwh[:, :2], tlwh[:, 2:], out=xyxy[:, 2:])
+    arrays = (frame_keys, row_frames, tlwh, xyxy, *columns)
+    for values in arrays:
+        values.flags.writeable = False
+    return arrays
 
 
 def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Tracking evaluation: HOTA (with DetA/AssA), CLEAR-MOT accuracy, and IDF1.
 
 All metrics consume two per-frame labelings (ground truth and predictions) of
-(identity, box) pairs, as ``SequenceAnnotations``. Labels are stored in one
-form, arrays: int64 frames and ids, and corner-form boxes in one (N, 4)
-array, rows grouped by frame. A mapping of per-frame (identity,
-``BoundingBox``) rows is an input format, and ``frames`` is a view derived
-from the arrays for API callers. Scores are single-sequence; to evaluate
-several sequences together, pool them with ``evaluate_many`` which merges
-them onto disjoint frame/identity ranges so raw counts pool rather than
-ratios average.
+(identity, box) pairs, as ``SequenceAnnotations``. Labels are built and
+stored in one form, arrays: int64 frames and ids, and boxes in (N, 4)
+arrays, rows grouped by frame; ``frames`` is a per-frame (identity,
+``BoundingBox``) view derived from the arrays for API callers. Scores are
+single-sequence; to evaluate several sequences together, pool them with
+``evaluate_many`` which merges them onto disjoint frame/identity ranges so
+raw counts pool rather than ratios average.
 
 ``evaluate`` aligns the two labelings once, as whole-sequence arrays. Every
 (gt row, pred row) cell of every frame with boxes on both sides gets its IoU
@@ -37,62 +36,42 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import assignment, geometry
-from .geometry import BoundingBox
+from .geometry import BoundingBox, LabelOverflowError
 
 ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 IOU_THRESHOLD = 0.5
 
 
-class LabelOverflowError(ValueError):
-    """Frames or identities that do not fit in int64: a data error."""
-
-
 class SequenceAnnotations:
-    """Per-frame (identity, box) labels for one sequence, stored only as five
-    read-only arrays, rows grouped by ascending frame and in given order within
-    a frame: ``frame_keys``, every frame the labels name, frames without rows
+    """Per-frame (identity, box) labels for one sequence, as five read-only
+    arrays, rows grouped by ascending frame and in given order within a
+    frame: ``frame_keys``, every frame the labels name, frames without rows
     included; ``row_frames`` (N,), each row's frame, and ``ids`` (N,), its
     identity, all int64; ``tlwh`` (N, 4), each box as given, and ``xyxy``
     (N, 4), the same box in corner form.
 
-    The constructor takes the mapping form, per-frame (identity,
-    ``BoundingBox``) rows. It checks that frames and identities are integers
-    that fit in int64 and that no identity repeats in a frame, raising a data
-    error otherwise, and builds the arrays at once. ``from_arrays`` takes rows
-    already grouped, as the file readers, ``synth.generate`` and
-    ``pool_sequences`` make them, so evaluating files builds no box objects.
-    ``frames`` is the mapping form again: a read-only view built from the
-    arrays on first use, for API callers.
+    The constructor takes the rows in that layout, as the file readers,
+    ``synth.generate``, the tracker's result rows and ``pool_sequences``
+    make them, and checks it with ``geometry.grouped_rows``: a bad layout or
+    a frame or identity that is not an integer raises ``ValueError``, and
+    one outside int64 ``LabelOverflowError``. ``frames`` is a read-only
+    view of the rows as per-frame (identity, ``BoundingBox``) tuples, built
+    from the arrays on first use, for API callers.
     """
 
-    def __init__(self, frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]):
-        self._store(*_label_arrays(frames.items()))
-
-    @classmethod
-    def from_arrays(cls, frame_keys, row_frames, ids, tlwh) -> "SequenceAnnotations":
-        """Labels from rows already grouped by ascending frame, with
-        ``frame_keys`` ascending and naming every row's frame; the rows are
-        taken as they are, without the duplicate check."""
-        self = cls.__new__(cls)
-        self._store(frame_keys, row_frames, ids, tlwh)
-        return self
-
-    def _store(self, frame_keys, row_frames, ids, tlwh) -> None:
-        self.frame_keys = np.asarray(frame_keys, dtype=np.int64)
-        self.row_frames = np.asarray(row_frames, dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.tlwh, self.xyxy = geometry.box_arrays(tlwh)
-        for values in (self.frame_keys, self.row_frames, self.ids):
-            values.flags.writeable = False
+    def __init__(self, frame_keys, row_frames, ids, tlwh):
+        self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.ids = geometry.grouped_rows(
+            frame_keys, row_frames, tlwh, geometry.int64_values(ids, "identity")
+        )
 
     def __reduce__(self):
         # Rows only: the cached ``frames`` view, a mappingproxy, does not pickle.
-        return type(self).from_arrays, (self.frame_keys, self.row_frames, self.ids, self.tlwh)
+        return type(self), (self.frame_keys, self.row_frames, self.ids, self.tlwh)
 
     def frame_slices(self) -> dict[int, slice]:
         """Each frame of ``frame_keys`` with the slice of its rows."""
@@ -118,60 +97,6 @@ class SequenceAnnotations:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("frame_keys", "row_frames", "ids", "tlwh")
         )
-
-    @classmethod
-    def from_frame_outputs(cls, outputs) -> "SequenceAnnotations":
-        """Build annotations from tracker ``FrameOutput`` records, one output
-        per frame; frames without records are dropped."""
-        records = {}
-        for out in outputs:
-            if out.frame in records:
-                raise ValueError(f"frame {out.frame} has more than one output")
-            records[out.frame] = out.records
-        return cls.from_arrays(*_label_arrays((frame, rows) for frame, rows in records.items() if rows))
-
-
-def _label_arrays(frames: Iterable[tuple[int, Iterable]]) -> tuple[np.ndarray, ...]:
-    """``frame_keys``, ``row_frames``, ``ids`` and ``tlwh`` of (frame, rows)
-    items whose rows start with an identity and a ``BoundingBox``: frames
-    ascending, rows in given order within a frame. Frames and identities must
-    be integers that fit in int64, and no identity may repeat in a frame."""
-    keys, counts, ids, tlwh = [], [], [], []
-    for key, rows in frames:
-        if key % 1:  # fractional, NaN or infinite: int() would make 1.5 and 1.7 both 1
-            raise ValueError(f"frame {key!r} is not an integer")
-        keys.append(int(key))
-        start = len(ids)
-        for row in rows:
-            ids.append(row[0])
-            box = row[1]
-            tlwh += box.x, box.y, box.w, box.h
-        frame_ids = ids[start:]
-        counts.append(len(frame_ids))
-        if len(set(frame_ids)) < len(frame_ids) or not all(type(i) is int for i in frame_ids):
-            ids[start:] = _frame_identities(frame_ids, keys[-1])
-    try:
-        keys = np.array(keys, dtype=np.int64)
-        ids = np.array(ids, dtype=np.int64)
-    except OverflowError:
-        raise LabelOverflowError("frames and identities must fit in 64 bits") from None
-    row_frames = np.repeat(keys, counts)
-    order = np.argsort(row_frames, kind="stable")
-    return np.sort(keys), row_frames[order], ids[order], np.array(tlwh, dtype=float).reshape(-1, 4)[order]
-
-
-def _frame_identities(identities: list, frame: int) -> list[int]:
-    """One frame's identities as ints, checked in row order: each must be
-    an integer, and none may repeat."""
-    seen: dict[int, None] = {}
-    for identity in identities:
-        if identity % 1:
-            raise ValueError(f"identity {identity!r} is not an integer")
-        identity = int(identity)
-        if identity in seen:
-            raise ValueError(f"duplicate identity {identity} in frame {frame}")
-        seen[identity] = None
-    return list(seen)
 
 
 @dataclass(frozen=True)
@@ -543,7 +468,7 @@ def pool_sequences(
             if labels.ids.size:
                 id_bases[side] += int(labels.ids.max()) - id_lo + 1
         frame_base += hi - lo + 1
-    merged = [SequenceAnnotations.from_arrays(*map(np.concatenate, zip(*part))) for part in parts]
+    merged = [SequenceAnnotations(*map(np.concatenate, zip(*part))) for part in parts]
     return merged[0], merged[1]
 
 

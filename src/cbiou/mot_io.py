@@ -15,9 +15,11 @@ is a data error; one at or beyond 2**53 in magnitude, where float64 rounds,
 is read again exactly. The earliest failing line is reported, as
 ``_check_row`` words it for one row: bytes that are not UTF-8 and rows that
 do not parse as parse errors, the rest as data errors. Ground truth and
-results become ``SequenceAnnotations`` arrays, and ``write_ground_truth``
-writes from them, without a ``BoundingBox`` per row; detections become the
-tracker's ``DetectionTable``, or ``Detection`` lists in the mapping form.
+results become ``SequenceAnnotations``, built from their arrays as every
+label is, and ``write_ground_truth`` writes from those arrays: neither
+builds a ``BoundingBox`` per row. Detections become the tracker's
+``DetectionTable``, which ``read_detections`` turns into per-frame
+``Detection`` lists for the API's ``run_sequence``.
 
 Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
 coordinates at fixed 2-decimal precision.
@@ -289,9 +291,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
 def _annotations(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> SequenceAnnotations:
     order = np.argsort(frames, kind="stable")
     row_frames = frames[order]
-    return SequenceAnnotations.from_arrays(
-        sorted_unique(row_frames), row_frames, ids[order], values[order, 2:6]
-    )
+    return SequenceAnnotations(sorted_unique(row_frames), row_frames, ids[order], values[order, 2:6])
 
 
 def read_ground_truth(path, min_visibility: float | None = None) -> SequenceAnnotations:

@@ -152,9 +152,9 @@ def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[De
     # Each frame holds one row per object, so without objects no frame is named.
     count, frames = spec.num_objects, spec.num_frames
     row_frames, ids = np.indices((frames, count)).reshape(2, -1) + 1
-    boxes = np.array(tlwh).reshape(count, frames, 4).swapaxes(0, 1)
+    boxes = np.array(tlwh).reshape(count, frames, 4).swapaxes(0, 1).reshape(-1, 4)
     frame_keys = np.arange(1, (frames if count else 0) + 1)
-    return SequenceAnnotations.from_arrays(frame_keys, row_frames, ids, boxes), det_frames
+    return SequenceAnnotations(frame_keys, row_frames, ids, boxes), det_frames
 
 
 def oracle_detections(gt: SequenceAnnotations) -> dict[int, list[Detection]]:

@@ -64,10 +64,12 @@ class TrackerConfig:
             raise ValueError(
                 f"cascaded matching requires b1 < b2, got b1={self.b1!r}, b2={self.b2!r}"
             )
-        if self.max_age % 1 or self.max_age < 1:
-            raise ValueError(f"max_age must be an integer >= 1, got {self.max_age!r}")
-        if self.n_max % 1 or self.n_max < 2:
-            raise ValueError(f"n_max must be an integer >= 2, got {self.n_max!r}")
+        for name, least in (("max_age", 1), ("n_max", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or value % 1 or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            # Stored as int: n_max sizes the history window, and 5.0 is no shape.
+            object.__setattr__(self, name, int(value))
         if not math.isfinite(self.min_sim):
             raise ValueError(f"min_sim must be finite, got {self.min_sim!r}")
         if not (0.0 <= self.det_conf_min <= 1.0):
@@ -163,15 +165,17 @@ class DetectionTable:
     ``frame_keys`` holds every frame the sequence names, ascending, frames
     without rows included: a run steps every frame from the first to the
     last. Each run admits the rows at or above its own ``det_conf_min``.
+    The constructor checks that layout with ``geometry.grouped_rows``.
     """
 
     def __init__(self, frame_keys, row_frames, tlwh, confidence):
-        self.frame_keys = np.asarray(frame_keys, dtype=np.int64)
-        self.row_frames = np.asarray(row_frames, dtype=np.int64)
-        self.tlwh, self.xyxy = geometry.box_arrays(tlwh)
-        self.confidence = np.asarray(confidence, dtype=float)
-        for values in (self.frame_keys, self.row_frames, self.confidence):
-            values.flags.writeable = False
+        self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.confidence = geometry.grouped_rows(
+            frame_keys, row_frames, tlwh, np.asarray(confidence, dtype=float)
+        )
+
+    def __reduce__(self):
+        # Rows only: the constructor makes the unpickled arrays read-only again.
+        return type(self), (self.frame_keys, self.row_frames, self.tlwh, self.confidence)
 
     @classmethod
     def from_detections(cls, detections_by_frame: Mapping[int, Sequence[Detection]]) -> "DetectionTable":
@@ -185,7 +189,7 @@ class DetectionTable:
             itertools.chain.from_iterable((d.box.x, d.box.y, d.box.w, d.box.h) for d in detections),
             dtype=float,
             count=4 * len(detections),
-        )
+        ).reshape(-1, 4)
         return cls(frame_keys, [d.frame for d in detections], tlwh, [d.confidence for d in detections])
 
     def frames(self, det_conf_min: float) -> Iterator[tuple[int, TableFrame]]:

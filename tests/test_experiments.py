@@ -4,9 +4,9 @@ import pytest
 
 from cbiou import experiments, metrics, scenarios, synth, tracker
 from cbiou.geometry import BoundingBox
-from cbiou.metrics import SequenceAnnotations
 from cbiou.synth import NoiseSpec, ScenarioSpec
 from cbiou.tracker import Detection, DetectionTable, TrackerConfig
+from labels import labels
 
 
 def tiny_sequence():
@@ -92,7 +92,7 @@ def sliding_box_grid(step):
     ``step`` px per frame and is detected exactly."""
     boxes = {f: BoundingBox(step * (f - 1), 0, 10, 10) for f in range(1, 7)}
     dets = {f: [Detection(f, b, 1.0)] for f, b in boxes.items()}
-    gt = SequenceAnnotations({f: [(1, b)] for f, b in boxes.items()})
+    gt = labels({f: [(1, b)] for f, b in boxes.items()})
     combos = experiments.enumerate_buffer_grid(0.1, 0.4, 0.1)
     return combos, experiments.run_grid(TrackerConfig(motion_enabled=False), [dets], [gt], combos)
 
@@ -102,6 +102,15 @@ def test_grid_tie_goes_to_the_first_cell():
     assert [report.hota for _b1, _b2, report in result.scores] == [1.0] * len(combos)
     assert (result.best_config.b1, result.best_config.b2) == combos[0] == (0.1, 0.2)
     assert result.best_hota == 1.0
+
+
+def test_grid_tie_goes_to_the_smaller_cell_in_any_order():
+    # the first cell in combos order won, here (0.3, 0.4)
+    gt, dets = synth.generate(scenarios.bench_scenario(2, 5, 1))
+    combos = [(0.3, 0.4), (0.1, 0.2)]
+    result = experiments.run_grid(TrackerConfig(), [dets], [gt], combos)
+    assert [report.hota for _b1, _b2, report in result.scores] == [1.0, 1.0]
+    assert (result.best_config.b1, result.best_config.b2) == (0.1, 0.2)
 
 
 def test_grid_later_cell_wins_outright():
@@ -142,7 +151,7 @@ def test_track_and_evaluate_labels_are_the_frame_outputs():
     det_seqs, gt_seqs = tiny_sequence()
     config = TrackerConfig(max_age=2)
     outputs = tracker.run_sequence(config, det_seqs[0])
-    pred = SequenceAnnotations(
+    pred = labels(
         {out.frame: [(tid, box) for tid, box, _conf in out.records] for out in outputs if out.records}
     )
     expected = metrics.evaluate(gt_seqs[0], pred)

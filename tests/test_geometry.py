@@ -165,9 +165,9 @@ class TestBoxTypes:
                 expected.append(True)
         assert geometry.valid_tlwh(np.array(rows)).tolist() == expected
 
-    def test_box_arrays_give_the_corners_of_to_xyxy(self):
+    def test_grouped_rows_give_the_corners_of_to_xyxy(self):
         boxes = [BoundingBox(0.1, 0.2, 0.3, 0.7), BoundingBox(2.0**57 + 32, -5.5, 16.0, 1e-3)]
-        tlwh, xyxy = geometry.box_arrays([[b.x, b.y, b.w, b.h] for b in boxes])
+        _keys, _frames, tlwh, xyxy = geometry.grouped_rows([1], [1, 1], [[b.x, b.y, b.w, b.h] for b in boxes])
         assert xyxy.tobytes() == geometry.to_xyxy(boxes).tobytes()
         assert tlwh.tolist() == [[b.x, b.y, b.w, b.h] for b in boxes]
         for values in (tlwh, xyxy):

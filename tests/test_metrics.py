@@ -22,20 +22,24 @@ from cbiou.metrics import (
     idf1,
     pool_sequences,
 )
-from cbiou.tracker import FrameOutput
+from cbiou.tracker import DetectionTable
+from labels import labels
 
 
 def box(x, y=0.0, w=10.0, h=10.0):
     return BoundingBox(x, y, w, h)
 
 
+ROW = [0.0, 0.0, 10.0, 10.0]  # one box as a tlwh row
+
+
 def single_track_gt(frames=4):
-    return SequenceAnnotations({f: [(1, box(0))] for f in range(1, frames + 1)})
+    return labels({f: [(1, box(0))] for f in range(1, frames + 1)})
 
 
 def id_switch_pred():
     """Boxes exactly match GT; predicted identity flips at frame 3."""
-    return SequenceAnnotations(
+    return labels(
         {
             1: [(10, box(0))],
             2: [(10, box(0))],
@@ -82,21 +86,17 @@ def random_scene(rng, max_ids=3, max_frames=5):
             if rng.random() < 0.8:
                 rows.append((identity, box(float(rng.integers(0, 5)) * 12.0, float(rng.integers(0, 3)) * 12.0)))
         frames[f] = rows
-    return SequenceAnnotations(frames)
+    return labels(frames)
 
 
 class TestSequenceAnnotations:
-    def test_duplicate_identity_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceAnnotations({1: [(7, box(0)), (7, box(30))]})
-
     def test_counts_and_identities(self):
-        ann = SequenceAnnotations({1: [(1, box(0)), (2, box(30))], 2: [(1, box(5))]})
+        ann = labels({1: [(1, box(0)), (2, box(30))], 2: [(1, box(5))]})
         assert ann.box_count() == 3
         assert set(ann.ids.tolist()) == {1, 2}
 
     def test_arrays_are_stored_and_frames_is_a_read_only_view(self):
-        ann = SequenceAnnotations({2: [(4, box(30)), (3, box(0))], 1: []})
+        ann = labels({2: [(4, box(30)), (3, box(0))], 1: []})
         assert ann.frame_keys.tolist() == [1, 2]
         assert ann.row_frames.tolist() == [2, 2]
         assert ann.ids.tolist() == [4, 3]
@@ -111,7 +111,7 @@ class TestSequenceAnnotations:
     def test_pickles_and_copies_after_frames_is_read(self):
         # A process pool pickles the labels; the cached view, a mappingproxy,
         # must stay behind, and the rebuilt arrays stay read-only.
-        ann = SequenceAnnotations({2: [(4, box(30)), (3, box(0))], 1: []})
+        ann = labels({2: [(4, box(30)), (3, box(0))], 1: []})
         view = dict(ann.frames)
         for copied in (pickle.loads(pickle.dumps(ann)), copy.deepcopy(ann)):
             assert copied == ann
@@ -122,59 +122,98 @@ class TestSequenceAnnotations:
 
     @pytest.mark.parametrize("key", [1.5, math.nan, math.inf])
     def test_non_integral_frame_rejected(self, key):
-        # int() made 1.5 and 1.7 both frame 1, and the second row replaced the first
+        # an int64 cast made 1.5 and 1.7 both frame 1
         with pytest.raises(ValueError, match=f"frame {key!r} is not an integer"):
-            SequenceAnnotations({key: [(1, box(0))], 1.7: [(2, box(0))]})
+            SequenceAnnotations([key, 1.7], [key, 1.7], [1, 2], [ROW, ROW])
 
     @pytest.mark.parametrize("identity", [1.5, math.nan, math.inf])
     def test_non_integral_identity_rejected(self, identity):
-        # int() stored 1.5 as id 1, and ids 1.5 and 1.7 in one frame raised
-        # "duplicate identity 1"
+        # an int64 cast stored 1.5 as id 1
         with pytest.raises(ValueError, match=f"identity {identity!r} is not an integer"):
-            SequenceAnnotations({1: [(identity, box(0)), (1.7, box(30))]})
+            SequenceAnnotations([1], [1, 1], [identity, 1.7], [ROW, ROW])
 
     def test_integral_float_identity_is_its_integer(self):
-        assert SequenceAnnotations({1: [(2.0, box(0))]}).ids.tolist() == [2]
+        assert SequenceAnnotations([1], [1], [2.0], [ROW]).ids.tolist() == [2]
 
     def test_integral_float_frame_is_its_integer(self):
-        assert SequenceAnnotations({2.0: [(1, box(0))]}).frame_keys.tolist() == [2]
+        assert SequenceAnnotations([2.0], [2.0], [1], [ROW]).frame_keys.tolist() == [2]
 
-    @pytest.mark.parametrize("first", [((1, box(0), 1.0),), ()], ids=["with_records", "empty"])
-    def test_repeated_frame_output_rejected(self, first):
-        # the second output for frame 3 replaced the first
-        outputs = [FrameOutput(3, first), FrameOutput(3, ((2, box(30), 1.0),))]
-        with pytest.raises(ValueError, match="frame 3 has more than one output"):
-            SequenceAnnotations.from_frame_outputs(outputs)
 
-    def test_from_frame_outputs_rows(self):
-        # frames ascending, records in order within a frame, frames without
-        # records dropped
-        outputs = [
-            FrameOutput(4, ((9, box(5), 0.5), (-2, box(1), 1.0))),
-            FrameOutput(2, ()),
-            FrameOutput(1, ((3, box(0), 1.0),)),
-        ]
-        ann = SequenceAnnotations.from_frame_outputs(outputs)
-        assert ann == SequenceAnnotations({1: [(3, box(0))], 4: [(9, box(5)), (-2, box(1))]})
-        assert ann.frame_keys.tolist() == [1, 4]
-        with pytest.raises(ValueError):
-            ann.ids[0] = 5
+def label_table(frame_keys, row_frames, tlwh):
+    return SequenceAnnotations(frame_keys, row_frames, list(range(len(row_frames))), tlwh)
+
+
+def detection_table(frame_keys, row_frames, tlwh):
+    return DetectionTable(frame_keys, row_frames, tlwh, [1.0] * len(row_frames))
+
+
+@pytest.mark.parametrize("table", [label_table, detection_table])
+class TestGroupedRows:
+    """Both row tables take the same grouped-rows layout, checked by one
+    function."""
+
+    def test_rows_out_of_frame_order_rejected(self, table):
+        # taken as they were, the frame-2 row was read as frame 1's
+        with pytest.raises(ValueError, match="rows must be grouped by ascending frame"):
+            table([1, 2], [2, 1], [ROW, ROW])
+
+    @pytest.mark.parametrize("keys", [[2, 1], [1, 1, 2]], ids=["descending", "repeated"])
+    def test_frame_keys_must_ascend_strictly(self, table, keys):
+        with pytest.raises(ValueError, match="frame_keys must be strictly ascending"):
+            table(keys, [1, 2], [ROW, ROW])
 
     @pytest.mark.parametrize(
-        "records, message",
-        [
-            (((7, box(0), 1.0), (7, box(30), 1.0)), "duplicate identity 7 in frame 3"),
-            (((1.5, box(0), 1.0),), "identity 1.5 is not an integer"),
-        ],
-        ids=["duplicate", "non_integral"],
+        "row_frames, tlwh",
+        [([1, 2], [ROW]), ([1], [ROW, ROW]), ([1, 2], [0.0] * 8), ([[1, 2]], [ROW, ROW])],
+        ids=["fewer_boxes", "more_boxes", "flat_boxes", "two_dimensional_frames"],
     )
-    def test_from_frame_outputs_checks_identities(self, records, message):
-        with pytest.raises(ValueError, match=message):
-            SequenceAnnotations.from_frame_outputs([FrameOutput(1, ()), FrameOutput(3, records)])
+    def test_unequal_lengths_rejected(self, table, row_frames, tlwh):
+        with pytest.raises(ValueError, match="rows need one-dimensional frame_keys"):
+            table([1, 2], row_frames, tlwh)
 
-    def test_from_frame_outputs_past_int64_is_a_value_error(self):
-        with pytest.raises(metrics.LabelOverflowError):
-            SequenceAnnotations.from_frame_outputs([FrameOutput(1, ((2**63, box(0), 1.0),))])
+    @pytest.mark.parametrize(
+        "keys, row_frames",
+        [([1, 3], [1, 2]), ([1, 2], [2, 3]), ([2], [1, 2]), ([], [1])],
+        ids=["inside", "past_last", "before_first", "no_keys"],
+    )
+    def test_row_frame_missing_from_frame_keys_rejected(self, table, keys, row_frames):
+        missing = sorted(set(row_frames) - set(keys))[0]
+        with pytest.raises(ValueError, match=f"row frame {missing} is not one of frame_keys"):
+            table(keys, row_frames, [ROW] * len(row_frames))
+
+    @pytest.mark.parametrize(
+        "frame", [2**63, -(2**63) - 1, 2.0**63, np.uint64(2**63)], ids=["above", "below", "float", "uint64"]
+    )
+    def test_frames_past_int64_rejected(self, table, frame):
+        with pytest.raises(metrics.LabelOverflowError, match="every frame must fit in 64 bits"):
+            table([frame], [frame], [ROW])
+
+    def test_empty_table_and_frames_without_rows(self, table):
+        rows = table([], [], np.zeros((0, 4)))
+        assert rows.row_frames.shape == (0,) and rows.xyxy.shape == (0, 4)
+        rows = table([1, 4, 9], [4, 4], [ROW, ROW])
+        assert rows.frame_keys.tolist() == [1, 4, 9]
+        for values in (rows.frame_keys, rows.row_frames, rows.tlwh, rows.xyxy):
+            assert not values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SequenceAnnotations([1], [1, 1], [1], [ROW, ROW]),
+        lambda: DetectionTable([1], [1, 1], [ROW, ROW], [1.0]),
+    ],
+    ids=["ids", "confidence"],
+)
+def test_column_of_another_length_rejected(build):
+    with pytest.raises(ValueError, match="N values per column"):
+        build()
+
+
+@pytest.mark.parametrize("identity", [2**63, -(2**63) - 1, np.uint64(2**63)], ids=["above", "below", "uint64"])
+def test_identities_past_int64_rejected(identity):
+    with pytest.raises(metrics.LabelOverflowError, match="every identity must fit in 64 bits"):
+        SequenceAnnotations([1], [1, 1], [1, identity], [ROW, ROW])
 
 
 def test_sorted_unique_matches_np_unique():
@@ -192,14 +231,12 @@ class TestClearMota:
 
     def test_empty_prediction(self):
         gt = single_track_gt()
-        mota, tp, fn, fp, idsw = clear_mota(metrics._align(gt, SequenceAnnotations({})))
+        mota, tp, fn, fp, idsw = clear_mota(metrics._align(gt, labels({})))
         assert (mota, tp, fn, fp, idsw) == (0.0, 0, 4, 0, 0)
 
     def test_spurious_box_per_frame(self):
-        gt = SequenceAnnotations({f: [(1, box(0))] for f in range(1, 11)})
-        pred = SequenceAnnotations(
-            {f: [(1, box(0)), (99, box(500))] for f in range(1, 11)}
-        )
+        gt = labels({f: [(1, box(0))] for f in range(1, 11)})
+        pred = labels({f: [(1, box(0)), (99, box(500))] for f in range(1, 11)})
         mota, tp, fn, fp, idsw = clear_mota(metrics._align(gt, pred))
         assert (mota, fp) == (0.0, 10)
 
@@ -210,8 +247,8 @@ class TestClearMota:
 
     def test_switch_counted_against_last_known_match(self):
         # pred id changes while the gt is missing from view: still one switch
-        gt = SequenceAnnotations({1: [(1, box(0))], 3: [(1, box(0))]})
-        pred = SequenceAnnotations({1: [(5, box(0))], 3: [(6, box(0))]})
+        gt = labels({1: [(1, box(0))], 3: [(1, box(0))]})
+        pred = labels({1: [(5, box(0))], 3: [(6, box(0))]})
         *_, idsw = clear_mota(metrics._align(gt, pred))
         assert idsw == 1
 
@@ -222,7 +259,7 @@ class TestIdf1:
         assert idf1(metrics._align(gt, gt)) == 1.0
 
     def test_empty_prediction(self):
-        assert idf1(metrics._align(single_track_gt(), SequenceAnnotations({}))) == 0.0
+        assert idf1(metrics._align(single_track_gt(), labels({}))) == 0.0
 
     def test_id_switch_fixture(self):
         assert idf1(metrics._align(single_track_gt(), id_switch_pred())) == 0.5
@@ -258,8 +295,8 @@ class TestHota:
 
     def test_uniform_partial_overlap_gates_by_alpha(self):
         # (0,0,7,1) vs (3,0,7,1): intersection 4, union 10, IoU exactly 0.4
-        gt = SequenceAnnotations({f: [(1, BoundingBox(0, 0, 7, 1))] for f in range(1, 6)})
-        pred = SequenceAnnotations({f: [(1, BoundingBox(3, 0, 7, 1))] for f in range(1, 6)})
+        gt = labels({f: [(1, BoundingBox(0, 0, 7, 1))] for f in range(1, 6)})
+        pred = labels({f: [(1, BoundingBox(3, 0, 7, 1))] for f in range(1, 6)})
         assert iou(BoundingBox(0, 0, 7, 1), BoundingBox(3, 0, 7, 1)) == 0.4
         score, _deta, _assa, per_alpha = hota(metrics._align(gt, pred))
         for alpha, hota_a, deta_a, _assa_a in per_alpha:
@@ -289,7 +326,7 @@ class TestEvaluate:
         assert (report.tp, report.fn, report.fp, report.idsw) == (4, 0, 0, 0)
 
     def test_empty_prediction(self):
-        report = evaluate(single_track_gt(), SequenceAnnotations({}))
+        report = evaluate(single_track_gt(), labels({}))
         assert (report.hota, report.mota, report.idf1) == (0.0, 0.0, 0.0)
         assert report.fn == report.gt_total == 4
 
@@ -298,7 +335,7 @@ class TestEvaluate:
         for _ in range(20):
             gt = random_scene(rng)
             pred = random_scene(rng)
-            relabeled = SequenceAnnotations(
+            relabeled = labels(
                 {
                     f: [(pid + 1000, b) for pid, b in rows]
                     for f, rows in pred.frames.items()
@@ -324,7 +361,7 @@ class TestEvaluate:
             rows.append((777, box(10_000.0, 10_000.0)))
             worse_frames = dict(pred.frames)
             worse_frames[frame] = rows
-            worse = SequenceAnnotations(worse_frames)
+            worse = labels(worse_frames)
             before = evaluate(gt, pred)
             after = evaluate(gt, worse)
             assert after.mota <= before.mota
@@ -343,7 +380,7 @@ class TestEvaluate:
             reduced = dict(pred.frames)
             reduced[f] = list(pred.frames[f])[1:]
             before = evaluate(gt, pred)
-            after = evaluate(gt, SequenceAnnotations(reduced))
+            after = evaluate(gt, labels(reduced))
             assert after.fp <= before.fp
 
 
@@ -362,8 +399,8 @@ class TestPooling:
     def test_pooling_keeps_sequences_disjoint(self):
         gt_a = single_track_gt()
         pred_a = id_switch_pred()
-        gt_b = SequenceAnnotations({f: [(1, box(50))] for f in range(1, 3)})
-        pred_b = SequenceAnnotations({f: [(10, box(50))] for f in range(1, 3)})
+        gt_b = labels({f: [(1, box(50))] for f in range(1, 3)})
+        pred_b = labels({f: [(10, box(50))] for f in range(1, 3)})
         merged_gt, merged_pred = pool_sequences([(gt_a, pred_a), (gt_b, pred_b)])
         assert merged_gt.box_count() == gt_a.box_count() + gt_b.box_count()
         assert len(set(merged_gt.ids.tolist())) == 2
@@ -503,7 +540,7 @@ def labelings(max_ids, min_id=1, max_rows=4, max_frames=4):
         max_size=max_rows,
         unique_by=lambda row: row[0],
     )
-    return st.dictionaries(st.integers(1, max_frames), rows, max_size=max_frames).map(SequenceAnnotations)
+    return st.dictionaries(st.integers(1, max_frames), rows, max_size=max_frames).map(labels)
 
 
 # Crowded frames of up to six boxes, ids down to -2, frames without rows and
@@ -516,31 +553,27 @@ class TestHotaShortcut:
     @given(labelings(4), labelings(5))
     # duplicated boxes on both sides: exact ties at every alpha
     @example(
-        SequenceAnnotations({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
-        SequenceAnnotations({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
+        labels({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
+        labels({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
     )
     # 1x2 and 2x1 frames whose row or column passes 0.4 twice; IoU 0.4 and 0.7
     # equal an alpha exactly
     @example(
-        SequenceAnnotations({1: [(1, strip(0, 7))], 2: [(1, strip(0, 10)), (2, strip(3, 7))]}),
-        SequenceAnnotations({1: [(1, strip(0, 10)), (2, strip(3, 7))], 2: [(1, strip(0, 7))]}),
+        labels({1: [(1, strip(0, 7))], 2: [(1, strip(0, 10)), (2, strip(3, 7))]}),
+        labels({1: [(1, strip(0, 10)), (2, strip(3, 7))], 2: [(1, strip(0, 7))]}),
     )
     # matched pairs cross (row 0 with column 1 and row 1 with column 0), and
     # the order in which they reach the pair counts decides how the AssA sum
     # rounds
     @example(
-        SequenceAnnotations(
-            {1: [(1, strip(3, 5)), (2, strip(0, 7))], 2: [(2, strip(5, 10)), (3, strip(0, 7))]}
-        ),
-        SequenceAnnotations(
-            {1: [(2, strip(5, 5)), (3, strip(3, 7))], 2: [(1, strip(0, 10)), (2, strip(3, 10))]}
-        ),
+        labels({1: [(1, strip(3, 5)), (2, strip(0, 7))], 2: [(2, strip(5, 10)), (3, strip(0, 7))]}),
+        labels({1: [(2, strip(5, 5)), (3, strip(3, 7))], 2: [(1, strip(0, 10)), (2, strip(3, 10))]}),
     )
     def test_equals_per_alpha_solve(self, gt, pred):
         assert hota(metrics._align(gt, pred)) == per_alpha_solve_hota(gt, pred)
 
     def test_evaluate_builds_one_iou_matrix_per_conflict_frame(self, monkeypatch):
-        gt = SequenceAnnotations(
+        gt = labels(
             {
                 1: [(1, box(0)), (2, box(30))],
                 2: [(1, box(2))],
@@ -549,7 +582,7 @@ class TestHotaShortcut:
                 6: [(1, box(0))],
             }
         )
-        pred = SequenceAnnotations(
+        pred = labels(
             {1: [(7, box(1))], 3: [(7, box(5)), (8, box(60))], 4: [(7, box(6))], 6: [(7, box(1)), (8, box(2))]}
         )
         calls = Counter()
@@ -576,8 +609,8 @@ class TestHotaShortcut:
 
     @pytest.mark.parametrize("shift", [0.0, 1.0, 500.0], ids=["equal", "one_to_one", "disjoint"])
     def test_no_solve_where_passing_pairs_are_one_to_one(self, monkeypatch, shift):
-        gt = SequenceAnnotations({f: [(1, box(0)), (2, box(100)), (3, box(200))] for f in range(1, 6)})
-        pred = SequenceAnnotations(
+        gt = labels({f: [(1, box(0)), (2, box(100)), (3, box(200))] for f in range(1, 6)})
+        pred = labels(
             {f: [(9, box(shift)), (8, box(100 + shift)), (7, box(200 + shift))] for f in range(1, 6)}
         )
         solves = []
@@ -592,15 +625,15 @@ class TestArrayTable:
     @given(CROWDED, CROWDED)
     # two equal boxes on each side: exact ties in a conflict frame
     @example(
-        SequenceAnnotations({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
-        SequenceAnnotations({1: [(-1, strip(0, 7)), (2, strip(0, 7))]}),
+        labels({1: [(1, strip(0, 7)), (2, strip(0, 7))]}),
+        labels({1: [(-1, strip(0, 7)), (2, strip(0, 7))]}),
     )
     # a conflict frame between free ones, and frames on one side only
     @example(
-        SequenceAnnotations({1: [(1, strip(0, 10))], 2: [(1, strip(0, 7)), (2, strip(3, 7))], 3: [], 4: [(2, strip(5, 5))]}),
-        SequenceAnnotations({1: [(4, strip(0, 7))], 2: [(4, strip(2, 7))], 3: [(4, strip(0, 5))], 5: [(5, strip(0, 5))]}),
+        labels({1: [(1, strip(0, 10))], 2: [(1, strip(0, 7)), (2, strip(3, 7))], 3: [], 4: [(2, strip(5, 5))]}),
+        labels({1: [(4, strip(0, 7))], 2: [(4, strip(2, 7))], 3: [(4, strip(0, 5))], 5: [(5, strip(0, 5))]}),
     )
-    @example(SequenceAnnotations({}), SequenceAnnotations({}))
+    @example(labels({}), labels({}))
     def test_equals_per_frame_reference(self, gt, pred):
         assert repr(evaluate(gt, pred)) == repr(reference_evaluate(gt, pred))
 
@@ -620,10 +653,10 @@ class TestArrayTable:
     @pytest.mark.parametrize("nan_side", ["gt", "pred"])
     @pytest.mark.parametrize("others", [1, 3], ids=["one_by_one", "one_by_three"])
     def test_non_finite_box_still_raises(self, nan_side, others):
-        # from_arrays takes rows unchecked; a NaN box must not be dropped as a
-        # cell without overlap
-        bad = SequenceAnnotations.from_arrays([1, 2], [1, 2], [1, 1], [[math.nan, 0, 10, 10], [0, 0, 10, 10]])
-        good = SequenceAnnotations({f: [(k, box(40.0 * k)) for k in range(others)] for f in (1, 2)})
+        # the constructor does not check box values; a NaN box must not be
+        # dropped as a cell without overlap
+        bad = SequenceAnnotations([1, 2], [1, 2], [1, 1], [[math.nan, 0, 10, 10], [0, 0, 10, 10]])
+        good = labels({f: [(k, box(40.0 * k)) for k in range(others)] for f in (1, 2)})
         pair = (bad, good) if nan_side == "gt" else (good, bad)
         with pytest.raises(ValueError, match="similarity matrix contains non-finite values"):
             evaluate(*pair)
@@ -632,8 +665,8 @@ class TestArrayTable:
         # gt x in [0, 10], [9, 19], [-9, 1] against pred [0, 10], [9, 19],
         # [18, 28]: the three pairs at IoU 1/19 all pass 0.05 together, but
         # the two pairs at IoU 1 score more (4 > 3 + 3/19).
-        gt = SequenceAnnotations({1: [(1, box(0)), (2, box(9)), (3, box(-9))]})
-        pred = SequenceAnnotations({1: [(1, box(0)), (2, box(9)), (3, box(18))]})
+        gt = labels({1: [(1, box(0)), (2, box(9)), (3, box(-9))]})
+        pred = labels({1: [(1, box(0)), (2, box(9)), (3, box(18))]})
         assert all(iou(box(g), box(p)) == 1 / 19 for g, p in ((-9, 0), (0, 9), (9, 18)))
         _score, _deta, _assa, per_alpha = hota(metrics._align(gt, pred))
         assert per_alpha[0][0] == 0.05
@@ -642,11 +675,11 @@ class TestArrayTable:
 
 @settings(max_examples=200)
 @given(CROWDED, CROWDED)
-@example(SequenceAnnotations({}), SequenceAnnotations({}))
+@example(labels({}), labels({}))
 # frames far from 1 and negative ids, which pooling moves
 @example(
-    SequenceAnnotations({7: [(-2, strip(0, 7)), (3, strip(3, 7))], 9: [(-2, strip(0, 10))]}),
-    SequenceAnnotations({8: [(5, strip(0, 7))], 9: [(-1, strip(2, 10)), (4, strip(0, 5))]}),
+    labels({7: [(-2, strip(0, 7)), (3, strip(3, 7))], 9: [(-2, strip(0, 10))]}),
+    labels({8: [(5, strip(0, 7))], 9: [(-1, strip(2, 10)), (4, strip(0, 5))]}),
 )
 def test_single_pair_report_is_the_pooled_report(gt, pred):
     # evaluate_many takes one pair as it is; pooling only moves frames and ids
@@ -665,10 +698,10 @@ def test_single_pair_is_not_pooled(monkeypatch):
 def test_pooling_keeps_negative_gt_ids_apart():
     # Offsetting by max(id) + 1 alone mapped the second sequence's -1 onto the
     # first's 1: two perfect sequences pooled to IDF1 0.667.
-    gt_a = SequenceAnnotations({1: [(0, box(0)), (1, box(50))]})
-    pred_a = SequenceAnnotations({1: [(5, box(0)), (6, box(50))]})
-    gt_b = SequenceAnnotations({1: [(-1, box(0))]})
-    pred_b = SequenceAnnotations({1: [(5, box(0))]})
+    gt_a = labels({1: [(0, box(0)), (1, box(50))]})
+    pred_a = labels({1: [(5, box(0)), (6, box(50))]})
+    gt_b = labels({1: [(-1, box(0))]})
+    pred_b = labels({1: [(5, box(0))]})
     merged_gt, merged_pred = pool_sequences([(gt_a, pred_a), (gt_b, pred_b)])
     # non-negative ids move by the running base, as they always have
     assert merged_gt.ids.tolist() == [0, 1, 2]
@@ -678,11 +711,11 @@ def test_pooling_keeps_negative_gt_ids_apart():
 
 def test_pooling_rejects_ids_past_int64():
     # Each sequence alone fits; pooled, the second's ids would pass 2**63 - 1.
-    gt = SequenceAnnotations({1: [(2**62, box(0))]})
+    gt = labels({1: [(2**62, box(0))]})
     with pytest.raises(ValueError, match="do not fit in 64 bits"):
         pool_sequences([(gt, gt), (gt, gt)])
 
 
 def test_labels_past_int64_are_a_value_error():
     with pytest.raises(ValueError, match="must fit in 64 bits"):
-        SequenceAnnotations({1: [(2**63, box(0))]})
+        labels({1: [(2**63, box(0))]})

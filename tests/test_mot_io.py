@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cbiou import cli, mot_io
 from cbiou.geometry import BoundingBox
-from cbiou.metrics import SequenceAnnotations
+from labels import labels
 
 GOOD_GT = b"1,1,0,0,10,10,1,1,1.0\n"
 GOOD_RES = b"1,1,0,0,10,10,1,-1,-1,-1\n"
@@ -250,14 +250,14 @@ def test_reads_do_not_depend_on_the_conversion_chunk(tmp_path, monkeypatch, chun
     expected = {
         frame: [(tid, BoundingBox(10 * tid, 0, 10, 10)) for tid in (3, 1)] for frame in (1, 2, 3)
     }
-    assert mot_io.read_results(path) == SequenceAnnotations(expected)
+    assert mot_io.read_results(path) == labels(expected)
     path.write_text("".join(rows) + "4,1,0,zz,10,10\n", encoding="utf-8")
     with pytest.raises(mot_io.MotParseError, match=r"res\.txt:7: y is not a number: 'zz'"):
         mot_io.read_results(path)
 
 
 def test_ground_truth_rewrites_from_arrays(tmp_path, count_boxes):
-    gt = SequenceAnnotations(
+    gt = labels(
         {
             2: [(5, BoundingBox(1, 2, 3, 4)), (3, BoundingBox(0, 0, 10, 10))],
             1: [(7, BoundingBox(0.5, 0, 1, 1))],
@@ -270,8 +270,8 @@ def test_ground_truth_rewrites_from_arrays(tmp_path, count_boxes):
         "2,3,0.00,0.00,10.00,10.00,1,1,1.0\n"
         "2,5,1.00,2.00,3.00,4.00,1,1,1.0\n"
     )
-    labels = mot_io.read_ground_truth(first)
+    read = mot_io.read_ground_truth(first)
     built = count_boxes()
-    mot_io.write_ground_truth(second, labels)
+    mot_io.write_ground_truth(second, read)
     assert built == []
     assert second.read_bytes() == first.read_bytes()

@@ -10,7 +10,6 @@ import hashlib
 import pytest
 
 from cbiou import cli, experiments, metrics, mot_io, scenarios, synth
-from cbiou.metrics import SequenceAnnotations
 from cbiou.synth import NoiseSpec
 from cbiou.tracker import TrackerConfig, run_sequence
 
@@ -39,8 +38,7 @@ def test_noise_study_metrics_at_20_percent():
     config = experiments.variant_configs(TrackerConfig())["C-BIoU+motion"]
     gt, dets = synth.generate(scenarios.noise_study_scenario(1))
     noisy = synth.perturb(dets, NoiseSpec(0.2, 1), gt)
-    outputs = run_sequence(config, noisy)
-    report = metrics.evaluate(gt, SequenceAnnotations.from_frame_outputs(outputs))
+    report = experiments.track_and_evaluate(config, [noisy], [gt])
     assert report.hota == 0.48358517981890187
     assert report.mota == 0.5506666666666666
     assert report.idf1 == 0.46169630642954856
@@ -51,8 +49,7 @@ def test_noise_study_full_report_at_20_percent():
     config = experiments.variant_configs(TrackerConfig())["C-BIoU+motion"]
     gt, dets = synth.generate(scenarios.noise_study_scenario(1))
     noisy = synth.perturb(dets, NoiseSpec(0.2, 1), gt)
-    outputs = run_sequence(config, noisy)
-    report = metrics.evaluate(gt, SequenceAnnotations.from_frame_outputs(outputs))
+    report = experiments.track_and_evaluate(config, [noisy], [gt])
     assert report_digest(report) == NOISE_STUDY_REPORT_DIGEST
 
 

@@ -177,12 +177,12 @@ class TestPerturb:
         # candidate coincides with a ground-truth box, at IoU 1 >= FP_GT_IOU_MAX.
         # Four detections at ratio 0.5 remove two, so placement is attempted.
         from cbiou.geometry import BoundingBox
-        from cbiou.metrics import SequenceAnnotations
         from cbiou.tracker import Detection
+        from labels import labels
 
         envelope = BoundingBox(0.0, 0.0, 40.0, 40.0)
         rows = [(identity, envelope) for identity in range(1, 5)]
-        gt = SequenceAnnotations({1: rows})
+        gt = labels({1: rows})
         dets = {1: [Detection(1, b, 1.0) for _, b in rows]}
         for seed in (0, 1, 2, 3, 12345):
             with pytest.raises(GenerationError) as err:

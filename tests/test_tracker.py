@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from cbiou import assignment, geometry, motion
 from cbiou import tracker as tracker_module
 from cbiou.geometry import BoundingBox
-from cbiou.metrics import SequenceAnnotations
 from cbiou.experiments import enumerate_buffer_grid, track_and_evaluate
 from cbiou.synth import OcclusionSpec, ScenarioSpec, generate
 from cbiou.tracker import (
@@ -23,6 +23,7 @@ from cbiou.tracker import (
     run_sequence,
     track_table,
 )
+from labels import labels
 
 
 def det(frame, x, y=0.0, w=10.0, h=10.0, conf=1.0) -> Detection:
@@ -57,6 +58,19 @@ class TestTrackerConfig:
             TrackerConfig(similarity_kind="ciou")
         with pytest.raises(ValueError):
             TrackerConfig(b1=-0.1)
+
+    @pytest.mark.parametrize("name", ["max_age", "n_max"])
+    def test_integral_window_fields_are_stored_as_int(self, name):
+        # n_max=5.0 passed the check, then sized np.zeros and raised TypeError
+        cfg = TrackerConfig(**{name: 5.0})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 5
+        assert CBiouTracker(cfg).step(1, [det(1, 0)]).records[0][0] == 1
+
+    @pytest.mark.parametrize("name", ["max_age", "n_max"])
+    def test_bool_window_fields_rejected(self, name):
+        # max_age=True was taken as 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= ., got True"):
+            TrackerConfig(**{name: True})
 
 
 INF = float("inf")
@@ -302,9 +316,7 @@ class TestRunSequence:
         outputs = run_sequence(TrackerConfig(), dets)
         ids = {rec[0] for out in outputs for rec in out.records}
         assert ids == {1}
-        gt = SequenceAnnotations(
-            {f: [(1, dets[f][0].box)] for f in dets}
-        )
+        gt = labels({f: [(1, dets[f][0].box)] for f in dets})
         report = track_and_evaluate(TrackerConfig(), [dets], [gt])
         assert report.idf1 == 1.0
         assert report.idsw == 0
@@ -324,7 +336,7 @@ class TestRunSequence:
                 dets[f] = [det(f, xa, y=0, w=8, h=8), det(f, xb, y=40, w=8, h=8)]
             else:
                 dets[f] = []
-        report = track_and_evaluate(TrackerConfig(max_age=5), [dets], [SequenceAnnotations(gt_frames)])
+        report = track_and_evaluate(TrackerConfig(max_age=5), [dets], [labels(gt_frames)])
         assert report.assa == 1.0
         assert report.idsw == 0
 
@@ -436,6 +448,17 @@ class TestDetectionTable:
         # row 1 is below det_conf_min: never admitted, never reported
         assert rows.tolist() == [0, 2, 3]
         assert [a.dtype for a in (frames, tids, rows)] == [np.int64] * 3
+
+    def test_pickled_table_stays_read_only(self):
+        # a process pool pickles the table for each compare/grid task
+        dets = {1: [det(1, 0), det(1, 100, conf=0.05)], 3: [det(3, 4), det(3, 300)]}
+        table = DetectionTable.from_detections(dets)
+        copied = pickle.loads(pickle.dumps(table))
+        for name in ("frame_keys", "row_frames", "tlwh", "xyxy", "confidence"):
+            assert getattr(copied, name).tobytes() == getattr(table, name).tobytes()
+            assert not getattr(copied, name).flags.writeable
+        config = TrackerConfig(max_age=3)
+        assert [a.tolist() for a in track_table(config, copied)] == [a.tolist() for a in track_table(config, table)]
 
     def test_empty_table(self):
         empty = DetectionTable.from_detections({})
