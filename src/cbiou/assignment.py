@@ -188,6 +188,6 @@ def gated_match(sim, min_sim: float = DEFAULT_MIN_SIMILARITY) -> MatchResult:
     used_cols = {j for _, j in pairs}
     return MatchResult(
         pairs=tuple(pairs),
-        unmatched_rows=tuple(i for i in range(n_rows) if i not in used_rows),
-        unmatched_cols=tuple(j for j in range(n_cols) if j not in used_cols),
+        unmatched_rows=tuple([i for i in range(n_rows) if i not in used_rows]),
+        unmatched_cols=tuple([j for j in range(n_cols) if j not in used_cols]),
     )

@@ -1,11 +1,17 @@
 """Experiment drivers shared by the CLI and scripts: tracker-variant
 comparison and buffer-scale grid search.
 
-Grid and comparison cells are pure functions of (config, sequences), so they
-may be evaluated in parallel; results are reduced in a fixed order and equal
-the serial ones. A call turns each detection sequence into a
-``DetectionTable`` once and every cell shares it; a parallel call sends each
-task the tables' arrays.
+A call turns each detection sequence into a ``DetectionTable`` once, and
+tracks all its cells, one config each, over every table with one
+``tracker.track_cells`` run: the cells step the table's frames in lockstep,
+and each similarity matrix scores the tracks of every cell with the same
+(kind, buffer) at once. Each cell's rows are then evaluated as
+``track_and_evaluate``, the one-config case, evaluates them.
+
+With ``jobs > 1`` the cells are split into ``min(jobs, cells)`` contiguous
+chunks; each chunk is one lockstep task in a process pool, which carries the
+tables' arrays once, and the reports are reduced in cell order, equal to the
+serial ones.
 """
 
 from __future__ import annotations
@@ -48,17 +54,27 @@ def track_and_evaluate(
     ``Detection`` mapping; the tracker's rows become the prediction labels
     as arrays.
     """
+    return _evaluate_cells([config], _tables(det_seqs, gt_seqs), gt_seqs)[0]
+
+
+def _evaluate_cells(
+    configs: Sequence[TrackerConfig], det_seqs: Sequence[DetectionTable], gt_seqs: Sequence[SequenceAnnotations]
+) -> list[MetricsReport]:
+    """Track every config over each table in lockstep, and evaluate each
+    config's rows over all sequences with pooled counts."""
+    pairs: list[list] = [[] for _ in configs]
+    for table, gt in zip(det_seqs, gt_seqs):
+        for cell, (frames, tids, rows) in zip(pairs, tracker.track_cells(configs, table)):
+            pred = SequenceAnnotations(metrics.sorted_unique(frames), frames, tids, table.tlwh[rows])
+            cell.append((gt, pred))
+    return [metrics.evaluate_many(cell) for cell in pairs]
+
+
+def _tables(det_seqs, gt_seqs) -> list[DetectionTable]:
+    """Each detection sequence as a table, built once for all of a call's
+    cells; there must be one per ground-truth sequence."""
     if len(det_seqs) != len(gt_seqs):
         raise ValueError(f"got {len(det_seqs)} detection sequences for {len(gt_seqs)} gt sequences")
-    pairs = []
-    for table, gt in zip(_tables(det_seqs), gt_seqs):
-        frames, tids, tlwh, _confidence = tracker.result_rows(config, table)
-        pairs.append((gt, SequenceAnnotations(metrics.sorted_unique(frames), frames, tids, tlwh)))
-    return metrics.evaluate_many(pairs)
-
-
-def _tables(det_seqs) -> list[DetectionTable]:
-    """Each detection sequence as a table, built once for all of a call's cells."""
     return [
         dets if isinstance(dets, DetectionTable) else DetectionTable.from_detections(dets)
         for dets in det_seqs
@@ -66,8 +82,6 @@ def _tables(det_seqs) -> list[DetectionTable]:
 
 
 def _pool_map(fn, items, jobs: int):
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     # A pool starts all its workers at the first submit, so it is never made
     # larger than the number of items.
     workers = min(jobs, len(items))
@@ -80,6 +94,18 @@ def _pool_map(fn, items, jobs: int):
         return list(executor.map(fn, items))
 
 
+def _run_cells(configs, det_seqs, gt_seqs, jobs: int) -> list[MetricsReport]:
+    """Each config's report, in order: one lockstep task per contiguous chunk
+    of the configs, ``min(jobs, len(configs))`` of them."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    count = min(jobs, len(configs))
+    ends = [len(configs) * (i + 1) // count for i in range(count)]
+    chunks = [configs[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    task = partial(_evaluate_cells, det_seqs=_tables(det_seqs, gt_seqs), gt_seqs=gt_seqs)
+    return [report for reports in _pool_map(task, chunks, jobs) for report in reports]
+
+
 def run_compare(
     base: TrackerConfig,
     det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
@@ -88,9 +114,7 @@ def run_compare(
 ) -> dict[str, MetricsReport]:
     """Evaluate the six tracker variants on the same inputs."""
     configs = variant_configs(base)
-    ordered = [configs[name] for name in VARIANT_ORDER]
-    task = partial(track_and_evaluate, det_seqs=_tables(det_seqs), gt_seqs=gt_seqs)
-    reports = _pool_map(task, ordered, jobs)
+    reports = _run_cells([configs[name] for name in VARIANT_ORDER], det_seqs, gt_seqs, jobs)
     return dict(zip(VARIANT_ORDER, reports))
 
 
@@ -134,8 +158,7 @@ def run_grid(
     if not combos:
         raise ValueError("empty buffer grid")
     configs = [replace(base, b1=b1, b2=b2, similarity_kind="biou", cascade_enabled=True) for b1, b2 in combos]
-    task = partial(track_and_evaluate, det_seqs=_tables(det_seqs), gt_seqs=gt_seqs)
-    reports = _pool_map(task, configs, jobs)
+    reports = _run_cells(configs, det_seqs, gt_seqs, jobs)
     scores = tuple((b1, b2, report) for (b1, b2), report in zip(combos, reports))
     best_idx = min(range(len(scores)), key=lambda i: (-reports[i].hota, scores[i][:2]))
     return GridResult(scores=scores, best_config=configs[best_idx], best_hota=reports[best_idx].hota)

@@ -25,6 +25,7 @@ replaced.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -117,8 +118,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def to_xyxy(boxes: Iterable[BoundingBox]) -> np.ndarray:
     """Stack boxes into an (N, 4) corner-form array."""
-    rows = [(box.x, box.y, box.x + box.w, box.y + box.h) for box in boxes]
-    return np.asarray(rows, dtype=float).reshape(-1, 4)
+    # One flat pass: numpy reads a stream of floats faster than a list of tuples.
+    corners = itertools.chain.from_iterable((box.x, box.y, box.x + box.w, box.y + box.h) for box in boxes)
+    return np.fromiter(corners, dtype=float).reshape(-1, 4)
 
 
 class LabelOverflowError(ValueError):
@@ -146,10 +148,10 @@ def int64_values(values, name: str) -> np.ndarray:
 
 
 def grouped_rows(frame_keys, row_frames, tlwh, *columns) -> tuple[np.ndarray, ...]:
-    """The arrays of a table of rows grouped by frame, checked and read-only:
-    ``frame_keys`` and ``row_frames`` as int64, ``tlwh`` and the same boxes
-    in corner form, ``xyxy``, as float, then each of ``columns`` as given.
-    The corners are the ones ``to_xyxy`` gives for the boxes of those rows,
+    """The arrays of a table of rows grouped by frame, checked, as read-only
+    copies that the table owns: ``frame_keys`` and ``row_frames`` as int64,
+    ``tlwh`` and the same boxes in corner form, ``xyxy``, as float, then
+    each of ``columns`` as given. The corners are the ones ``to_xyxy`` gives for the boxes of those rows,
     bit for bit.
 
     The layout, which the label and detection tables share: ``frame_keys``
@@ -180,7 +182,9 @@ def grouped_rows(frame_keys, row_frames, tlwh, *columns) -> tuple[np.ndarray, ..
         raise ValueError(f"row frame {missing} is not one of frame_keys")
     xyxy = tlwh.copy()
     np.add(tlwh[:, :2], tlwh[:, 2:], out=xyxy[:, 2:])
-    arrays = (frame_keys, row_frames, tlwh, xyxy, *columns)
+    # Copies, as the conversions above return the caller's own arrays when
+    # they need none: a table owns its rows, and its caller's stay writeable.
+    arrays = (frame_keys.copy(), row_frames.copy(), tlwh.copy(), xyxy, *(np.array(values) for values in columns))
     for values in arrays:
         values.flags.writeable = False
     return arrays

@@ -10,21 +10,32 @@ frame are reported.
 ``CBiouTracker.step`` advances one frame. It takes the frame's detections in
 one of two forms and answers in the same form: a ``Detection`` list gives a
 ``FrameOutput`` of boxes, and a ``TableFrame``, the frame's rows of a
-``DetectionTable``, gives a ``FrameRows`` of table rows. Both go through one
-private per-frame core, ``CBiouTracker._advance``, over a corner-form array.
-A ``DetectionTable`` holds a sequence's detections as arrays, built once;
-``track_table`` steps a tracker over it and returns (frame, track id, table
-row) arrays, and ``result_rows`` turns those into result rows, so ``cbiou
-track``, ``compare`` and ``grid`` read files into tables and build no
-``BoundingBox``. ``run_sequence`` keeps the ``Detection`` mapping as an
-input: it builds the table once and wraps the rows into ``FrameOutput``s
-that hold each ``Detection``'s own box.
+``DetectionTable``, gives a ``FrameRows`` of table rows. A ``DetectionTable``
+holds a sequence's detections as arrays, built once; ``track_table`` steps a
+tracker over it and returns (frame, track id, table row) arrays, and
+``result_rows`` turns those into result rows, so ``cbiou track``, ``compare``
+and ``grid`` read files into tables and build no ``BoundingBox``.
+``run_sequence`` keeps the ``Detection`` mapping as an input: it builds the
+table once and wraps the rows into ``FrameOutput``s that hold each
+``Detection``'s own box.
+
+One per-frame core, ``CBiouTracker._step_cells``, runs K configs, the
+cells, at once; the tracker of one config is its one-cell case.
+``track_cells`` steps the cells of a sweep over a table in lockstep, and
+``track_table`` is ``track_cells`` of one config. The cells' alive tracks
+share one set of arrays, grouped by cell. Per frame, prediction runs once
+over the rows of the cells with motion; ``cascade_match`` makes one
+similarity call per run of consecutive cells with the same (kind, b1), and
+one per (kind, b2) over the cascade cells' leftovers, and gives each cell's
+block its own ``gated_match``; aging, deaths and births run once over the
+shared arrays. Each cell's records equal those of its config run alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -54,6 +65,16 @@ class TrackerConfig:
     motion_enabled: bool = True
 
     def __post_init__(self) -> None:
+        # Cells stepped together are grouped by these fields, and manifests
+        # record them: a switch must be a bool, and a number is stored as float.
+        for name in ("cascade_enabled", "motion_enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("b1", "b2", "min_sim", "det_conf_min"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in ("b1", "b2"):
             scale = getattr(self, name)
             if not (math.isfinite(scale) and 0 <= scale <= MAX_BUFFER_SCALE):
@@ -122,36 +143,99 @@ class TableFrame(NamedTuple):
     confidence: list[float]
 
 
+class _Rounds:
+    """The matching plan of a tracker's cells, built once: round 1 as runs
+    of consecutive cells with the same (kind, b1), round 2 as the cascade
+    cells grouped by (kind, b2), and each cell's gate and cascade switch."""
+
+    def __init__(self, configs: Sequence[TrackerConfig]):
+        self.round1: list[tuple[str, float, int, int]] = []  # (kind, b1, first cell, stop cell)
+        for k, config in enumerate(configs):
+            key = (config.similarity_kind, config.b1)
+            if self.round1 and self.round1[-1][:2] == key:
+                self.round1[-1] = (*key, self.round1[-1][2], k + 1)
+            else:
+                self.round1.append((*key, k, k + 1))
+        round2: dict[tuple[str, float], list[int]] = {}
+        for k, config in enumerate(configs):
+            if config.cascade_enabled:
+                round2.setdefault((config.similarity_kind, config.b2), []).append(k)
+        self.round2 = [(kind, b2, cells) for (kind, b2), cells in round2.items()]
+        self.min_sim = [config.min_sim for config in configs]
+        self.cascade = [config.cascade_enabled for config in configs]
+
+
 def cascade_match(
-    t_xyxy: np.ndarray,
-    d_xyxy: np.ndarray,
-    config: TrackerConfig,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    t_xyxy: np.ndarray, d_xyxy: np.ndarray, config: TrackerConfig | _Rounds, bounds: Sequence[int] = ()
+):
     """Two matching rounds: buffer b1 over everything, then b2 over leftovers.
 
     Takes (N, 4) track states and (M, 4) detection boxes in corner form.
     Returns (matches, unmatched track indices, unmatched detection indices);
-    the two rounds' matches are disjoint in both tracks and detections. With
-    cascading disabled this is a single gated round with b1.
+    the two rounds' matches are disjoint in both tracks and detections, and
+    come sorted by track. With cascading disabled this is a single gated
+    round with b1.
+
+    A tracker matches all its cells in one call: ``config`` is then their
+    ``_Rounds``, cell k's tracks are rows ``bounds[k]:bounds[k + 1]`` of
+    ``t_xyxy``, each cell is matched alone against every detection, matches
+    and unmatched tracks index those rows, and the unmatched tracks and
+    detections come as one sequence per cell. Round 1 makes one
+    similarity call per run of cells with the same (kind, b1), and round 2
+    one per (kind, b2) over the leftover tracks of those cascade cells and
+    every detection; each cell's ``gated_match`` takes its rows and its
+    leftover columns. Every similarity entry depends only on its own two
+    boxes, so these blocks hold the bits of matrices made for each cell
+    alone.
     """
-    n_tracks, n_dets = len(t_xyxy), len(d_xyxy)
-    if n_tracks == 0 or n_dets == 0:
-        return [], list(range(n_tracks)), list(range(n_dets))
-    sim1 = geometry.similarity_matrix(config.similarity_kind, t_xyxy, d_xyxy, config.b1)
-    round1 = assignment.gated_match(sim1, config.min_sim)
-    matches = list(round1.pairs)
-    un_tracks = list(round1.unmatched_rows)
-    un_dets = list(round1.unmatched_cols)
-    if config.cascade_enabled and un_tracks and un_dets:
-        sim2 = geometry.similarity_matrix(
-            config.similarity_kind, t_xyxy.take(un_tracks, 0), d_xyxy.take(un_dets, 0), config.b2
-        )
-        round2 = assignment.gated_match(sim2, config.min_sim)
-        matches.extend((un_tracks[i], un_dets[j]) for i, j in round2.pairs)
-        un_tracks = [un_tracks[i] for i in round2.unmatched_rows]
-        un_dets = [un_dets[j] for j in round2.unmatched_cols]
-    matches.sort()
-    return matches, un_tracks, un_dets
+    one = isinstance(config, TrackerConfig)
+    rounds, bounds = (_Rounds((config,)), (0, len(t_xyxy))) if one else (config, bounds)
+    n_cells = len(bounds) - 1
+    matches: list[tuple[int, int]] = []
+    left_dets = [range(len(d_xyxy))] * n_cells
+    if not len(d_xyxy) or not bounds[-1]:
+        left_tracks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    else:
+        left_tracks = [()] * n_cells  # each cell with tracks meets round 1
+        waiting = []  # the cascade cells with tracks and detections left
+        for kind, b1, first, stop in rounds.round1:
+            lo, hi = bounds[first], bounds[stop]
+            if lo == hi:
+                continue
+            sim = geometry.similarity_matrix(kind, t_xyxy[lo:hi], d_xyxy, b1)
+            for k in range(first, stop):
+                a, b = bounds[k], bounds[k + 1]
+                if a == b:
+                    continue
+                found = assignment.gated_match(sim[a - lo : b - lo], rounds.min_sim[k])
+                if a:
+                    matches += [(a + i, j) for i, j in found.pairs]
+                    left_tracks[k] = [a + i for i in found.unmatched_rows]
+                else:  # the first rows: their indices need no offset
+                    matches += found.pairs
+                    left_tracks[k] = found.unmatched_rows
+                left_dets[k] = found.unmatched_cols
+                if rounds.cascade[k] and found.unmatched_rows and found.unmatched_cols:
+                    waiting.append(k)
+        for kind, b2, cascaded in rounds.round2 if waiting else ():
+            cells = [k for k in cascaded if k in waiting]
+            if not cells:
+                continue
+            rows = list(itertools.chain.from_iterable([left_tracks[k] for k in cells]))
+            sim = geometry.similarity_matrix(kind, t_xyxy.take(rows, 0), d_xyxy, b2)
+            top = 0
+            for k in cells:
+                tracks, dets = left_tracks[k], left_dets[k]
+                block = sim[top : top + len(tracks)].take(dets, 1)
+                top += len(tracks)
+                found = assignment.gated_match(block, rounds.min_sim[k])
+                matches += [(tracks[i], dets[j]) for i, j in found.pairs]
+                left_tracks[k] = [tracks[i] for i in found.unmatched_rows]
+                left_dets[k] = [dets[j] for j in found.unmatched_cols]
+        matches.sort()
+    if one:
+        return matches, list(left_tracks[0]), list(left_dets[0])
+    return matches, left_tracks, left_dets
 
 
 class DetectionTable:
@@ -232,9 +316,20 @@ def _detection_rows(
 class CBiouTracker:
     """State machine over one sequence; feed frames in strictly increasing order.
 
-    Alive tracks are held as arrays in creation order: ids (N,), corner-form
-    states (N, 4), ages (N,) in frames since the last match, and each track's
-    history window (N, n_max + 1, 5) as laid out in ``motion``.
+    Alive tracks are held as arrays: ids (N,), corner-form states (N, 4),
+    ages (N,) in frames since the last match, and each track's history
+    window (N, n_max + 1, 5) as laid out in ``motion``.
+
+    ``CBiouTracker(config)`` is the tracker of one config. ``track_cells``
+    builds one of several configs, its cells, with ``_of_cells``: they step
+    the same frames in lockstep through the same per-frame core,
+    ``_step_cells``. Their tracks share the arrays above, grouped by cell
+    (``_cells`` holds each row's cell) and in creation order within a cell,
+    and every cell numbers its own tracks: cell k of K gives its n-th track
+    the id ``(n - 1) * K + k + 1``, so one cell's ids are 1, 2, 3, ... and
+    an id names its cell. The cells share ``det_conf_min``, which admits the
+    detections before any cell sees them, and ``n_max``, which shapes the
+    shared history; ``config`` is the first cell's.
 
     ``step`` takes one frame's ``Detection`` list or ``TableFrame``;
     ``track_table`` steps a tracker over a whole ``DetectionTable``.
@@ -244,12 +339,39 @@ class CBiouTracker:
     """
 
     def __init__(self, config: TrackerConfig | None = None):
-        self.config = config if config is not None else TrackerConfig()
+        self._start((config if config is not None else TrackerConfig(),))
+
+    @classmethod
+    def _of_cells(cls, configs: Sequence[TrackerConfig]) -> "CBiouTracker":
+        """A tracker of the cells ``configs``, in that order."""
+        tracker = cls.__new__(cls)
+        tracker._start(tuple(configs))
+        return tracker
+
+    def _start(self, configs: tuple[TrackerConfig, ...]) -> None:
+        if not configs:
+            raise ValueError("a tracker needs at least one config")
+        self.config = first = configs[0]
+        for config in configs:
+            if (config.det_conf_min, config.n_max) != (first.det_conf_min, first.n_max):
+                raise ValueError(
+                    "cells stepped together must share det_conf_min and n_max, got "
+                    f"{(first.det_conf_min, first.n_max)} and {(config.det_conf_min, config.n_max)}"
+                )
+        self._rounds = _Rounds(configs)
+        max_ages = [config.max_age for config in configs]
+        # One bound for every row when the cells share it, as one config does.
+        self._max_age = max_ages[0] if len(set(max_ages)) == 1 else np.array(max_ages)
+        moving = [config.motion_enabled for config in configs]
+        # Every cell, none, or the cells whose rows a mask picks.
+        self._motion = all(moving) or (np.array(moving) if any(moving) else False)
+        self._born = [0] * len(configs)
+        self._edges = np.arange(len(configs) + 1)
         self._ids = np.zeros(0, dtype=np.int64)
         self._states = np.zeros((0, 4))
         self._ages = np.zeros(0, dtype=np.int64)
-        self._history = np.zeros((0, self.config.n_max + 1, 5))
-        self._next_id = 1
+        self._history = np.zeros((0, first.n_max + 1, 5))
+        self._cells = np.zeros(0, dtype=np.int64)
         self._last_frame: int | None = None
 
     @property
@@ -284,47 +406,60 @@ class CBiouTracker:
             raise ValueError(
                 f"frame index must increase, got {frame_index} after {self._last_frame}"
             )
+        frame = int(frame_index)
         if isinstance(detections, TableFrame):
-            tids, picks = self._advance(int(frame_index), detections.xyxy)
+            tids, picks = self._step_cells(frame, detections.xyxy)
             rows, confidence = detections.rows, detections.confidence
             records = tuple([(tid, rows[k], confidence[k]) for tid, k in zip(tids, picks)])
-            return FrameRows(frame=int(frame_index), records=records)
+            return FrameRows(frame=frame, records=records)
         for det in detections:
             if det.frame != frame_index:
                 raise ValueError(
                     f"detection for frame {det.frame} passed to step for frame {frame_index}"
                 )
-        admitted = [d for d in detections if d.confidence >= self.config.det_conf_min]
-        tids, dets = self._advance(int(frame_index), geometry.to_xyxy(d.box for d in admitted))
-        records = tuple((tid, admitted[di].box, admitted[di].confidence) for tid, di in zip(tids, dets))
-        return FrameOutput(frame=int(frame_index), records=records)
+        conf_min = self.config.det_conf_min
+        admitted = [d for d in detections if d.confidence >= conf_min]
+        tids, dets = self._step_cells(frame, geometry.to_xyxy([d.box for d in admitted]))
+        records = tuple([(tid, admitted[di].box, admitted[di].confidence) for tid, di in zip(tids, dets)])
+        return FrameOutput(frame=frame, records=records)
 
-    def _advance(self, frame: int, det_xyxy: np.ndarray) -> tuple[list[int], list[int]]:
-        """The per-frame core: advance to ``frame``, a frame after the last
-        one, with its admitted (M, 4) corner-form detections, and return the
-        frame's (track ids, detection indices) in track id order, matched
-        tracks first and then the tracks born from unmatched detections.
-        The tracker is unchanged if this raises."""
-        cfg = self.config
-        ids, states, ages, history = self._ids, self._states, self._ages, self._history
+    def _age_limits(self, cells: np.ndarray):
+        """The max_age of each row's cell, or of every row."""
+        return self._max_age if type(self._max_age) is int else self._max_age[cells]
+
+    def _step_cells(self, frame: int, det_xyxy: np.ndarray) -> tuple[list[int], list[int]]:
+        """The per-frame core: advance every cell to ``frame``, a frame after
+        the last one, with its admitted (M, 4) corner-form detections, and
+        return the frame's (track ids, detection indices): the matched tracks
+        by cell and then by id, then the tracks born from each cell's
+        unmatched detections, by cell. Within a cell that is id order. The
+        tracker is unchanged if this raises."""
+        ids, states, ages, history, cells = self._ids, self._states, self._ages, self._history, self._cells
+        n_cells = len(self._born)
 
         if len(ids):
             elapsed = frame - self._last_frame
             if elapsed > 1:
                 # A track whose age would pass max_age inside the gap died there.
-                ids, states, ages, history = _rows(
-                    (ages + (elapsed - 1) <= cfg.max_age).nonzero()[0], ids, states, ages, history
+                ids, states, ages, history, cells = _rows(
+                    (ages + (elapsed - 1) <= self._age_limits(cells)).nonzero()[0], ids, states, ages, history, cells
                 )
             ages = ages + elapsed
             # Survivors have elapsed <= max_age + 1, which bounds the predict loop.
-            if cfg.motion_enabled and len(ids):
-                velocity = motion.average_velocity(history)
-                states, _ = motion.predict(states, velocity, elapsed)
+            if self._motion is True:
+                if len(ids):
+                    states, _ = motion.predict(states, motion.average_velocity(history), elapsed)
+            elif self._motion is not False:
+                moving = self._motion[cells].nonzero()[0]
+                if len(moving):
+                    predicted, _ = motion.predict(states[moving], motion.average_velocity(history[moving]), elapsed)
+                    states = states.copy()
+                    states[moving] = predicted
 
-        matches, _, un_dets = cascade_match(states, det_xyxy, cfg)
-        first_born = self._next_id
+        bounds = np.searchsorted(cells, self._edges).tolist() if n_cells > 1 else (0, len(ids))
+        matches, _, un_dets = cascade_match(states, det_xyxy, self._rounds, bounds)
         if matches:
-            ti, di = np.array(matches).T
+            ti, di = np.fromiter(itertools.chain.from_iterable(matches), np.intp, 2 * len(matches)).reshape(-1, 2).T
             matched = det_xyxy.take(di, 0)
             states[ti] = matched
             ages[ti] = 0
@@ -333,29 +468,42 @@ class CBiouTracker:
             window[:, -1, 0] = frame
             window[:, -1, 1:] = matched
             history[ti] = window
-            # Ids ascend in creation order, and matches come sorted by track.
+            # Matches come sorted by row: by cell, then in creation order.
             tids, dets = ids.take(ti).tolist(), di.tolist()
         else:
             tids, dets = [], []
-        alive = (ages <= cfg.max_age).nonzero()[0]
+        alive = (ages <= self._age_limits(cells)).nonzero()[0]
         if len(alive) < len(ids):
-            ids, states, ages, history = _rows(alive, ids, states, ages, history)
-        if un_dets:
-            born = det_xyxy.take(un_dets, 0)
-            born_ids = np.arange(first_born, first_born + len(un_dets))
+            ids, states, ages, history, cells = _rows(alive, ids, states, ages, history, cells)
+        born = self._born
+        if any(un_dets):
+            born, born_ids, born_dets, born_cells = list(born), [], [], []
+            for k, un in enumerate(un_dets):
+                if un:
+                    start, born[k] = born[k], born[k] + len(un)
+                    born_ids += range(start * n_cells + k + 1, born[k] * n_cells + k + 1, n_cells)
+                    born_dets += un
+                    born_cells += [k] * len(un)
+            new = det_xyxy.take(born_dets, 0)
             # A new track fills its whole window with its birth entry.
-            window = np.empty((len(un_dets), cfg.n_max + 1, 5))
+            window = np.empty((len(born_dets), history.shape[1], 5))
             window[..., 0] = frame
-            window[..., 1:] = born[:, None]
+            window[..., 1:] = new[:, None]
+            grouped = not len(cells) or cells[-1] <= born_cells[0]
             ids = np.concatenate((ids, born_ids))
-            states = np.concatenate((states, born))
-            ages = np.concatenate((ages, np.zeros(len(un_dets), dtype=np.int64)))
+            states = np.concatenate((states, new))
+            ages = np.concatenate((ages, np.zeros(len(born_dets), dtype=np.int64)))
             history = np.concatenate((history, window))
-            self._next_id += len(un_dets)
-            tids += born_ids.tolist()
-            dets += un_dets
-
-        self._ids, self._states, self._ages, self._history = ids, states, ages, history
+            cells = np.concatenate((cells, born_cells))
+            if not grouped:
+                # Each cell's births go after its own rows, which keeps them in creation order.
+                ids, states, ages, history, cells = _rows(
+                    np.argsort(cells, kind="stable"), ids, states, ages, history, cells
+                )
+            tids += born_ids
+            dets += born_dets
+        self._ids, self._states, self._ages, self._history, self._cells = ids, states, ages, history, cells
+        self._born = born
         self._last_frame = frame
         return tids, dets
 
@@ -365,25 +513,48 @@ def _rows(index: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(values.take(index, 0) for values in arrays)
 
 
-def track_table(config: TrackerConfig, table: DetectionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a tracker over every frame of ``table`` from its first frame to
-    its last, as ``run_sequence`` does, and return every reported record as
-    (frames, track ids, table rows) int64 arrays, ordered by frame and then
-    by track id."""
-    return tuple(np.array(values, dtype=np.int64) for values in _track(config, table))
+def track_cells(
+    configs: Sequence[TrackerConfig], table: DetectionTable
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the tracker of each config over every frame of ``table`` from its
+    first frame to its last, as ``run_sequence`` does, and return each
+    config's reported records as (frames, track ids, table rows) int64
+    arrays, ordered by frame and then by track id.
+
+    The configs are the cells of one tracker (see ``CBiouTracker``): they
+    step the table's frames in lockstep, so each frame is read once and
+    each similarity matrix scores several cells' tracks. They must share
+    ``det_conf_min`` and ``n_max``; other mixes raise ``ValueError``. Each
+    cell's records equal those of its config run alone.
+    """
+    tracker = CBiouTracker._of_cells(configs)
+    frames, tids, rows = (np.array(values, dtype=np.int64) for values in _step_table(tracker, table))
+    if len(configs) == 1:
+        return [(frames, tids, rows)]  # one cell's ids are its own, in order
+    # Cell k of K numbers its n-th track (n - 1) * K + k + 1.
+    serial, cells = np.divmod(tids - 1, len(configs))
+    order = np.argsort(cells, kind="stable")
+    frames, tids, rows, cells = frames[order], serial[order] + 1, rows[order], cells[order]
+    bounds = np.searchsorted(cells, np.arange(len(configs) + 1)).tolist()
+    return [(frames[lo:hi], tids[lo:hi], rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _track(config: TrackerConfig, table: DetectionTable) -> tuple[list[int], list[int], list[int]]:
-    """``track_table``'s columns as lists, which ``run_sequence`` reads
-    without a copy per record."""
-    tracker = CBiouTracker(config)
+def _step_table(tracker: CBiouTracker, table: DetectionTable) -> tuple[list[int], list[int], list[int]]:
+    """Step ``tracker`` over every frame of ``table`` from its first frame to
+    its last, and return its records as (frames, track ids, table rows)
+    lists, which ``run_sequence`` reads without a copy per record."""
     frames, records = [], []
-    for frame, detections in table.frames(config.det_conf_min):
+    for frame, detections in table.frames(tracker.config.det_conf_min):
         matched = tracker.step(frame, detections).records
         if matched:
             frames += [frame] * len(matched)
             records += matched
     return frames, [tid for tid, _, _ in records], [row for _, row, _ in records]
+
+
+def track_table(config: TrackerConfig, table: DetectionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``track_cells`` of the one config."""
+    return track_cells([config], table)[0]
 
 
 def result_rows(
@@ -418,7 +589,7 @@ def run_sequence(
     if not frame_keys:
         return []
     table = DetectionTable._of(frame_keys, detections)
-    frames, tids, rows = _track(config, table)
+    frames, tids, rows = _step_table(CBiouTracker(config), table)
     by_frame: dict[int, list] = {}
     for frame, tid, row in zip(frames, tids, rows):
         det = detections[row]

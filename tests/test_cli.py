@@ -432,13 +432,14 @@ def _experiment_argv(command, tmp_path):
 def test_every_offered_flag_reaches_every_config_run(tmp_path, monkeypatch, command):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     ran = []
-    track_and_evaluate = experiments.track_and_evaluate
+    track_cells = tracker.track_cells
 
-    def recording(config, det_seqs, gt_seqs):
-        ran.append(config)
-        return track_and_evaluate(config, det_seqs, gt_seqs)
+    def recording(configs, table):
+        # compare and grid track all their configs together, once per sequence
+        ran.extend(configs)
+        return track_cells(configs, table)
 
-    monkeypatch.setattr(experiments, "track_and_evaluate", recording)
+    monkeypatch.setattr(tracker, "track_cells", recording)
     argv = _experiment_argv(command, tmp_path)
     for flag, (_field, value) in OFFERED_FLAGS[command].items():
         argv += [flag] if value is False else [flag, str(value)]

@@ -1,4 +1,5 @@
 import concurrent.futures
+from dataclasses import replace
 
 import pytest
 
@@ -46,6 +47,23 @@ def test_parallel_grid_equals_serial():
     serial = experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=1)
     parallel = experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=2)
     assert parallel == serial
+
+
+def test_reports_do_not_depend_on_jobs():
+    # jobs splits the cells into contiguous lockstep chunks: 6 cells into
+    # 1, 2 or 4 chunks, and the grid's 6 cells likewise
+    det_seqs, gt_seqs = tiny_sequence()
+    combos = experiments.enumerate_buffer_grid(0.1, 0.4, 0.1)
+    compares = [experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=jobs) for jobs in (1, 2, 4)]
+    grids = [experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=jobs) for jobs in (1, 2, 4)]
+    assert compares[0] == compares[1] == compares[2]
+    assert grids[0] == grids[1] == grids[2]
+    # and each cell's report is its config's own
+    for config, report in zip(experiments.variant_configs(TrackerConfig()).values(), compares[0].values()):
+        assert repr(report) == repr(experiments.track_and_evaluate(config, det_seqs, gt_seqs))
+    for b1, b2, report in grids[0].scores:
+        config = replace(TrackerConfig(), b1=b1, b2=b2)
+        assert repr(report) == repr(experiments.track_and_evaluate(config, det_seqs, gt_seqs))
 
 
 def test_pool_is_never_larger_than_the_task_count(monkeypatch):

@@ -210,6 +210,30 @@ def test_column_of_another_length_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, column, name",
+    [
+        (lambda keys, frames, ids, tlwh: SequenceAnnotations(keys, frames, ids, tlwh), [5], "ids"),
+        (lambda keys, frames, conf, tlwh: DetectionTable(keys, frames, tlwh, conf), [0.5], "confidence"),
+    ],
+    ids=["labels", "detections"],
+)
+def test_tables_keep_copies_of_their_rows(build, column, name):
+    # Arrays of the right dtype were aliased and made read-only: a write
+    # through another view of tlwh moved tlwh to [100, 2, 3, 4] and left xyxy.
+    keys, frames, column = np.array([1]), np.array([1]), np.array(column)
+    tlwh = np.array([[1.0, 2.0, 3.0, 4.0]])
+    table = build(keys, frames, column, tlwh)
+    for values in (keys, frames, column, tlwh):
+        assert values.flags.writeable
+    tlwh.reshape(-1)[0] = 100.0
+    keys[0] = frames[0] = column[0] = 7
+    assert table.tlwh.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert table.xyxy.tolist() == [[1.0, 2.0, 4.0, 6.0]]
+    assert table.frame_keys.tolist() == table.row_frames.tolist() == [1]
+    assert getattr(table, name).tolist() != [7]
+
+
 @pytest.mark.parametrize("identity", [2**63, -(2**63) - 1, np.uint64(2**63)], ids=["above", "below", "uint64"])
 def test_identities_past_int64_rejected(identity):
     with pytest.raises(metrics.LabelOverflowError, match="every identity must fit in 64 bits"):

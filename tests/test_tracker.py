@@ -1,5 +1,6 @@
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cbiou import assignment, geometry, motion
 from cbiou import tracker as tracker_module
 from cbiou.geometry import BoundingBox
-from cbiou.experiments import enumerate_buffer_grid, track_and_evaluate
+from cbiou.experiments import enumerate_buffer_grid, track_and_evaluate, variant_configs
 from cbiou.synth import OcclusionSpec, ScenarioSpec, generate
 from cbiou.tracker import (
     CBiouTracker,
@@ -21,6 +22,7 @@ from cbiou.tracker import (
     cascade_match,
     result_rows,
     run_sequence,
+    track_cells,
     track_table,
 )
 from labels import labels
@@ -71,6 +73,27 @@ class TestTrackerConfig:
         # max_age=True was taken as 1
         with pytest.raises(ValueError, match=f"{name} must be an integer >= ., got True"):
             TrackerConfig(**{name: True})
+
+    @pytest.mark.parametrize("name", ["cascade_enabled", "motion_enabled"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, np.bool_(True)])
+    def test_switches_must_be_bools(self, name, value):
+        # cascade_enabled="false" was truthy, so the tracker ran cascaded
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a bool, got {value!r}")):
+            TrackerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["b1", "b2", "min_sim", "det_conf_min"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_numeric_fields_reject_bools_and_non_numbers(self, name, value):
+        # b1=True and det_conf_min=False were taken as 1 and 0
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+            TrackerConfig(**{name: value})
+
+    def test_numeric_fields_are_stored_as_float(self):
+        cfg = TrackerConfig(b1=0, b2=1, min_sim=np.float32(0.5), det_conf_min=np.int64(0))
+        values = (cfg.b1, cfg.b2, cfg.min_sim, cfg.det_conf_min)
+        assert [type(value) for value in values] == [float] * 4
+        assert values == (0.0, 1.0, 0.5, 0.0)
+        assert cfg == TrackerConfig(b1=0.0, b2=1.0, min_sim=0.5, det_conf_min=0.0)
 
 
 INF = float("inf")
@@ -569,6 +592,97 @@ class TestTableLoopEqualsStep:
                 for tid, box, c in out.records
             ]
             assert rows == expected
+
+
+# Cells over all four kinds, with and without cascade and motion. Buffers are
+# often shared, as in a grid: cells with the same (kind, b1) form runs, and
+# cells with other b1 share a b2 in round 2.
+CELLS = st.lists(
+    st.builds(
+        lambda kind, cascade, motion_on, b1, b2, max_age: TrackerConfig(
+            b1=b1,
+            b2=b2,
+            max_age=max_age,
+            similarity_kind=kind,
+            cascade_enabled=cascade,
+            motion_enabled=motion_on,
+        ),
+        st.sampled_from(geometry.SIMILARITY_KINDS),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.sampled_from([0.0, 0.1, 0.3]), st.floats(0.0, 0.35)),
+        st.one_of(st.sampled_from([0.4, 0.8]), st.floats(0.36, 1.0)),
+        st.sampled_from([1, 2, 3, 30]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def cell_of(tid, cells):
+    """The cell and the cell's own id of a lockstep tracker's track id."""
+    serial, cell = divmod(tid - 1, cells)
+    return cell, serial + 1
+
+
+class TestLockstep:
+    @settings(max_examples=200)
+    @given(CELLS, st.sampled_from([0.1, 0.6]), st.sampled_from([2, 5]), SEQUENCES)
+    def test_each_cell_equals_its_config_alone(self, cells, conf_min, n_max, dets):
+        configs = [replace(config, det_conf_min=conf_min, n_max=n_max) for config in cells]
+        table = DetectionTable.from_detections(dets)
+        for config, rows in zip(configs, track_cells(configs, table), strict=True):
+            alone = track_cells([config], table)[0]
+            assert [a.tolist() for a in rows] == [a.tolist() for a in alone]
+        # stepped directly, only on the frames present: the gap rule, per cell
+        together = CBiouTracker._of_cells(configs)
+        merged = {
+            f: [(cell_of(tid, len(configs)), box, c) for tid, box, c in together.step(f, dets[f]).records]
+            for f in sorted(dets)
+        }
+        for k, config in enumerate(configs):
+            alone = CBiouTracker(config)
+            for frame, records in merged.items():
+                mine = [(serial, box, c) for (cell, serial), box, c in records if cell == k]
+                assert mine == list(alone.step(frame, dets[frame]).records)
+
+    @pytest.mark.parametrize("field, value", [("det_conf_min", 0.5), ("n_max", 3)])
+    def test_cells_must_share_admission_and_history(self, field, value):
+        table = DetectionTable.from_detections({1: [det(1, 0)]})
+        with pytest.raises(ValueError, match="must share det_conf_min and n_max"):
+            track_cells([TrackerConfig(), replace(TrackerConfig(), **{field: value})], table)
+        with pytest.raises(ValueError, match="at least one config"):
+            track_cells([], table)
+
+    def test_round2_scores_each_cells_own_leftovers(self):
+        # Frame 2 is 0.5 px from track 1 and 5 px from track 2. The b1 = 0.1
+        # cell links track 1 in round 1, the b1 = 0 cell leaves both tracks
+        # to the shared b2 = 0.4 round, where both cells link track 2.
+        configs = [TrackerConfig(b1=b1, b2=0.4, motion_enabled=False) for b1 in (0.0, 0.1)]
+        dets = {1: [det(1, 0), det(1, 100)], 2: [det(2, 10.5), det(2, 115)]}
+        table = DetectionTable.from_detections(dets)
+        together = track_cells(configs, table)
+        for config, rows in zip(configs, together):
+            assert [a.tolist() for a in rows] == [a.tolist() for a in track_cells([config], table)[0]]
+            assert rows[1].tolist() == [1, 2, 1, 2]
+
+    def test_one_similarity_call_per_kind_and_buffer(self, monkeypatch):
+        # the six variants: round 1 scores IoU, GIoU, DIoU and the three BIoU
+        # cells (same b1) in four calls, round 2 both cascade cells in one
+        calls = []
+        original = geometry.similarity_matrix
+
+        def spy(kind, a, b, scale=0.0):
+            calls.append((kind, scale, len(a)))
+            return original(kind, a, b, scale)
+
+        monkeypatch.setattr(geometry, "similarity_matrix", spy)
+        configs = list(variant_configs(TrackerConfig()).values())
+        dets = {1: [det(1, 0), det(1, 100)], 2: [det(2, 2), det(2, 118)]}
+        track_cells(configs, DetectionTable.from_detections(dets))
+        assert calls == [
+            ("iou", 0.3, 2), ("giou", 0.3, 2), ("diou", 0.3, 2), ("biou", 0.3, 6), ("biou", 0.4, 2)
+        ]
 
 
 class TestInterpolation:
