@@ -15,9 +15,7 @@ from .tracker import (
     FrameRows,
     TableFrame,
     TrackerConfig,
-    cascade_match,
     run_sequence,
-    track_table,
 )
 
 __all__ = [
@@ -36,9 +34,7 @@ __all__ = [
     "TableFrame",
     "CBiouTracker",
     "DetectionTable",
-    "cascade_match",
     "run_sequence",
-    "track_table",
     "SequenceAnnotations",
     "MetricsReport",
     "evaluate",

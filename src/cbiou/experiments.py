@@ -123,14 +123,18 @@ def run_compare(
 # count**2 / 2 entries. 200 values (19,900 runs) is far past any useful search;
 # a finer range, such as 0:1:1e-6 (5e11 pairs), would exhaust memory first.
 MAX_GRID_VALUES = 200
+# A step count within this of the next integer reaches it: (stop - start) / step
+# errs by below 1e-13 within MAX_GRID_VALUES (0.1:0.7:0.1 reads 5.999999999999999).
+GRID_STEP_TOLERANCE = 1e-9
 
 
 def enumerate_buffer_grid(start: float, stop: float, step: float) -> list[tuple[float, float]]:
-    """All (b1, b2) with b1 < b2 over the inclusive range, b1-major order."""
+    """All (b1, b2) with b1 < b2 over the inclusive range, b1-major order:
+    the values are start, start + step, ... up to stop, never past it."""
     if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
         raise ValueError(f"invalid grid range {start}:{stop}:{step}")
     steps = (stop - start) / step  # inf for a range too wide for float64
-    count = round(steps) + 1 if math.isfinite(steps) else math.inf
+    count = math.floor(steps + GRID_STEP_TOLERANCE) + 1 if math.isfinite(steps) else math.inf
     if count > MAX_GRID_VALUES:
         raise ValueError(
             f"grid range {start}:{stop}:{step} has {count} values, more than {MAX_GRID_VALUES}"

@@ -6,13 +6,13 @@ also builds; files are read into (N, 4) arrays of such rows. Its check has
 one array form, ``valid_tlwh``, which the file readers and the tracker's gap
 filling use. ``grouped_rows`` checks the layout that the label and detection
 tables share, rows grouped by frame, and gives their boxes in corner form.
-Every similarity kind (IoU, GIoU, DIoU and the buffered BIoU) has one
-implementation, the ``*_matrix`` form over (N, 4) arrays of corner-form
-boxes; the tracker and the metrics call these on whole frames.
-``paired_iou`` gives IoU cell by cell for two row-paired arrays; the metrics
-call it on every cell of a sequence at once. The scalar ``corner_iou`` and
-its ``BoundingBox`` form ``iou`` are kept for single-pair checks (see their
-docstrings).
+``similarity_matrix`` is the tracker's one entry point: it scores every
+(track, detection) pair of a frame under any similarity kind (IoU, GIoU,
+DIoU or the buffered BIoU), over (N, 4) arrays of corner-form boxes. The
+metrics score plain IoU: ``iou_matrix`` over whole frames, and
+``paired_iou`` cell by cell for two row-paired arrays, on every cell of a
+sequence at once. The scalar ``corner_iou`` and its ``BoundingBox`` form
+``iou`` are kept for single-pair checks (see their docstrings).
 
 The tracker's matrices are small (about 13 x 7), so numpy's fixed cost per
 call, not the arithmetic, sets their price. Every array form therefore
@@ -271,46 +271,27 @@ def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / union
 
 
-def biou_matrix(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    """Pairwise buffered IoU; both sides are expanded with the same scale."""
+def similarity_matrix(kind: str, a: np.ndarray, b: np.ndarray, buffer_scale: float = 0.0) -> np.ndarray:
+    """Pairwise similarity of the given kind between two sets of corner-form
+    boxes; shape (N, M). ``buffer_scale`` only applies to biou, which
+    expands both sides by it before taking their IoU."""
+    if kind not in SIMILARITY_KINDS:
+        raise ValueError(f"unknown similarity kind {kind!r}, expected one of {SIMILARITY_KINDS}")
     a, b, empty = _empty_or_arrays(a, b)
     if empty is not None:
         return empty
-    inter, union = _overlap(buffer_xyxy(a, scale), buffer_xyxy(b, scale), pairwise=True)
-    return inter / union
-
-
-def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b, empty = _empty_or_arrays(a, b)
-    if empty is not None:
-        return empty
+    if kind == "biou":
+        inter, union = _overlap(buffer_xyxy(a, buffer_scale), buffer_xyxy(b, buffer_scale), pairwise=True)
+        return inter / union
     inter, union = _overlap(a, b, pairwise=True)
+    if kind == "iou":
+        return inter / union
     hull_wh = _hull_wh(a, b)
-    hull = hull_wh[..., 0] * hull_wh[..., 1]
-    return inter / union - (hull - union) / hull
-
-
-def diou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b, empty = _empty_or_arrays(a, b)
-    if empty is not None:
-        return empty
-    inter, union = _overlap(a, b, pairwise=True)
-    # Centre offsets (dx, dy) and hull extents, squared, each summed x then y.
+    if kind == "giou":
+        hull = hull_wh[..., 0] * hull_wh[..., 1]
+        return inter / union - (hull - union) / hull
+    # DIoU: centre offsets (dx, dy) and hull extents, squared, each summed x then y.
     dc = ((a[:, :2] + a[:, 2:]) / 2.0)[:, None] - ((b[:, :2] + b[:, 2:]) / 2.0)[None, :]
     dc *= dc
-    hull_wh = _hull_wh(a, b)
     hull_wh *= hull_wh
     return inter / union - (dc[..., 0] + dc[..., 1]) / (hull_wh[..., 0] + hull_wh[..., 1])
-
-
-def similarity_matrix(kind: str, a: np.ndarray, b: np.ndarray, buffer_scale: float = 0.0) -> np.ndarray:
-    """Dispatch on the similarity kind; ``buffer_scale`` only applies to biou."""
-    if kind == "iou":
-        return iou_matrix(a, b)
-    if kind == "giou":
-        return giou_matrix(a, b)
-    if kind == "diou":
-        return diou_matrix(a, b)
-    if kind == "biou":
-        return biou_matrix(a, b, buffer_scale)
-    raise ValueError(f"unknown similarity kind {kind!r}, expected one of {SIMILARITY_KINDS}")

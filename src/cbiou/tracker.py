@@ -7,28 +7,33 @@ their new state; unmatched tracks coast and age out after ``max_age`` frames;
 unmatched detections start new tracks. Only tracks matched in the current
 frame are reported.
 
+``CBiouTracker(*configs)`` is the one constructor: of ``TrackerConfig()``
+when no config is given, else of the configs, its cells, which step in
+lockstep through one per-frame core, ``CBiouTracker._step_cells``. The
+cells' alive tracks share one set of arrays, grouped by cell. Per frame,
+prediction runs once over the rows of the cells with motion;
+``cascade_match``, given the cells' matching plan and row bounds, makes one
+similarity call per run of consecutive cells with the same (kind, b1), and
+one per (kind, b2) over the cascade cells' leftovers; aging, deaths and
+births run once over the shared arrays. Each cell's records equal those of
+its config run alone.
+
 ``CBiouTracker.step`` advances one frame. It takes the frame's detections in
 one of two forms and answers in the same form: a ``Detection`` list gives a
 ``FrameOutput`` of boxes, and a ``TableFrame``, the frame's rows of a
 ``DetectionTable``, gives a ``FrameRows`` of table rows. A ``DetectionTable``
-holds a sequence's detections as arrays, built once; ``track_table`` steps a
-tracker over it and returns (frame, track id, table row) arrays, and
-``result_rows`` turns those into result rows, so ``cbiou track``, ``compare``
-and ``grid`` read files into tables and build no ``BoundingBox``.
-``run_sequence`` keeps the ``Detection`` mapping as an input: it builds the
-table once and wraps the rows into ``FrameOutput``s that hold each
+holds a sequence's detections as arrays, built once; ``track_cells`` steps
+a tracker over it and returns each cell's (frame, track id, table row)
+arrays, and ``result_rows`` turns one config's into result rows, gaps
+filled on request. So ``cbiou track``, ``compare`` and ``grid`` build no
+``BoundingBox``. ``run_sequence`` keeps the ``Detection`` mapping as an
+input and wraps the rows into ``FrameOutput``s that hold each
 ``Detection``'s own box.
 
-One per-frame core, ``CBiouTracker._step_cells``, runs K configs, the
-cells, at once; the tracker of one config is its one-cell case.
-``track_cells`` steps the cells of a sweep over a table in lockstep, and
-``track_table`` is ``track_cells`` of one config. The cells' alive tracks
-share one set of arrays, grouped by cell. Per frame, prediction runs once
-over the rows of the cells with motion; ``cascade_match`` makes one
-similarity call per run of consecutive cells with the same (kind, b1), and
-one per (kind, b2) over the cascade cells' leftovers, and gives each cell's
-block its own ``gated_match``; aging, deaths and births run once over the
-shared arrays. Each cell's records equal those of its config run alone.
+A table run steps each frame with admitted detections, and the empty
+frames between two of them only while a track is alive: with none alive an
+empty step changes nothing but the last frame, so a run's work is bounded
+by its rows, not by the span of its frame numbers.
 """
 
 from __future__ import annotations
@@ -165,31 +170,22 @@ class _Rounds:
         self.cascade = [config.cascade_enabled for config in configs]
 
 
-def cascade_match(
-    t_xyxy: np.ndarray, d_xyxy: np.ndarray, config: TrackerConfig | _Rounds, bounds: Sequence[int] = ()
-):
-    """Two matching rounds: buffer b1 over everything, then b2 over leftovers.
+def cascade_match(t_xyxy: np.ndarray, d_xyxy: np.ndarray, rounds: _Rounds, bounds: Sequence[int]):
+    """Two matching rounds per cell: buffer b1 over everything, then b2 over
+    the leftovers; a cell without cascading has the b1 round only.
 
-    Takes (N, 4) track states and (M, 4) detection boxes in corner form.
-    Returns (matches, unmatched track indices, unmatched detection indices);
-    the two rounds' matches are disjoint in both tracks and detections, and
-    come sorted by track. With cascading disabled this is a single gated
-    round with b1.
-
-    A tracker matches all its cells in one call: ``config`` is then their
-    ``_Rounds``, cell k's tracks are rows ``bounds[k]:bounds[k + 1]`` of
-    ``t_xyxy``, each cell is matched alone against every detection, matches
-    and unmatched tracks index those rows, and the unmatched tracks and
-    detections come as one sequence per cell. Round 1 makes one
+    Takes (N, 4) track states and (M, 4) detection boxes in corner form, the
+    cells' ``_Rounds`` and their bounds: cell k's tracks are rows
+    ``bounds[k]:bounds[k + 1]``, matched alone against every detection.
+    Returns the (row, detection) matches sorted by row, then the unmatched
+    rows and the unmatched detections, one sequence per cell; a cell's two
+    rounds match disjoint tracks and detections. Round 1 makes one
     similarity call per run of cells with the same (kind, b1), and round 2
-    one per (kind, b2) over the leftover tracks of those cascade cells and
-    every detection; each cell's ``gated_match`` takes its rows and its
-    leftover columns. Every similarity entry depends only on its own two
-    boxes, so these blocks hold the bits of matrices made for each cell
-    alone.
+    one per (kind, b2) over those cascade cells' leftover tracks; each
+    cell's ``gated_match`` takes its own block. Every similarity entry
+    depends only on its two boxes, so the blocks hold the bits of matrices
+    made for each cell alone.
     """
-    one = isinstance(config, TrackerConfig)
-    rounds, bounds = (_Rounds((config,)), (0, len(t_xyxy))) if one else (config, bounds)
     n_cells = len(bounds) - 1
     matches: list[tuple[int, int]] = []
     left_dets = [range(len(d_xyxy))] * n_cells
@@ -233,8 +229,6 @@ def cascade_match(
                 left_tracks[k] = [tracks[i] for i in found.unmatched_rows]
                 left_dets[k] = [dets[j] for j in found.unmatched_cols]
         matches.sort()
-    if one:
-        return matches, list(left_tracks[0]), list(left_dets[0])
     return matches, left_tracks, left_dets
 
 
@@ -247,9 +241,9 @@ class DetectionTable:
     ``confidence`` (N,), each box and confidence as given, which result rows
     echo; ``xyxy`` (N, 4), the same box in corner form, which matching uses.
     ``frame_keys`` holds every frame the sequence names, ascending, frames
-    without rows included: a run steps every frame from the first to the
-    last. Each run admits the rows at or above its own ``det_conf_min``.
-    The constructor checks that layout with ``geometry.grouped_rows``.
+    without rows included. Each run admits the rows at or above its own
+    ``det_conf_min``. The constructor checks that layout with
+    ``geometry.grouped_rows``.
     """
 
     def __init__(self, frame_keys, row_frames, tlwh, confidence):
@@ -277,17 +271,14 @@ class DetectionTable:
         return cls(frame_keys, [d.frame for d in detections], tlwh, [d.confidence for d in detections])
 
     def frames(self, det_conf_min: float) -> Iterator[tuple[int, TableFrame]]:
-        """Every frame from the table's first to its last, ascending, with
-        its rows at or above ``det_conf_min``; a frame without such rows
-        gets an empty ``TableFrame``."""
-        if not len(self.frame_keys):
-            return
+        """Each frame with rows at or above ``det_conf_min``, ascending, with
+        those rows; a frame without such rows is not yielded."""
         admitted = np.flatnonzero(self.confidence >= det_conf_min)
         rows, confidence = admitted.tolist(), self.confidence[admitted].tolist()
         xyxy = self.xyxy[admitted]
-        first, last = int(self.frame_keys[0]), int(self.frame_keys[-1])
-        bounds = np.searchsorted(self.row_frames[admitted], np.arange(first, last + 2)).tolist()
-        for frame, lo, hi in zip(range(first, last + 1), bounds, bounds[1:]):
+        frames, starts = np.unique(self.row_frames[admitted], return_index=True)
+        bounds = [*starts.tolist(), len(rows)]
+        for frame, lo, hi in zip(frames.tolist(), bounds, bounds[1:]):
             yield frame, TableFrame(xyxy[lo:hi], rows[lo:hi], confidence[lo:hi])
 
 
@@ -320,9 +311,9 @@ class CBiouTracker:
     ages (N,) in frames since the last match, and each track's history
     window (N, n_max + 1, 5) as laid out in ``motion``.
 
-    ``CBiouTracker(config)`` is the tracker of one config. ``track_cells``
-    builds one of several configs, its cells, with ``_of_cells``: they step
-    the same frames in lockstep through the same per-frame core,
+    ``CBiouTracker(*configs)`` is the tracker of the given configs, its
+    cells, in that order, or of ``TrackerConfig()`` when none is given. The
+    cells step the same frames in lockstep through the same per-frame core,
     ``_step_cells``. Their tracks share the arrays above, grouped by cell
     (``_cells`` holds each row's cell) and in creation order within a cell,
     and every cell numbers its own tracks: cell k of K gives its n-th track
@@ -332,25 +323,14 @@ class CBiouTracker:
     shared history; ``config`` is the first cell's.
 
     ``step`` takes one frame's ``Detection`` list or ``TableFrame``;
-    ``track_table`` steps a tracker over a whole ``DetectionTable``.
+    ``track_cells`` steps a tracker over a whole ``DetectionTable``.
 
     Instances are single-threaded; independent instances may run on different
     sequences concurrently.
     """
 
-    def __init__(self, config: TrackerConfig | None = None):
-        self._start((config if config is not None else TrackerConfig(),))
-
-    @classmethod
-    def _of_cells(cls, configs: Sequence[TrackerConfig]) -> "CBiouTracker":
-        """A tracker of the cells ``configs``, in that order."""
-        tracker = cls.__new__(cls)
-        tracker._start(tuple(configs))
-        return tracker
-
-    def _start(self, configs: tuple[TrackerConfig, ...]) -> None:
-        if not configs:
-            raise ValueError("a tracker needs at least one config")
+    def __init__(self, *configs: TrackerConfig):
+        configs = configs or (TrackerConfig(),)
         self.config = first = configs[0]
         for config in configs:
             if (config.det_conf_min, config.n_max) != (first.det_conf_min, first.n_max):
@@ -516,10 +496,9 @@ def _rows(index: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def track_cells(
     configs: Sequence[TrackerConfig], table: DetectionTable
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the tracker of each config over every frame of ``table`` from its
-    first frame to its last, as ``run_sequence`` does, and return each
-    config's reported records as (frames, track ids, table rows) int64
-    arrays, ordered by frame and then by track id.
+    """Run the tracker of each config over ``table``, as ``run_sequence``
+    does, and return each config's reported records as (frames, track ids,
+    table rows) int64 arrays, ordered by frame and then by track id.
 
     The configs are the cells of one tracker (see ``CBiouTracker``): they
     step the table's frames in lockstep, so each frame is read once and
@@ -527,10 +506,10 @@ def track_cells(
     ``det_conf_min`` and ``n_max``; other mixes raise ``ValueError``. Each
     cell's records equal those of its config run alone.
     """
-    tracker = CBiouTracker._of_cells(configs)
+    if not configs:
+        raise ValueError("a tracker needs at least one config")
+    tracker = CBiouTracker(*configs)
     frames, tids, rows = (np.array(values, dtype=np.int64) for values in _step_table(tracker, table))
-    if len(configs) == 1:
-        return [(frames, tids, rows)]  # one cell's ids are its own, in order
     # Cell k of K numbers its n-th track (n - 1) * K + k + 1.
     serial, cells = np.divmod(tids - 1, len(configs))
     order = np.argsort(cells, kind="stable")
@@ -540,21 +519,20 @@ def track_cells(
 
 
 def _step_table(tracker: CBiouTracker, table: DetectionTable) -> tuple[list[int], list[int], list[int]]:
-    """Step ``tracker`` over every frame of ``table`` from its first frame to
-    its last, and return its records as (frames, track ids, table rows)
-    lists, which ``run_sequence`` reads without a copy per record."""
+    """Step ``tracker`` over the frames of ``table`` with admitted rows, and
+    over the empty frames between two of them while a track is alive, and
+    return its records as (frames, track ids, table rows) lists, which
+    ``run_sequence`` reads without a copy per record."""
     frames, records = [], []
+    empty = TableFrame(np.zeros((0, 4)), [], [])
     for frame, detections in table.frames(tracker.config.det_conf_min):
+        while tracker._last_frame is not None and tracker._last_frame + 1 < frame and len(tracker._ids):
+            tracker.step(tracker._last_frame + 1, empty)
         matched = tracker.step(frame, detections).records
         if matched:
             frames += [frame] * len(matched)
             records += matched
     return frames, [tid for tid, _, _ in records], [row for _, row, _ in records]
-
-
-def track_table(config: TrackerConfig, table: DetectionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``track_cells`` of the one config."""
-    return track_cells([config], table)[0]
 
 
 def result_rows(
@@ -564,26 +542,21 @@ def result_rows(
     tlwh, confidence) arrays, each box and confidence as the table holds it.
     Rows are ordered by frame and then by track id, unless
     ``interpolate_gaps`` adds the rows of ``_interpolate_gaps`` after them."""
-    frames, tids, rows = track_table(config, table)
+    frames, tids, rows = track_cells([config], table)[0]
     columns = (frames, tids, table.tlwh[rows], table.confidence[rows])
     if interpolate_gaps:
         columns = tuple(map(np.concatenate, zip(columns, _interpolate_gaps(*columns))))
     return columns
 
 
-def run_sequence(
-    config: TrackerConfig,
-    detections_by_frame: Mapping[int, Sequence[Detection]],
-    *,
-    interpolate_gaps: bool = False,
-) -> list[FrameOutput]:
-    """Drive a tracker over a whole sequence of per-frame detection lists.
+def run_sequence(config: TrackerConfig, detections_by_frame: Mapping[int, Sequence[Detection]]) -> list[FrameOutput]:
+    """Drive a tracker over a whole sequence of per-frame detection lists,
+    and return one ``FrameOutput`` per frame from the first key to the last.
 
     Frame indices absent from the mapping are treated as frames with zero
     detections; a frame key must be an integer >= 1 that its detections
-    name. With ``interpolate_gaps`` the reported boxes of each track are
-    linearly interpolated across its match gaps as a post-processing step.
-    Each reported record holds its ``Detection``'s own box and confidence.
+    name. Each reported record holds its ``Detection``'s own box and
+    confidence. ``result_rows`` fills a track's gaps.
     """
     frame_keys, detections = _detection_rows(detections_by_frame)
     if not frame_keys:
@@ -594,13 +567,6 @@ def run_sequence(
     for frame, tid, row in zip(frames, tids, rows):
         det = detections[row]
         by_frame.setdefault(frame, []).append((tid, det.box, det.confidence))
-    if interpolate_gaps:
-        frames, tids, rows = (np.array(values, dtype=np.int64) for values in (frames, tids, rows))
-        added = _interpolate_gaps(frames, tids, table.tlwh[rows], table.confidence[rows])
-        for frame, tid, tlwh, conf in zip(*(column.tolist() for column in added)):
-            by_frame.setdefault(frame, []).append((tid, BoundingBox(*tlwh), conf))
-        for records in by_frame.values():
-            records.sort(key=lambda rec: rec[0])
     return [
         FrameOutput(frame=frame, records=tuple(by_frame.get(frame, ())))
         for frame in range(frame_keys[0], frame_keys[-1] + 1)

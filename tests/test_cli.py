@@ -14,6 +14,7 @@ from cbiou import cli, experiments, metrics, mot_io, scenarios, synth, tracker
 from cbiou.geometry import BoundingBox
 from cbiou.synth import NoiseSpec
 from cbiou.tracker import TrackerConfig
+from gap_filling import fill_gaps
 
 
 class TestLoadConfigFile:
@@ -309,9 +310,42 @@ def test_track_file_bytes(tmp_path, extra):
     assert cli.main(["track", "--dets", str(paths["dets"]), "--out", str(paths["res"]), *extra]) == cli.EXIT_OK
     data = paths["res"].read_bytes()
     assert hashlib.sha256(data).hexdigest() == TRACK_FILE_DIGESTS[extra]
-    # the same bytes as the FrameOutput path over the mapping form
-    outputs = tracker.run_sequence(TrackerConfig(), mot_io.read_detections(paths["dets"]), interpolate_gaps=bool(extra))
+    # the same bytes as the FrameOutput path over the mapping form, its gaps
+    # filled by the per-record reference loop
+    outputs = tracker.run_sequence(TrackerConfig(), mot_io.read_detections(paths["dets"]))
+    if extra:
+        outputs = fill_gaps(outputs)
     assert data == "".join(mot_io.result_lines(outputs)).encode("utf-8")
+
+
+# Caps the child's address space before it imports anything, so a run that
+# sizes an array by the frame span fails at once instead of exhausting memory.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cbiou import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_track_work_follows_rows_not_frame_span(tmp_path):
+    # frames 1 and 10**12: stepping every frame between them, or an array of
+    # them (8 TB), never finishes
+    dets, out = tmp_path / "dets.txt", tmp_path / "res.txt"
+    dets.write_text("1,-1,0,0,10,10,1\n1000000000000,-1,0,0,10,10,1\n", encoding="utf-8")
+    src = str(Path(cbiou.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "track", "--dets", str(dets), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "1,1,0.00,0.00,10.00,10.00,1.00,-1,-1,-1",
+        "1000000000000,2,0.00,0.00,10.00,10.00,1.00,-1,-1,-1",
+    ]
 
 
 def _track_argv(tmp_path, *extra):

@@ -104,6 +104,16 @@ def test_buffer_grid_is_bounded_in_values():
         experiments.enumerate_buffer_grid(0, limit, 1)
 
 
+def test_buffer_grid_stops_at_its_stop():
+    # the step count 2.6 was rounded to 3, which stepped past 0.36 to 0.4
+    combos = experiments.enumerate_buffer_grid(0.1, 0.36, 0.1)
+    assert combos == [(0.1, 0.2), (0.1, 0.3), (0.2, 0.3)]
+    # counts that float error leaves just below or above an integer
+    assert len(experiments.enumerate_buffer_grid(0.1, 0.7, 0.1)) == 21
+    assert len(experiments.enumerate_buffer_grid(0.1, 0.8, 0.1)) == 28
+    assert max(b2 for _b1, b2 in experiments.enumerate_buffer_grid(0.1, 0.7, 0.1)) == 0.7
+
+
 
 def sliding_box_grid(step):
     """The 0.1:0.4:0.1 grid, without motion, over one 10 px box that moves

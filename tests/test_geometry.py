@@ -281,7 +281,7 @@ class TestProperties:
         a, b = random_pairs(7)
         for start in range(0, len(a), 100):
             block_a, block_b = a[start : start + 100], b[start : start + 100]
-            diff = geometry.biou_matrix(block_a, block_b, 0.0) - geometry.iou_matrix(block_a, block_b)
+            diff = geometry.similarity_matrix("biou", block_a, block_b, 0.0) - geometry.iou_matrix(block_a, block_b)
             assert np.abs(diff).max() <= 1e-12
 
     @given(boxes, boxes, st.floats(min_value=-500, max_value=500), st.floats(min_value=-500, max_value=500))
@@ -375,7 +375,7 @@ class TestMatrixForms:
         empty = geometry.to_xyxy([])
         some = geometry.to_xyxy([BoundingBox(0, 0, 1, 1)])
         assert geometry.iou_matrix(empty, some).shape == (0, 1)
-        assert geometry.biou_matrix(some, empty, 0.3).shape == (1, 0)
+        assert geometry.similarity_matrix("biou", some, empty, 0.3).shape == (1, 0)
 
     @pytest.mark.parametrize("buffer_scale", [0.0, 0.3, 0.4, 1000.0])
     @pytest.mark.parametrize("kind", geometry.SIMILARITY_KINDS)

@@ -17,6 +17,8 @@ BENCH_DIGEST = "5afa372f16dfe8ea088988151170ed7f9d1cea1dbe8877ab5b7514b506e9d2c7
 NOISE_STUDY_REPORT_DIGEST = "b10ca18d853cc27b9e02e09a1a8d174d16a97d5874eb6bf30a26f97ecac5de2f"
 ORACLE_REPORT_DIGEST = "f9e67b42242fee96c8312bb24a4aabd6f8e573e2720184d380676d0c35bb7c3a"
 GROUND_TRUTH_FILE_DIGEST = "f242065080a9b9208dcae09de4ff9aa66d4499221b927d3db213a51f2722c3a1"
+COMPARE_REPORTS_DIGEST = "41740b8dfaefa7b8e489636889d3a991144819a9fe0614dddc515d1e86e4c00a"
+GRID_RESULT_DIGEST = "f9bd9e9cfe98e9a50cbe6e7e7158ce7a6fd53033b00af9be0740ed2d06280181"
 PERTURB_FILE_DIGESTS = {
     (): "71e12abbde675354b2fbedba84c08cf264bb68855e99938aa6df28d4e28e09c7",
     ("--stratified",): "5ec8d931c33510ba9ae2642a75d50a10cf2c5f246f677b0ad7be52e688f1bee2",
@@ -56,6 +58,26 @@ def test_noise_study_full_report_at_20_percent():
 def test_oracle_full_report_on_bench_scenario():
     gt, _dets = synth.generate(scenarios.bench_scenario(30, 100, 7))
     assert report_digest(metrics.evaluate(gt, gt)) == ORACLE_REPORT_DIGEST
+
+
+@pytest.fixture(scope="module")
+def irregular_sequence():
+    gt, dets = synth.generate(scenarios.irregular_scenarios()[0])
+    return dets, gt
+
+
+def test_compare_reports_on_irregular_scenario(irregular_sequence):
+    # the six variants: all four similarity kinds, cascade and motion on and
+    # off, stepped in lockstep
+    dets, gt = irregular_sequence
+    assert report_digest(experiments.run_compare(TrackerConfig(), [dets], [gt])) == COMPARE_REPORTS_DIGEST
+
+
+def test_grid_result_on_irregular_scenario(irregular_sequence):
+    dets, gt = irregular_sequence
+    combos = experiments.enumerate_buffer_grid(0.1, 0.5, 0.1)
+    assert len(combos) == 10
+    assert report_digest(experiments.run_grid(TrackerConfig(), [dets], [gt], combos)) == GRID_RESULT_DIGEST
 
 
 def file_digest(path) -> str:

@@ -16,15 +16,13 @@ from cbiou.tracker import (
     CBiouTracker,
     Detection,
     DetectionTable,
-    FrameOutput,
     FrameRows,
     TrackerConfig,
-    cascade_match,
     result_rows,
     run_sequence,
     track_cells,
-    track_table,
 )
+from gap_filling import fill_gaps
 from labels import labels
 
 
@@ -243,27 +241,53 @@ class TestStep:
             assert direct == every_frame
 
     def test_failed_step_leaves_tracker_unchanged(self, monkeypatch):
-        # Boxes within MAX_ABS_COORDINATE cannot make a prediction or a
-        # similarity overflow, so the failure is injected at each of the two
-        # calls that raise on one; the step to frame 4 also crosses a gap.
-        cfg = TrackerConfig(similarity_kind="iou", cascade_enabled=False)
-        tracker = CBiouTracker(cfg)
-        tracker.step(1, [det(1, 0)])
-        tracker.step(2, [det(2, 5)])
-        before = tracker.tracks
-        assert [tid for tid, _state, _age in before] == [1]
+        assert_failed_steps_roll_back(monkeypatch, [TrackerConfig(similarity_kind="iou", cascade_enabled=False)])
 
-        def fail(*_args):
-            raise ValueError("non-finite values")
+    def test_failed_lockstep_step_leaves_tracker_unchanged(self, monkeypatch):
+        # cells with mixed motion and mixed max_age
+        configs = [
+            TrackerConfig(similarity_kind="iou", cascade_enabled=False, max_age=1),
+            TrackerConfig(motion_enabled=False),
+            TrackerConfig(similarity_kind="diou", max_age=3),
+        ]
+        assert_failed_steps_roll_back(monkeypatch, configs)
 
+
+def assert_failed_steps_roll_back(monkeypatch, configs):
+    # Boxes within MAX_ABS_COORDINATE cannot make a prediction or a
+    # similarity overflow, so the failure is injected at each of the two
+    # calls that raise on one, in a step to the next frame and in one that
+    # crosses a gap.
+    tracker, twin = CBiouTracker(*configs), CBiouTracker(*configs)
+    for t in (tracker, twin):
+        t.step(1, [det(1, 0)])
+        t.step(2, [det(2, 5)])
+    before = tracker.tracks
+    assert [tid for tid, _state, _age in before] == list(range(1, len(configs) + 1))
+
+    def fail(*_args):
+        raise ValueError("non-finite values")
+
+    for frame in (3, 4):
         for owner, name in ((motion, "predict"), (tracker_module, "cascade_match")):
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, fail)
                 with pytest.raises(ValueError, match="finite"):
-                    tracker.step(4, [det(4, 15)])
+                    tracker.step(frame, [det(frame, 15)])
             assert tracker.tracks == before
-        with pytest.raises(ValueError, match="must increase"):
-            tracker.step(2, [])
+    with pytest.raises(ValueError, match="must increase"):
+        tracker.step(2, [])
+    # the next allowed frame is still 3, and the tracker steps as one that never failed
+    assert tracker.step(3, [det(3, 10)]) == twin.step(3, [det(3, 10)])
+    assert tracker.tracks == twin.tracks
+
+
+def cascade_match(t_xyxy, d_xyxy, config):
+    """``tracker.cascade_match`` for the tracks of one config: (matches,
+    unmatched tracks, unmatched detections)."""
+    rounds = tracker_module._Rounds([config])
+    matches, un_t, un_d = tracker_module.cascade_match(t_xyxy, d_xyxy, rounds, (0, len(t_xyxy)))
+    return matches, list(un_t[0]), list(un_d[0])
 
 
 class TestCascadeMatch:
@@ -278,8 +302,8 @@ class TestCascadeMatch:
         track_box = BoundingBox(0, 0, 10, 10)
         det_box = BoundingBox(17, 0, 10, 10)
         tracks, dets = geometry.to_xyxy([track_box]), geometry.to_xyxy([det_box])
-        assert geometry.biou_matrix(tracks, dets, cfg.b1)[0, 0] == 0.0
-        assert geometry.biou_matrix(tracks, dets, cfg.b2)[0, 0] > 0.0
+        assert geometry.similarity_matrix("biou", tracks, dets, cfg.b1)[0, 0] == 0.0
+        assert geometry.similarity_matrix("biou", tracks, dets, cfg.b2)[0, 0] > 0.0
         matches, un_t, un_d = cascade_match(tracks, dets, cfg)
         assert matches == [(0, 0)] and un_t == [] and un_d == []
 
@@ -406,10 +430,12 @@ class TestRunSequence:
             2: [det(2, 10)],
             5: [det(5, 40)],
         }
-        outputs = run_sequence(TrackerConfig(), dets, interpolate_gaps=True)
-        by_frame = {out.frame: out.records for out in outputs}
-        assert by_frame[3][0][1].x == pytest.approx(20)
-        assert by_frame[4][0][1].x == pytest.approx(30)
+        table = DetectionTable.from_detections(dets)
+        frames, tids, tlwh, _conf = result_rows(TrackerConfig(), table, interpolate_gaps=True)
+        by_frame = dict(zip(frames.tolist(), tlwh[:, 0].tolist()))
+        assert by_frame[3] == pytest.approx(20)
+        assert by_frame[4] == pytest.approx(30)
+        assert tids.tolist() == [1] * 5
         plain = run_sequence(TrackerConfig(), dets)
         assert {out.frame: out.records for out in plain}[3] == ()
 
@@ -465,7 +491,7 @@ class TestDetectionTable:
     def test_rows_index_the_table(self):
         dets = {1: [det(1, 0), det(1, 100, conf=0.05)], 3: [det(3, 4), det(3, 300)]}
         table = DetectionTable.from_detections(dets)
-        frames, tids, rows = track_table(TrackerConfig(max_age=3), table)
+        frames, tids, rows = track_cells([TrackerConfig(max_age=3)], table)[0]
         assert frames.tolist() == [1, 3, 3]
         assert tids.tolist() == [1, 1, 2]
         # row 1 is below det_conf_min: never admitted, never reported
@@ -481,25 +507,28 @@ class TestDetectionTable:
             assert getattr(copied, name).tobytes() == getattr(table, name).tobytes()
             assert not getattr(copied, name).flags.writeable
         config = TrackerConfig(max_age=3)
-        assert [a.tolist() for a in track_table(config, copied)] == [a.tolist() for a in track_table(config, table)]
+        assert [a.tolist() for a in track_cells([config], copied)[0]] == [
+            a.tolist() for a in track_cells([config], table)[0]
+        ]
 
     def test_empty_table(self):
         empty = DetectionTable.from_detections({})
-        assert [a.tolist() for a in track_table(TrackerConfig(), empty)] == [[], [], []]
+        assert [a.tolist() for a in track_cells([TrackerConfig()], empty)[0]] == [[], [], []]
         assert [len(a) for a in result_rows(TrackerConfig(), empty, interpolate_gaps=True)] == [0] * 4
 
 
 class TestTableFrames:
     DETS = {1: [det(1, 0), det(1, 100, conf=0.05), det(1, 50)], 3: [det(3, 51, w=9.5), det(3, 2)]}
 
-    def test_frames_admit_rows_and_fill_missing_frames(self):
-        table = DetectionTable.from_detections(self.DETS)
+    def test_frames_admit_rows_and_skip_frames_without_them(self):
+        table = DetectionTable.from_detections({**self.DETS, 4: [], 5: [det(5, 0, conf=0.05)]})
         frames = list(table.frames(0.1))
-        assert [frame for frame, _ in frames] == [1, 2, 3]
-        assert [rows.rows for _, rows in frames] == [[0, 2], [], [3, 4]]
-        assert [rows.confidence for _, rows in frames] == [[1.0, 1.0], [], [1.0, 1.0]]
-        assert frames[2][1].xyxy.tobytes() == table.xyxy[3:].tobytes()
-        assert frames[1][1].xyxy.shape == (0, 4)
+        assert [frame for frame, _ in frames] == [1, 3]
+        assert [rows.rows for _, rows in frames] == [[0, 2], [3, 4]]
+        assert [rows.confidence for _, rows in frames] == [[1.0, 1.0], [1.0, 1.0]]
+        assert frames[1][1].xyxy.tobytes() == table.xyxy[3:5].tobytes()
+        assert [frame for frame, _ in table.frames(0.01)] == [1, 3, 5]
+        assert list(table.frames(1.5)) == []
         assert list(DetectionTable.from_detections({}).frames(0.1)) == []
 
     def test_step_answers_in_the_form_it_is_given(self):
@@ -514,8 +543,10 @@ class TestTableFrames:
             ]
         assert by_rows.tracks == by_boxes.tracks
 
-    def test_table_runs_step_every_frame(self, monkeypatch):
-        # a wrapped CBiouTracker.step sees each frame of a table run
+    @staticmethod
+    def stepped_frames(monkeypatch, config, dets):
+        """The outputs a wrapped ``CBiouTracker.step`` sees in a table run of
+        ``config``, and the run's (frames, track ids, rows)."""
         seen = []
         original = CBiouTracker.step
 
@@ -525,11 +556,26 @@ class TestTableFrames:
             return out
 
         monkeypatch.setattr(CBiouTracker, "step", wrapped)
-        frames, tids, rows = track_table(TrackerConfig(), DetectionTable.from_detections(self.DETS))
+        return seen, track_cells([config], DetectionTable.from_detections(dets))[0]
+
+    def test_table_runs_step_every_frame(self, monkeypatch):
+        # frame 2 has no rows, but a track is alive: it is stepped
+        seen, (frames, tids, rows) = self.stepped_frames(monkeypatch, TrackerConfig(), self.DETS)
         assert [out.frame for out in seen] == [1, 2, 3]
         assert [(out.frame, tid, row) for out in seen for tid, row, _ in out.records] == list(
             zip(frames.tolist(), tids.tolist(), rows.tolist())
         )
+
+    def test_table_runs_skip_empty_frames_without_tracks(self, monkeypatch):
+        # the track of frame 1 dies in frame 5, so frames 6 to 49 are not
+        # stepped; nor is any frame after 50, the last with admitted rows
+        dets = {1: [det(1, 0)], 50: [det(50, 0)], 60: [det(60, 0, conf=0.05)]}
+        seen, (frames, tids, _rows) = self.stepped_frames(monkeypatch, TrackerConfig(max_age=3), dets)
+        assert [out.frame for out in seen] == [1, 2, 3, 4, 5, 50]
+        assert list(zip(frames.tolist(), tids.tolist())) == [(1, 1), (50, 2)]
+        outputs = run_sequence(TrackerConfig(max_age=3), dets)
+        assert [(out.frame, tid) for out in outputs for tid, _box, _conf in out.records] == [(1, 1), (50, 2)]
+        assert [out.frame for out in outputs] == list(range(1, 61))
 
 
 # Boxes on a 60 x 60 arena, with confidences on both sides of det_conf_min:
@@ -561,6 +607,18 @@ CONFIGS = st.builds(
 )
 
 
+def result_row_records(config, table, interpolate_gaps):
+    """``result_rows`` as (frame, track id, tlwh, confidence) tuples, by frame and then by track id."""
+    frames, tids, tlwh, conf = result_rows(config, table, interpolate_gaps=interpolate_gaps)
+    order = np.lexsort((tids, frames))
+    return list(zip(frames[order].tolist(), tids[order].tolist(), tlwh[order].tolist(), conf[order].tolist()))
+
+
+def frame_records(outputs):
+    """The records of ``FrameOutput``s in the form of ``result_row_records``."""
+    return [(out.frame, tid, [box.x, box.y, box.w, box.h], c) for out in outputs for tid, box, c in out.records]
+
+
 def step_every_frame(config, dets):
     """``run_sequence`` as it was: ``step`` on every frame from the first to the last."""
     tracker = CBiouTracker(config)
@@ -583,15 +641,10 @@ class TestTableLoopEqualsStep:
         # the array rows of cbiou track, with and without gap filling
         table = DetectionTable.from_detections(dets)
         for interpolate in (False, True):
-            frames, tids, tlwh, conf = result_rows(config, table, interpolate_gaps=interpolate)
-            order = np.lexsort((tids, frames))
-            rows = list(zip(frames[order].tolist(), tids[order].tolist(), tlwh[order].tolist(), conf[order].tolist()))
-            expected = [
-                (out.frame, tid, [box.x, box.y, box.w, box.h], c)
-                for out in run_sequence(config, dets, interpolate_gaps=interpolate)
-                for tid, box, c in out.records
-            ]
-            assert rows == expected
+            outputs = run_sequence(config, dets)
+            assert result_row_records(config, table, interpolate) == frame_records(
+                fill_gaps(outputs) if interpolate else outputs
+            )
 
 
 # Cells over all four kinds, with and without cascade and motion. Buffers are
@@ -635,7 +688,7 @@ class TestLockstep:
             alone = track_cells([config], table)[0]
             assert [a.tolist() for a in rows] == [a.tolist() for a in alone]
         # stepped directly, only on the frames present: the gap rule, per cell
-        together = CBiouTracker._of_cells(configs)
+        together = CBiouTracker(*configs)
         merged = {
             f: [(cell_of(tid, len(configs)), box, c) for tid, box, c in together.step(f, dets[f]).records]
             for f in sorted(dets)
@@ -701,28 +754,10 @@ class TestInterpolation:
             )
         )
         plain = run_sequence(TrackerConfig(), dets)
-        by_track = {}
-        for out in plain:
-            for tid, box, conf in out.records:
-                by_track.setdefault(tid, []).append((out.frame, box, conf))
-        extra = {}
-        for tid, entries in by_track.items():
-            for (f0, b0, c0), (f1, b1, c1) in zip(entries, entries[1:]):
-                for f in range(f0 + 1, f1):
-                    t = (f - f0) / (f1 - f0)
-                    box = BoundingBox(
-                        b0.x + t * (b1.x - b0.x),
-                        b0.y + t * (b1.y - b0.y),
-                        b0.w + t * (b1.w - b0.w),
-                        b0.h + t * (b1.h - b0.h),
-                    )
-                    extra.setdefault(f, []).append((tid, box, c0 + t * (c1 - c0)))
-        assert extra
-        expected = [
-            FrameOutput(out.frame, tuple(sorted(list(out.records) + extra.get(out.frame, []), key=lambda r: r[0])))
-            for out in plain
-        ]
-        assert run_sequence(TrackerConfig(), dets, interpolate_gaps=True) == expected
+        filled = fill_gaps(plain)
+        assert filled != plain
+        table = DetectionTable.from_detections(dets)
+        assert result_row_records(TrackerConfig(), table, True) == frame_records(filled)
 
     def test_collapsed_box_raises_the_box_error(self):
         # x0 and x1 are odd multiples of the float64 spacing 32 near 2**57, so
@@ -734,8 +769,6 @@ class TestInterpolation:
         assert [len(out.records) for out in run_sequence(config, dets)] == [1, 0, 1]
         with pytest.raises(ValueError) as expected:
             BoundingBox((x0 + x1) / 2, 0.0, 16.0, 1.0)
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            run_sequence(config, dets, interpolate_gaps=True)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             result_rows(config, DetectionTable.from_detections(dets), interpolate_gaps=True)
 
