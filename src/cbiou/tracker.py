@@ -30,10 +30,11 @@ filled on request. So ``cbiou track``, ``compare`` and ``grid`` build no
 input and wraps the rows into ``FrameOutput``s that hold each
 ``Detection``'s own box.
 
-A table run steps each frame with admitted detections, and the empty
-frames between two of them only while a track is alive: with none alive an
-empty step changes nothing but the last frame, so a run's work is bounded
-by its rows, not by the span of its frame numbers.
+The one gap rule: every run steps only the frames it is given (a table
+run, the frames with admitted rows) and crosses the frames between in one
+step. ``motion.predict`` re-centres a collapsed prediction frame by frame,
+so that step equals stepping each empty frame, and a run's work is bounded
+by its rows and ``max_age``, not by the span of its frame numbers.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ import numpy as np
 
 from . import assignment, geometry, motion
 from .geometry import MAX_BUFFER_SCALE, SIMILARITY_KINDS, BoundingBox
+
+# Bounds on the two fields that size the work of one step: a step across a
+# gap predicts up to max_age + 1 frames, and each born track keeps n_max + 1
+# history slots.
+MAX_AGE_LIMIT = 10_000
+N_MAX_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,12 @@ class TrackerConfig:
             raise ValueError(
                 f"cascaded matching requires b1 < b2, got b1={self.b1!r}, b2={self.b2!r}"
             )
-        for name, least in (("max_age", 1), ("n_max", 2)):
+        for name, least, most in (("max_age", 1, MAX_AGE_LIMIT), ("n_max", 2, N_MAX_LIMIT)):
             value = getattr(self, name)
             if isinstance(value, bool) or value % 1 or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if value > most:
+                raise ValueError(f"{name} must be at most {most}, got {value!r}")
             # Stored as int: n_max sizes the history window, and 5.0 is no shape.
             object.__setattr__(self, name, int(value))
         if not math.isfinite(self.min_sim):
@@ -243,13 +252,23 @@ class DetectionTable:
     ``frame_keys`` holds every frame the sequence names, ascending, frames
     without rows included. Each run admits the rows at or above its own
     ``det_conf_min``. The constructor checks that layout with
-    ``geometry.grouped_rows``.
+    ``geometry.grouped_rows``, then that each row would make a ``Detection``
+    (a frame >= 1, a box ``BoundingBox`` accepts, a finite confidence): the
+    first that would not raises that ``ValueError``, named by its row.
     """
 
     def __init__(self, frame_keys, row_frames, tlwh, confidence):
         self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.confidence = geometry.grouped_rows(
             frame_keys, row_frames, tlwh, np.asarray(confidence, dtype=float)
         )
+        bad = (self.row_frames < 1) | ~geometry.valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence)
+        if bad.any():
+            row = int(np.argmax(bad))
+            try:
+                box = BoundingBox(*self.tlwh[row].tolist())
+                Detection(int(self.row_frames[row]), box, float(self.confidence[row]))
+            except ValueError as exc:
+                raise ValueError(f"detection row {row}: {exc}") from None
 
     def __reduce__(self):
         # Rows only: the constructor makes the unpickled arrays read-only again.
@@ -376,9 +395,11 @@ class CBiouTracker:
         (track id, table row, confidence).
 
         Frames skipped since the previous step count as frames without
-        detections: unmatched tracks age by the elapsed frames, and a track
-        that would have aged out inside the gap is gone before matching. The
-        tracker is unchanged if this raises.
+        detections, crossed in this one step: unmatched tracks age by the
+        elapsed frames, a track that would have aged out inside the gap is
+        gone before matching, and the others are predicted frame by frame
+        (see ``motion.predict``), as if each empty frame had been stepped.
+        The tracker is unchanged if this raises.
         """
         if frame_index % 1 or frame_index < 1:
             raise ValueError(f"frame index must be a positive integer, got {frame_index!r}")
@@ -496,43 +517,34 @@ def _rows(index: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def track_cells(
     configs: Sequence[TrackerConfig], table: DetectionTable
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Run the tracker of each config over ``table``, as ``run_sequence``
-    does, and return each config's reported records as (frames, track ids,
-    table rows) int64 arrays, ordered by frame and then by track id.
+    """Run the tracker of each config over ``table`` and return each
+    config's reported records as (frames, track ids, table rows) int64
+    arrays, ordered by frame and then by track id.
 
     The configs are the cells of one tracker (see ``CBiouTracker``): they
-    step the table's frames in lockstep, so each frame is read once and
-    each similarity matrix scores several cells' tracks. They must share
-    ``det_conf_min`` and ``n_max``; other mixes raise ``ValueError``. Each
-    cell's records equal those of its config run alone.
+    step the table's frames with admitted rows in lockstep, so each frame is
+    read once and each similarity matrix scores several cells' tracks. They
+    must share ``det_conf_min`` and ``n_max``; other mixes raise
+    ``ValueError``. Each cell's records equal those of its config run alone.
     """
     if not configs:
         raise ValueError("a tracker needs at least one config")
     tracker = CBiouTracker(*configs)
-    frames, tids, rows = (np.array(values, dtype=np.int64) for values in _step_table(tracker, table))
+    frames, records = [], []
+    for frame, detections in table.frames(tracker.config.det_conf_min):
+        matched = tracker.step(frame, detections).records
+        frames += [frame] * len(matched)
+        records += matched
+    frames, tids, rows = (
+        np.array(values, dtype=np.int64)
+        for values in (frames, [tid for tid, _, _ in records], [row for _, row, _ in records])
+    )
     # Cell k of K numbers its n-th track (n - 1) * K + k + 1.
     serial, cells = np.divmod(tids - 1, len(configs))
     order = np.argsort(cells, kind="stable")
     frames, tids, rows, cells = frames[order], serial[order] + 1, rows[order], cells[order]
     bounds = np.searchsorted(cells, np.arange(len(configs) + 1)).tolist()
     return [(frames[lo:hi], tids[lo:hi], rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _step_table(tracker: CBiouTracker, table: DetectionTable) -> tuple[list[int], list[int], list[int]]:
-    """Step ``tracker`` over the frames of ``table`` with admitted rows, and
-    over the empty frames between two of them while a track is alive, and
-    return its records as (frames, track ids, table rows) lists, which
-    ``run_sequence`` reads without a copy per record."""
-    frames, records = [], []
-    empty = TableFrame(np.zeros((0, 4)), [], [])
-    for frame, detections in table.frames(tracker.config.det_conf_min):
-        while tracker._last_frame is not None and tracker._last_frame + 1 < frame and len(tracker._ids):
-            tracker.step(tracker._last_frame + 1, empty)
-        matched = tracker.step(frame, detections).records
-        if matched:
-            frames += [frame] * len(matched)
-            records += matched
-    return frames, [tid for tid, _, _ in records], [row for _, row, _ in records]
 
 
 def result_rows(
@@ -551,7 +563,7 @@ def result_rows(
 
 def run_sequence(config: TrackerConfig, detections_by_frame: Mapping[int, Sequence[Detection]]) -> list[FrameOutput]:
     """Drive a tracker over a whole sequence of per-frame detection lists,
-    and return one ``FrameOutput`` per frame from the first key to the last.
+    and return one ``FrameOutput`` per key of the mapping, ascending.
 
     Frame indices absent from the mapping are treated as frames with zero
     detections; a frame key must be an integer >= 1 that its detections
@@ -559,18 +571,12 @@ def run_sequence(config: TrackerConfig, detections_by_frame: Mapping[int, Sequen
     confidence. ``result_rows`` fills a track's gaps.
     """
     frame_keys, detections = _detection_rows(detections_by_frame)
-    if not frame_keys:
-        return []
-    table = DetectionTable._of(frame_keys, detections)
-    frames, tids, rows = _step_table(CBiouTracker(config), table)
-    by_frame: dict[int, list] = {}
-    for frame, tid, row in zip(frames, tids, rows):
+    frames, tids, rows = track_cells([config], DetectionTable._of(frame_keys, detections))[0]
+    by_frame: dict[int, list] = {frame: [] for frame in frame_keys}
+    for frame, tid, row in zip(frames.tolist(), tids.tolist(), rows.tolist()):
         det = detections[row]
-        by_frame.setdefault(frame, []).append((tid, det.box, det.confidence))
-    return [
-        FrameOutput(frame=frame, records=tuple(by_frame.get(frame, ())))
-        for frame in range(frame_keys[0], frame_keys[-1] + 1)
-    ]
+        by_frame[frame].append((tid, det.box, det.confidence))
+    return [FrameOutput(frame=frame, records=tuple(records)) for frame, records in by_frame.items()]
 
 
 def _interpolate_gaps(

@@ -359,6 +359,26 @@ def _manifest(path) -> dict:
 
 
 @pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--max-age", "10001"], "", "max_age must be at most 10000, got 10001"),
+        ([], "n_max = 1001\n", "n_max must be at most 1000, got 1001"),
+    ],
+    ids=["max_age_flag", "n_max_file"],
+)
+def test_work_sizing_fields_past_their_bound_are_config_errors(tmp_path, monkeypatch, capsys, argv, config, message):
+    # max_age bounds the predict loop of a step across a gap, and n_max the
+    # history each born track allocates: neither may come unbounded from one value
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    if config:
+        (tmp_path / "tracker.cfg").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "tracker.cfg")]
+    assert cli.main(_track_argv(tmp_path, *argv)) == cli.EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "res.txt").exists()
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (b"b1 = 0.2\nmax_age = 1.5\n", "2: expected an integer for max_age, got '1.5'"),

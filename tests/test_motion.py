@@ -30,17 +30,19 @@ def det(frame, x, w=10.0) -> Detection:
 
 
 def scalar_predict(state, velocity, delta):
-    """Per-track reference for ``predict``: the same arithmetic on floats."""
+    """Per-track reference for ``predict``: the same arithmetic on floats,
+    re-centring a collapsed extent after each frame; also whether one did."""
     x1, y1, x2, y2 = state
+    collapsed = False
     for _ in range(delta):
         x1, y1, x2, y2 = x1 + velocity[0], y1 + velocity[1], x2 + velocity[2], y2 + velocity[3]
-    if x2 - x1 <= 0:
-        cx = (x1 + x2) / 2.0
-        x1, x2 = cx - 0.5, cx + 0.5
-    if y2 - y1 <= 0:
-        cy = (y1 + y2) / 2.0
-        y1, y2 = cy - 0.5, cy + 0.5
-    return [x1, y1, x2, y2]
+        if x2 - x1 <= 0:
+            cx = (x1 + x2) / 2.0
+            x1, x2, collapsed = cx - 0.5, cx + 0.5, True
+        if y2 - y1 <= 0:
+            cy = (y1 + y2) / 2.0
+            y1, y2, collapsed = cy - 0.5, cy + 0.5, True
+    return [x1, y1, x2, y2], collapsed
 
 
 class TestMotionHistory:
@@ -143,6 +145,13 @@ class TestPredict:
         assert (out[0, 1], out[0, 3]) == (0, 10)
         assert np.array_equal(out[1], [2, 2, 12, 12])
 
+    def test_collapse_inside_the_step_is_recentred_in_its_frame(self):
+        # x2 reaches x1 in frame 3 and is re-centred to [-0.5, 0.5]; frame 4
+        # leaves it 0.5 wide, so the step ends non-degenerate but is flagged
+        out, degenerate = predict(corner(0, 0, 1.5, 10), np.array([[0.0, 0, -0.5, 0]]), 4)
+        assert out.tolist() == [[-0.5, 0, 0, 10]]
+        assert degenerate.tolist() == [True]
+
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(8)
         states = rng.uniform(-100, 100, size=(300, 4))
@@ -151,19 +160,17 @@ class TestPredict:
         for delta in (1, 2, 7):
             out, degenerate = predict(states, velocity, delta)
             expected = [scalar_predict(s, v, delta) for s, v in zip(states.tolist(), velocity.tolist())]
-            assert out.tolist() == expected
+            assert out.tolist() == [state for state, _ in expected]
+            assert degenerate.tolist() == [collapsed for _, collapsed in expected]
             assert 0 < degenerate.sum() < len(states)
 
     @given(velocities, st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10))
     def test_composition_is_exact(self, v, a, b):
+        # degenerate states included: a collapse is re-centred in the frame it happens
         state = corner(-3.7, 2.9, 40.1, 55.3)
         v = np.array([v])
-        # keep the intermediate and final states non-degenerate for a clean split
         full, deg_full = predict(state, v, a + b)
         mid, deg_mid = predict(state, v, a)
-        if deg_full.any() or deg_mid.any():
-            return
         stepped, deg_stepped = predict(mid, v, b)
-        if deg_stepped.any():
-            return
-        assert np.array_equal(stepped, full)
+        assert stepped.tobytes() == full.tobytes()
+        assert deg_full.tolist() == (deg_mid | deg_stepped).tolist()

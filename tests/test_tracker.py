@@ -13,6 +13,8 @@ from cbiou.geometry import BoundingBox
 from cbiou.experiments import enumerate_buffer_grid, track_and_evaluate, variant_configs
 from cbiou.synth import OcclusionSpec, ScenarioSpec, generate
 from cbiou.tracker import (
+    MAX_AGE_LIMIT,
+    N_MAX_LIMIT,
     CBiouTracker,
     Detection,
     DetectionTable,
@@ -65,6 +67,14 @@ class TestTrackerConfig:
         cfg = TrackerConfig(**{name: 5.0})
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 5
         assert CBiouTracker(cfg).step(1, [det(1, 0)]).records[0][0] == 1
+
+    @pytest.mark.parametrize("name, most", [("max_age", MAX_AGE_LIMIT), ("n_max", N_MAX_LIMIT)])
+    def test_work_sizing_fields_are_bounded(self, name, most):
+        # a step across a gap predicts up to max_age + 1 frames, and each born
+        # track keeps n_max + 1 history slots
+        assert getattr(TrackerConfig(**{name: most}), name) == most
+        with pytest.raises(ValueError, match=f"{name} must be at most {most}, got {most + 1}"):
+            TrackerConfig(**{name: most + 1})
 
     @pytest.mark.parametrize("name", ["max_age", "n_max"])
     def test_bool_window_fields_rejected(self, name):
@@ -237,8 +247,7 @@ class TestStep:
             cfg = TrackerConfig(max_age=max_age)
             tracker = CBiouTracker(cfg)
             direct = [tracker.step(f, present[f]) for f in present]
-            every_frame = [out for out in run_sequence(cfg, present) if out.frame in present]
-            assert direct == every_frame
+            assert direct == run_sequence(cfg, present)
 
     def test_failed_step_leaves_tracker_unchanged(self, monkeypatch):
         assert_failed_steps_roll_back(monkeypatch, [TrackerConfig(similarity_kind="iou", cascade_enabled=False)])
@@ -348,11 +357,12 @@ class TestRunSequence:
         assert run_sequence(TrackerConfig(), {}) == []
 
     def test_missing_frames_treated_as_empty(self):
+        # frames 2 and 3 age the track without ending it; only keys get an output
         outputs = run_sequence(
             TrackerConfig(max_age=5), {1: [det(1, 0)], 4: [det(4, 3)]}
         )
-        assert [out.frame for out in outputs] == [1, 2, 3, 4]
-        assert [len(out.records) for out in outputs] == [1, 0, 0, 1]
+        assert [out.frame for out in outputs] == [1, 4]
+        assert [[rec[0] for rec in out.records] for out in outputs] == [[1], [1]]
 
     def test_single_linear_object_is_one_perfect_track(self):
         frames = 200
@@ -437,7 +447,7 @@ class TestRunSequence:
         assert by_frame[4] == pytest.approx(30)
         assert tids.tolist() == [1] * 5
         plain = run_sequence(TrackerConfig(), dets)
-        assert {out.frame: out.records for out in plain}[3] == ()
+        assert [out.frame for out in plain] == [1, 2, 5]
 
 
 class TestFrameOutput:
@@ -511,6 +521,27 @@ class TestDetectionTable:
             a.tolist() for a in track_cells([config], table)[0]
         ]
 
+    @pytest.mark.parametrize(
+        "frame_keys, rows, message",
+        [
+            ([0, 1], [(0, [0, 0, 10, 10], 1.0)], "detection row 0: frame must be a positive integer, got 0"),
+            (
+                [1, 2],
+                [(1, [0, 0, 10, 10], 1.0), (2, [0, 0, 0, 10], 1.0), (2, [0, 0, 10, 10], INF)],
+                "detection row 1: box extents must be positive in corner form, got x=0.0, y=0.0, w=0.0, h=10.0",
+            ),
+            ([1], [(1, [0, 0, 10, 10], 1.0), (1, [INF, 0, 10, 10], 1.0)], "detection row 1: x must be finite, got inf"),
+            ([1], [(1, [0, 0, 10, 10], float("nan"))], "detection row 0: confidence must be finite, got nan"),
+        ],
+        ids=["frame_zero", "zero_width", "infinite_x", "nan_confidence"],
+    )
+    def test_rows_a_detection_rejects_are_rejected(self, frame_keys, rows, message):
+        # a zero-width box was widened to 1 px by predict and never matched;
+        # a frame 0 failed only at its first step
+        frames, tlwh, confidence = zip(*rows)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectionTable(frame_keys, frames, tlwh, confidence)
+
     def test_empty_table(self):
         empty = DetectionTable.from_detections({})
         assert [a.tolist() for a in track_cells([TrackerConfig()], empty)[0]] == [[], [], []]
@@ -558,24 +589,25 @@ class TestTableFrames:
         monkeypatch.setattr(CBiouTracker, "step", wrapped)
         return seen, track_cells([config], DetectionTable.from_detections(dets))[0]
 
-    def test_table_runs_step_every_frame(self, monkeypatch):
-        # frame 2 has no rows, but a track is alive: it is stepped
+    def test_table_runs_step_only_frames_with_admitted_rows(self, monkeypatch):
+        # frame 2 has no rows: a track is alive, but frame 3's step crosses it
         seen, (frames, tids, rows) = self.stepped_frames(monkeypatch, TrackerConfig(), self.DETS)
-        assert [out.frame for out in seen] == [1, 2, 3]
+        assert [out.frame for out in seen] == [1, 3]
         assert [(out.frame, tid, row) for out in seen for tid, row, _ in out.records] == list(
             zip(frames.tolist(), tids.tolist(), rows.tolist())
         )
 
     def test_table_runs_skip_empty_frames_without_tracks(self, monkeypatch):
-        # the track of frame 1 dies in frame 5, so frames 6 to 49 are not
-        # stepped; nor is any frame after 50, the last with admitted rows
+        # the track of frame 1 dies in frame 5, inside the gap that frame 50's
+        # step crosses; frame 60 has no admitted rows, so it is not stepped,
+        # but run_sequence still gives its key an output
         dets = {1: [det(1, 0)], 50: [det(50, 0)], 60: [det(60, 0, conf=0.05)]}
         seen, (frames, tids, _rows) = self.stepped_frames(monkeypatch, TrackerConfig(max_age=3), dets)
-        assert [out.frame for out in seen] == [1, 2, 3, 4, 5, 50]
+        assert [out.frame for out in seen] == [1, 50]
         assert list(zip(frames.tolist(), tids.tolist())) == [(1, 1), (50, 2)]
         outputs = run_sequence(TrackerConfig(max_age=3), dets)
         assert [(out.frame, tid) for out in outputs for tid, _box, _conf in out.records] == [(1, 1), (50, 2)]
-        assert [out.frame for out in outputs] == list(range(1, 61))
+        assert [out.frame for out in outputs] == [1, 50, 60]
 
 
 # Boxes on a 60 x 60 arena, with confidences on both sides of det_conf_min:
@@ -620,9 +652,12 @@ def frame_records(outputs):
 
 
 def step_every_frame(config, dets):
-    """``run_sequence`` as it was: ``step`` on every frame from the first to the last."""
+    """``step`` on every frame from the first key to the last, and the
+    outputs of the keys: what ``run_sequence``, which crosses each gap in
+    one step, must give."""
     tracker = CBiouTracker(config)
-    return [tracker.step(f, dets.get(f, [])) for f in range(min(dets), max(dets) + 1)]
+    outputs = [tracker.step(f, dets.get(f, [])) for f in range(min(dets), max(dets) + 1)]
+    return [out for out in outputs if out.frame in dets]
 
 
 class TestTableLoopEqualsStep:
@@ -738,6 +773,79 @@ class TestLockstep:
         ]
 
 
+# Boxes that narrow by under a pixel a frame, then gaps of up to 30 frames,
+# the largest max_age drawn: a coasting prediction keeps narrowing and
+# collapses inside a gap, where the gap rule re-centres it frame by frame.
+# Frames 1 and 2 are consecutive so that every track has a velocity.
+NARROWING = st.tuples(
+    st.floats(0, 40), st.floats(2, 10), st.floats(0.05, 0.95), st.floats(-1, 1)
+)
+
+
+@st.composite
+def collapsing_sequences(draw):
+    objects = draw(st.lists(NARROWING, min_size=1, max_size=3))
+    frames = [1, 2]
+    for gap in draw(st.lists(st.integers(0, 30), min_size=1, max_size=4)):
+        frames.append(frames[-1] + gap + 1)
+    return {
+        f: [
+            det(f, x + drift * (f - 1), y=12.0 * k, w=max(w - shrink * (f - 1), 0.1))
+            for k, (x, w, shrink, drift) in enumerate(objects)
+        ]
+        for f in frames
+    }
+
+
+def direct_rows(config, dets, every_frame=False):
+    """``config`` stepped directly on the frames of ``dets``, each gap in
+    one step, or on every frame from the first to the last, as (frames,
+    track ids, table rows) lists."""
+    row_of = {id(d.box): row for row, d in enumerate(d for f in sorted(dets) for d in dets[f])}
+    frames = range(min(dets), max(dets) + 1) if every_frame else sorted(dets)
+    tracker = CBiouTracker(config)
+    records = [
+        (f, tid, row_of[id(box)]) for f in frames for tid, box, _c in tracker.step(f, dets.get(f, [])).records
+    ]
+    return [list(column) for column in zip(*records)] or [[], [], []]
+
+
+class TestGapRule:
+    def test_collapse_inside_a_gap_is_recentred_where_it_happens(self):
+        # Frame 2's box narrows the prediction 0.5 px a frame; it collapses
+        # in frames 21 and 23, and re-centred there ends at x in [-1, -0.5]
+        # in frame 24, 0.04 px short of the detection at b2. Re-centred once,
+        # at the end of the gap, it was 1 px wide and kept track 1.
+        config = TrackerConfig(b1=0.0, b2=0.1)
+        dets = {1: [det(1, 0)], 2: [det(2, 0, w=9.5)], 24: [det(24, -0.4, w=0.1)]}
+        tracker = CBiouTracker(config)
+        direct = [tracker.step(f, dets[f]) for f in dets]
+        assert [[rec[0] for rec in out.records] for out in direct] == [[1], [1], [2]]
+        assert run_sequence(config, dets) == direct
+        table = DetectionTable.from_detections(dets)
+        assert [a.tolist() for a in track_cells([config], table)[0]] == direct_rows(config, dets)
+        assert direct_rows(config, dets) == direct_rows(config, dets, every_frame=True)
+
+    @settings(max_examples=200)
+    @given(CONFIGS, collapsing_sequences())
+    def test_direct_steps_equal_track_cells(self, config, dets):
+        # and both equal stepping each empty frame of every gap
+        table = DetectionTable.from_detections(dets)
+        direct = direct_rows(config, dets)
+        assert [a.tolist() for a in track_cells([config], table)[0]] == direct
+        assert direct == direct_rows(config, dets, every_frame=True)
+
+    @settings(max_examples=100)
+    @given(CELLS, collapsing_sequences())
+    def test_direct_steps_equal_each_lockstep_cell(self, cells, dets):
+        # mixed kinds, motion and max_age, tracked together over the table
+        table = DetectionTable.from_detections(dets)
+        for config, rows in zip(cells, track_cells(cells, table), strict=True):
+            direct = direct_rows(config, dets)
+            assert [a.tolist() for a in rows] == direct
+            assert direct == direct_rows(config, dets, every_frame=True)
+
+
 class TestInterpolation:
     def test_reference_loop(self):
         # the per-record loop the array form replaced
@@ -766,7 +874,7 @@ class TestInterpolation:
         assert x0 + 16 > x0 and x1 + 16 > x1
         dets = {1: [det(1, x0, w=16, h=1)], 3: [det(3, x1, w=16, h=1)]}
         config = TrackerConfig(b1=10, b2=20, motion_enabled=False)
-        assert [len(out.records) for out in run_sequence(config, dets)] == [1, 0, 1]
+        assert [len(out.records) for out in run_sequence(config, dets)] == [1, 1]
         with pytest.raises(ValueError) as expected:
             BoundingBox((x0 + x1) / 2, 0.0, 16.0, 1.0)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
