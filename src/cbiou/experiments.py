@@ -5,8 +5,9 @@ A call turns each detection sequence into a ``DetectionTable`` once, and
 tracks all its cells, one config each, over every table with one
 ``tracker.track_cells`` run: the cells step the table's frames in lockstep,
 and each similarity matrix scores the tracks of every cell with the same
-(kind, buffer) at once. Each cell's rows are then evaluated as
-``track_and_evaluate``, the one-config case, evaluates them.
+(kind, buffer) at once. Each cell's rows then become its prediction
+labels, and its sequences are evaluated with pooled counts, exactly as
+``track_and_evaluate``, the one-config case, evaluates its own.
 
 With ``jobs > 1`` the cells are split into ``min(jobs, cells)`` contiguous
 chunks; each chunk is one lockstep task in a process pool, which carries the

@@ -3,16 +3,18 @@
 ``BoundingBox`` is the validated top-left/width/height box of the API's
 ``Detection`` and ``FrameOutput`` records, which the synthetic generator
 also builds; files are read into (N, 4) arrays of such rows. Its check has
-one array form, ``valid_tlwh``, which the file readers and the tracker's gap
-filling use. ``grouped_rows`` checks the layout that the label and detection
-tables share, rows grouped by frame, and gives their boxes in corner form.
-``similarity_matrix`` is the tracker's one entry point: it scores every
-(track, detection) pair of a frame under any similarity kind (IoU, GIoU,
-DIoU or the buffered BIoU), over (N, 4) arrays of corner-form boxes. The
-metrics score plain IoU: ``iou_matrix`` over whole frames, and
-``paired_iou`` cell by cell for two row-paired arrays, on every cell of a
-sequence at once. The scalar ``corner_iou`` and its ``BoundingBox`` form
-``iou`` are kept for single-pair checks (see their docstrings).
+one array form, ``valid_tlwh``, which the file readers, the row tables and
+the tracker's gap filling use; ``raise_first_bad_row`` raises the record's
+error for the first row that fails. ``grouped_rows`` checks the layout that
+the label and detection tables share, rows grouped by frame, and gives their
+boxes in corner form. ``similarity_matrix`` is the tracker's one entry
+point: it scores every (track, detection) pair of a frame under any
+similarity kind (IoU, GIoU, DIoU or the buffered BIoU), over (N, 4) arrays
+of corner-form boxes. The metrics score plain IoU: ``iou_matrix`` over whole
+frames, and ``paired_iou`` cell by cell for two row-paired arrays, on every
+cell of a sequence at once. The scalar ``corner_iou`` and its
+``BoundingBox`` form ``iou`` are kept for single-pair checks (see their
+docstrings).
 
 The tracker's matrices are small (about 13 x 7), so numpy's fixed cost per
 call, not the arithmetic, sets their price. Every array form therefore
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -199,6 +201,18 @@ def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
         x2, y2 = x + w, y + h
         # x < x + w also holds w > 0 (and y < y + h, h > 0)
         return (-limit <= x) & (x < x2) & (x2 <= limit) & (-limit <= y) & (y < y2) & (y2 <= limit)
+
+
+def raise_first_bad_row(bad: np.ndarray, rebuild: Callable[[int], object], name: str = "") -> None:
+    """Where ``bad`` marks a row, rebuild the first marked row as its record
+    with ``rebuild(row)`` and let the record's ``ValueError`` out, prefixed
+    with ``"<name> row <row>: "`` when ``name`` is given."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        try:
+            rebuild(row)
+        except ValueError as exc:
+            raise ValueError(f"{name} row {row}: {exc}" if name else str(exc)) from None
 
 
 def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:

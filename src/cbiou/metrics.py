@@ -13,20 +13,22 @@ raw counts pool rather than ratios average.
 (gt row, pred row) cell of every frame with boxes on both sides gets its IoU
 in one vectorised pass per chunk of frames (at most ``_CHUNK_CELLS`` cells),
 and the positive cells are kept as flat arrays in (frame, gt row, pred row)
-order. A frame's conflict level is the largest second-highest IoU over its
-rows and columns. A frame whose level is above 0 has a row or column with
-two positive cells, and keeps a dense IoU matrix. In every other frame the
-positive cells form a matching, which no assignment can change: its CLEAR
-matches are its cells with IoU >= ``IOU_THRESHOLD``, and at each alpha its
-HOTA matches are its cells with IoU >= alpha. Only conflict frames are
-solved, by ``gated_match`` for CLEAR and by ``solve`` for HOTA at the alphas
-up to the frame's level. ``clear_mota`` and ``idf1`` (at ``IOU_THRESHOLD``)
-and ``hota`` (over the fixed grid ``ALPHAS``) each take that table.
+order, each with its frame's conflict level: the largest second-highest IoU
+over the frame's rows and columns. A frame whose level is above 0 has a row
+or column with two positive cells, and keeps a dense IoU matrix, as does a
+frame with a non-finite IoU, whose level is NaN. ``clear_mota`` and ``idf1``
+(at ``IOU_THRESHOLD``) and ``hota`` (over the fixed grid ``ALPHAS``) each
+take that table.
 
-Above a frame's conflict level no row or column holds two passing pairs, so
-the passing pairs form a matching; since each of them scores more than every
-other entry, every optimal assignment contains exactly them. Those alphas
-take the passing pairs directly, in conflict frames too.
+Every matching follows one rule. Above a frame's conflict level no row or
+column holds two passing pairs, so the passing pairs form a matching; since
+each of them scores more than every other entry, every optimal assignment
+contains exactly them. So a cell is matched directly at every threshold that
+lies above its frame's level and that its IoU passes: at ``IOU_THRESHOLD``
+in a frame without a conflict, for CLEAR, and at each such alpha, for HOTA.
+Only conflict frames are solved: by ``gated_match`` for CLEAR, and by
+``solve`` for HOTA at the alphas up to the frame's level. ``hota`` counts
+every match, direct or solved, as one (id pair, alpha) slot.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class SequenceAnnotations:
     ``synth.generate``, the tracker's result rows and ``pool_sequences``
     make them, and checks it with ``geometry.grouped_rows``: a bad layout or
     a frame or identity that is not an integer raises ``ValueError``, and
-    one outside int64 ``LabelOverflowError``. ``frames`` is a read-only
+    one outside int64 ``LabelOverflowError``. Then each box must pass
+    ``BoundingBox``'s check: the first that does not raises that
+    ``ValueError``, named by its row. ``frames`` is a read-only
     view of the rows as per-frame (identity, ``BoundingBox``) tuples, built
     from the arrays on first use, for API callers.
     """
@@ -67,6 +71,9 @@ class SequenceAnnotations:
     def __init__(self, frame_keys, row_frames, ids, tlwh):
         self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.ids = geometry.grouped_rows(
             frame_keys, row_frames, tlwh, geometry.int64_values(ids, "identity")
+        )
+        geometry.raise_first_bad_row(
+            ~geometry.valid_tlwh(self.tlwh), lambda row: BoundingBox(*self.tlwh[row].tolist()), "label"
         )
 
     def __reduce__(self):
@@ -156,9 +163,10 @@ class _Table:
     ``pred_rows``, ``pairs`` and ``iou`` describe the cells with a positive
     IoU in frames with boxes on both sides, in (frame, gt row, pred row)
     order: the row on each side, the pair of their id places as
-    ``gt place * len(pred_presence) + pred place``, and the IoU. ``free``
-    marks the cells of frames without a conflict; the frames with one are
-    in ``conflicts``, in frame order.
+    ``gt place * len(pred_presence) + pred place``, and the IoU. ``level``
+    gives each cell its frame's conflict level: 0 in a frame without a
+    conflict, and above 0 (or NaN) in one of the frames of ``conflicts``,
+    which are in frame order.
     """
 
     gt_index: np.ndarray
@@ -169,7 +177,7 @@ class _Table:
     pred_rows: np.ndarray
     pairs: np.ndarray
     iou: np.ndarray
-    free: np.ndarray
+    level: np.ndarray
     conflicts: tuple[_Conflict, ...]
     gt_total: int
     pred_total: int
@@ -255,7 +263,7 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
         pred_rows,
         pairs,
         iou,
-        (level <= 0)[frame],
+        level[frame],
         conflicts,
         len(gt.ids),
         len(pred.ids),
@@ -276,7 +284,7 @@ def clear_mota(table: _Table) -> tuple[float, int, int, int, int]:
         for i, j in assignment.gated_match(sim, IOU_THRESHOLD).pairs:
             matched += gt_start + i, pred_start + j
     conflict_gt, conflict_pred = np.array(matched, dtype=np.int64).reshape(-1, 2).T
-    hits = table.free & (table.iou >= IOU_THRESHOLD)
+    hits = (table.level <= 0) & (table.iou >= IOU_THRESHOLD)
     gt_rows = np.concatenate((table.gt_rows[hits], conflict_gt))
     pred_rows = np.concatenate((table.pred_rows[hits], conflict_pred))
     tp = len(gt_rows)
@@ -331,51 +339,37 @@ def hota(table: _Table) -> tuple[float, float, float, tuple[tuple[float, float, 
     AssA_a). ``table`` is as for ``clear_mota``.
     """
     n_alphas = len(ALPHAS)
-    # Cells of frames without a conflict that pass the lowest alpha: each is
-    # matched at every alpha below its reach.
-    kept = table.free & (table.iou >= ALPHAS[0])
-    free_gt = table.gt_rows[kept]
-    free_keys = table.pairs[kept]
-    reach = np.searchsorted(_ALPHA_GRID, table.iou[kept], side="right")
-    # (gt row, pred row, alpha index) of each match in a conflict frame, flat.
+    # Every match as a (pair, alpha) slot. A cell is matched directly at each
+    # alpha from its frame's solved count (0 without a conflict) up to its
+    # own IoU's reach.
+    start = np.searchsorted(_ALPHA_GRID, table.level, side="right")
+    spans = np.maximum(np.searchsorted(_ALPHA_GRID, table.iou, side="right") - start, 0)
+    cell = np.repeat(np.arange(len(spans)), spans)
+    direct_alpha = start[cell] + np.arange(len(cell)) - np.repeat(np.cumsum(spans) - spans, spans)
+    # (gt row, pred row, alpha index) of each match a conflict frame solves
+    # at the alphas up to its level (all, if it is NaN), flat.
     matched: list[int] = []
     for gt_start, pred_start, sim, level in table.conflicts:
-        hit_g, hit_p = np.nonzero(sim >= ALPHAS[0])
-        if not hit_g.size:
-            continue
-        # Alphas at or below the conflict level (all, if it is NaN) are solved.
         solved = int(np.searchsorted(_ALPHA_GRID, level, side="right"))
         for a, alpha in enumerate(ALPHAS[:solved]):
             passing = sim >= alpha
             if not passing.any():
-                continue
+                break
             score = np.where(passing, 1.0 + sim, 0.0)
             for i, j in assignment.solve(score):
                 if passing[i, j]:
                     matched += gt_start + i, pred_start + j, a
-        reached = np.searchsorted(_ALPHA_GRID, sim[hit_g, hit_p], side="right").tolist()
-        for i, j, top in zip(hit_g.tolist(), hit_p.tolist(), reached):
-            for a in range(solved, top):
-                matched += gt_start + i, pred_start + j, a
-    conflict_gt, conflict_pred, conflict_alpha = np.array(matched, dtype=np.int64).reshape(-1, 3).T
-    conflict_keys = table.gt_index[conflict_gt] * len(table.pred_presence) + table.pred_index[conflict_pred]
-    keys = sorted_unique(np.concatenate((free_keys, conflict_keys)))
+    solved_gt, solved_pred, solved_alpha = np.array(matched, dtype=np.int64).reshape(-1, 3).T
+    solved_keys = table.gt_index[solved_gt] * len(table.pred_presence) + table.pred_index[solved_pred]
+    match_keys = np.concatenate((table.pairs[cell], solved_keys))
+    keys = sorted_unique(match_keys)
     n_pairs = len(keys)
-    free_pair = np.searchsorted(keys, free_keys)
-
-    # Per matched pair and reach, the free cells and the least of their gt
-    # rows. At alpha a a pair's match count sums, and the gt row of its first
-    # match is the least of, those over the reaches above a.
-    span = n_alphas + 1
-    slot = free_pair * span + reach
-    by_reach = np.bincount(slot, minlength=n_pairs * span).reshape(n_pairs, span)
-    first_by_reach = np.full(n_pairs * span, _INT64_MAX)  # past every row: no match
-    np.minimum.at(first_by_reach, slot, free_gt)
-    counts = np.cumsum(by_reach[:, :0:-1], axis=1)[:, ::-1]
-    first = np.minimum.accumulate(first_by_reach.reshape(n_pairs, span)[:, :0:-1], axis=1)[:, ::-1]
-    conflict_slot = (np.searchsorted(keys, conflict_keys), conflict_alpha)
-    np.add.at(counts, conflict_slot, 1)
-    np.minimum.at(first, conflict_slot, conflict_gt)
+    slot = np.searchsorted(keys, match_keys) * n_alphas + np.concatenate((direct_alpha, solved_alpha))
+    # Per (pair, alpha): the matches, and the gt row of the first, the least.
+    counts = np.bincount(slot, minlength=n_pairs * n_alphas).reshape(n_pairs, n_alphas)
+    first = np.full(n_pairs * n_alphas, _INT64_MAX)  # past every row: no match
+    np.minimum.at(first, slot, np.concatenate((table.gt_rows[cell], solved_gt)))
+    first = first.reshape(n_pairs, n_alphas)
 
     # AssA sums each alpha's pairs in the order they are first matched, one
     # by one as np.cumsum adds; pairs not matched at an alpha add 0.

@@ -188,25 +188,14 @@ def perturb(
     candidates in a frame are all rejected.
     """
     frames = sorted(detections_by_frame)
-    entries = [(f, i) for f in frames for i in range(len(detections_by_frame[f]))]
-    total = len(entries)
+    per_frame = [[(f, i) for i in range(len(detections_by_frame[f]))] for f in frames]
+    groups = per_frame if stratified else [[entry for entries in per_frame for entry in entries]]
     rng = np.random.default_rng(noise.seed)
-
-    if stratified:
-        removed: set[tuple[int, int]] = set()
-        for f in frames:
-            count = len(detections_by_frame[f])
-            take = int(round(noise.ratio * count))
-            if take:
-                for i in rng.choice(count, size=take, replace=False):
-                    removed.add((f, int(i)))
-    else:
-        n_remove = int(round(noise.ratio * total))
-        if n_remove:
-            picks = rng.choice(total, size=n_remove, replace=False)
-            removed = {entries[int(k)] for k in picks}
-        else:
-            removed = set()
+    removed: set[tuple[int, int]] = set()
+    for group in groups:
+        take = int(round(noise.ratio * len(group)))
+        if take:
+            removed.update(group[int(k)] for k in rng.choice(len(group), size=take, replace=False))
 
     result = {
         f: [d for i, d in enumerate(detections_by_frame[f]) if (f, i) not in removed]

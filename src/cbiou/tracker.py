@@ -261,14 +261,13 @@ class DetectionTable:
         self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.confidence = geometry.grouped_rows(
             frame_keys, row_frames, tlwh, np.asarray(confidence, dtype=float)
         )
-        bad = (self.row_frames < 1) | ~geometry.valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence)
-        if bad.any():
-            row = int(np.argmax(bad))
-            try:
-                box = BoundingBox(*self.tlwh[row].tolist())
-                Detection(int(self.row_frames[row]), box, float(self.confidence[row]))
-            except ValueError as exc:
-                raise ValueError(f"detection row {row}: {exc}") from None
+        geometry.raise_first_bad_row(
+            (self.row_frames < 1) | ~geometry.valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence),
+            lambda row: Detection(
+                int(self.row_frames[row]), BoundingBox(*self.tlwh[row].tolist()), float(self.confidence[row])
+            ),
+            "detection",
+        )
 
     def __reduce__(self):
         # Rows only: the constructor makes the unpickled arrays read-only again.
@@ -601,7 +600,7 @@ def _interpolate_gaps(
     t = offset / spans[lo]
     filled_tlwh = tlwh[lo] + t[:, None] * (tlwh[lo + 1] - tlwh[lo])
     filled_conf = confidence[lo] + t * (confidence[lo + 1] - confidence[lo])
-    bad = ~geometry.valid_tlwh(filled_tlwh)
-    if bad.any():
-        BoundingBox(*filled_tlwh[np.argmax(bad)].tolist())
+    geometry.raise_first_bad_row(
+        ~geometry.valid_tlwh(filled_tlwh), lambda row: BoundingBox(*filled_tlwh[row].tolist())
+    )
     return frames[lo] + offset, tids[lo], filled_tlwh, filled_conf

@@ -188,6 +188,22 @@ class TestGroupedRows:
         with pytest.raises(metrics.LabelOverflowError, match="every frame must fit in 64 bits"):
             table([frame], [frame], [ROW])
 
+    @pytest.mark.parametrize(
+        "tlwh, problem",
+        [
+            ([0, 0, -5, 10], "box extents must be positive"),
+            ([0, 0, 0, 10], "box extents must be positive"),
+            ([0, 0, 10, math.inf], "h must be finite"),
+            ([0, 0, 2e100, 10], "box corners must lie within"),
+        ],
+        ids=["negative_width", "zero_width", "infinite_height", "past_limit"],
+    )
+    def test_first_bad_box_rejected_by_its_row(self, table, tlwh, problem):
+        # labels took any box: a negative width was scored (HOTA 0 against a
+        # valid box), and a zero width on both sides failed inside evaluate
+        with pytest.raises(ValueError, match=f"(label|detection) row 1: {problem}"):
+            table([1], [1, 1, 1], [ROW, tlwh, [0, 0, -1, -1]])
+
     def test_empty_table_and_frames_without_rows(self, table):
         rows = table([], [], np.zeros((0, 4)))
         assert rows.row_frames.shape == (0,) and rows.xyxy.shape == (0, 4)
@@ -643,6 +659,24 @@ class TestHotaShortcut:
         hota(metrics._align(gt, pred))
         assert solves == []
 
+    def test_solves_only_at_alphas_up_to_the_conflict_level(self, monkeypatch):
+        # Frame 1: gt [0, 10] overlaps predictions [0, 10] at IoU 1 and
+        # [7, 17] at 3/17, so its level lies strictly between alphas 0.15 and
+        # 0.2, and the IoU-1 pair reaches above it. Frame 2 has no conflict.
+        gt = labels({1: [(1, strip(0, 10))], 2: [(1, strip(0, 10))]})
+        pred = labels({1: [(5, strip(0, 10)), (6, strip(7, 10))], 2: [(5, strip(1, 10))]})
+        table = metrics._align(gt, pred)
+        (conflict,) = table.conflicts
+        assert ALPHAS[2] < conflict.level == 3 / 17 < ALPHAS[3]
+        solves = []
+        real = assignment.solve
+        monkeypatch.setattr(assignment, "solve", lambda m: solves.append(m) or real(m))
+        result = hota(table)
+        # one solve each at alphas 0.05, 0.1 and 0.15, and none above
+        assert len(solves) == 3
+        assert [(m > 0).sum() for m in solves] == [2, 2, 2]
+        assert result == per_alpha_solve_hota(gt, pred)
+
 
 class TestArrayTable:
     @settings(max_examples=400)
@@ -677,13 +711,21 @@ class TestArrayTable:
     @pytest.mark.parametrize("nan_side", ["gt", "pred"])
     @pytest.mark.parametrize("others", [1, 3], ids=["one_by_one", "one_by_three"])
     def test_non_finite_box_still_raises(self, nan_side, others):
-        # the constructor does not check box values; a NaN box must not be
-        # dropped as a cell without overlap
-        bad = SequenceAnnotations([1, 2], [1, 2], [1, 1], [[math.nan, 0, 10, 10], [0, 0, 10, 10]])
+        # a NaN box must not be dropped as a cell without overlap: the labels
+        # reject it, named by its row, before either side is evaluated
         good = labels({f: [(k, box(40.0 * k)) for k in range(others)] for f in (1, 2)})
-        pair = (bad, good) if nan_side == "gt" else (good, bad)
+        tlwh = [[40.0 * k, 0, 10, 10] for k in range(others)] + [[math.nan, 0, 10, 10]]
+        with pytest.raises(ValueError, match=f"label row {others}: x must be finite, got nan"):
+            bad = SequenceAnnotations([1, 2], [1] * others + [2], list(range(others + 1)), tlwh)
+            evaluate(*((bad, good) if nan_side == "gt" else (good, bad)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_non_finite_iou_still_raises(self):
+        # boxes that pass the check but whose areas underflow to 0 have an IoU
+        # of 0 / 0; their frame must not be read as one without overlap
+        tiny = SequenceAnnotations([1], [1, 1], [1, 2], [[0, 0, 1e-200, 1e-200], [0, 0, 10, 10]])
         with pytest.raises(ValueError, match="similarity matrix contains non-finite values"):
-            evaluate(*pair)
+            evaluate(tiny, tiny)
 
     def test_hota_need_not_match_every_passing_pair(self):
         # gt x in [0, 10], [9, 19], [-9, 1] against pred [0, 10], [9, 19],
