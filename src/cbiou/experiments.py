@@ -9,15 +9,16 @@ and each similarity matrix scores the tracks of every cell with the same
 labels, and its sequences are evaluated with pooled counts, exactly as
 ``track_and_evaluate``, the one-config case, evaluates its own.
 
-With ``jobs > 1`` the cells are split into ``min(jobs, cells)`` contiguous
-chunks; each chunk is one lockstep task in a process pool, which carries the
-tables' arrays once, and the reports are reduced in cell order, equal to the
-serial ones.
+With ``jobs > 1`` the cells are split into ``min(jobs, cells, CPUs)``
+contiguous chunks; each chunk is one lockstep task in a process pool, which
+carries the tables' arrays once, and the reports are reduced in cell order,
+equal to the serial ones.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
@@ -97,10 +98,11 @@ def _pool_map(fn, items, jobs: int):
 
 def _run_cells(configs, det_seqs, gt_seqs, jobs: int) -> list[MetricsReport]:
     """Each config's report, in order: one lockstep task per contiguous chunk
-    of the configs, ``min(jobs, len(configs))`` of them."""
+    of the configs, ``min(jobs, len(configs), os.cpu_count())`` of them: a
+    pool forks every worker at its first submit."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    count = min(jobs, len(configs))
+    count = min(jobs, len(configs), os.cpu_count() or 1)
     ends = [len(configs) * (i + 1) // count for i in range(count)]
     chunks = [configs[lo:hi] for lo, hi in zip([0, *ends], ends)]
     task = partial(_evaluate_cells, det_seqs=_tables(det_seqs, gt_seqs), gt_seqs=gt_seqs)

@@ -55,8 +55,9 @@ def _require_finite(name: str, value: float) -> float:
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Box in top-left/width/height form; extents must be strictly positive,
-    also after the corners x + w and y + h are rounded, and every corner
-    coordinate must lie within +-``MAX_ABS_COORDINATE``."""
+    also after the corners x + w and y + h are rounded, so must the area
+    (x2 - x) * (y2 - y) that the similarity measures divide by, and every
+    corner coordinate must lie within +-``MAX_ABS_COORDINATE``."""
 
     x: float
     y: float
@@ -72,12 +73,14 @@ class BoundingBox:
         # Checked in corner form, which the matrix forms use: at large
         # coordinates a positive w can still give x + w == x.
         x2, y2 = x + w, y + h
-        if not (-limit <= x < x2 <= limit and -limit <= y < y2 <= limit):
+        if not (-limit <= x < x2 <= limit and -limit <= y < y2 <= limit and (x2 - x) * (y2 - y) > 0):
             for name, value in zip("xywh", (x, y, w, h)):  # float boxes skipped these checks
                 _require_finite(name, value)
             problem = (
                 "extents must be positive in corner form"
                 if x2 <= x or y2 <= y
+                else "area must be positive in corner form"
+                if (x2 - x) * (y2 - y) <= 0
                 else f"corners must lie within +-{limit:g}"
             )
             raise ValueError(f"box {problem}, got x={x}, y={y}, w={w}, h={h}")
@@ -200,7 +203,8 @@ def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         x2, y2 = x + w, y + h
         # x < x + w also holds w > 0 (and y < y + h, h > 0)
-        return (-limit <= x) & (x < x2) & (x2 <= limit) & (-limit <= y) & (y < y2) & (y2 <= limit)
+        inside = (-limit <= x) & (x < x2) & (x2 <= limit) & (-limit <= y) & (y < y2) & (y2 <= limit)
+        return inside & ((x2 - x) * (y2 - y) > 0)
 
 
 def raise_first_bad_row(bad: np.ndarray, rebuild: Callable[[int], object], name: str = "") -> None:

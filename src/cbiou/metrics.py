@@ -15,10 +15,10 @@ in one vectorised pass per chunk of frames (at most ``_CHUNK_CELLS`` cells),
 and the positive cells are kept as flat arrays in (frame, gt row, pred row)
 order, each with its frame's conflict level: the largest second-highest IoU
 over the frame's rows and columns. A frame whose level is above 0 has a row
-or column with two positive cells, and keeps a dense IoU matrix, as does a
-frame with a non-finite IoU, whose level is NaN. ``clear_mota`` and ``idf1``
-(at ``IOU_THRESHOLD``) and ``hota`` (over the fixed grid ``ALPHAS``) each
-take that table.
+or column with two positive cells, and keeps a dense IoU matrix. Every
+label box has a positive area, so every IoU is finite. ``clear_mota`` and
+``idf1`` (at ``IOU_THRESHOLD``) and ``hota`` (over the fixed grid
+``ALPHAS``) each take that table.
 
 Every matching follows one rule. Above a frame's conflict level no row or
 column holds two passing pairs, so the passing pairs form a matching; since
@@ -144,8 +144,7 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 class _Conflict(NamedTuple):
     """A frame with a row or column holding two positive IoUs: its first row
-    on each side, its IoU matrix and its conflict level (NaN when the matrix
-    holds a non-finite entry)."""
+    on each side, its IoU matrix and its conflict level."""
 
     gt_start: int
     pred_start: int
@@ -165,8 +164,8 @@ class _Table:
     order: the row on each side, the pair of their id places as
     ``gt place * len(pred_presence) + pred place``, and the IoU. ``level``
     gives each cell its frame's conflict level: 0 in a frame without a
-    conflict, and above 0 (or NaN) in one of the frames of ``conflicts``,
-    which are in frame order.
+    conflict, and above 0 in one of the frames of ``conflicts``, which are
+    in frame order.
     """
 
     gt_index: np.ndarray
@@ -215,11 +214,9 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
     cells = (g1 - g0) * widths
     ends = np.cumsum(cells).tolist()
 
-    # The positive cells, one chunk of frames at a time, and the frames with
-    # a non-finite cell.
+    # The positive cells, one chunk of frames at a time.
     empty = np.zeros(0, dtype=np.int64)
     parts = [(empty, empty, empty, np.zeros(0))]
-    nonfinite = [empty]
     start = 0
     while start < len(ends):
         stop = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + _CHUNK_CELLS))
@@ -227,9 +224,6 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
             gt.xyxy, pred.xyxy, g0[start:stop], p0[start:stop], widths[start:stop], cells[start:stop]
         )
         frame += start
-        finite = np.isfinite(iou)
-        if not finite.all():
-            nonfinite.append(frame[~finite])
         positive = iou > 0
         parts.append((frame[positive], gt_rows[positive], pred_rows[positive], iou[positive]))
         start = stop
@@ -243,8 +237,7 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
     seconds = order[:-1][lines[1:] == lines[:-1]] % max(len(iou), 1)
     level = np.zeros(len(ends))
     np.maximum.at(level, frame[seconds], iou[seconds])
-    level[np.concatenate(nonfinite)] = math.nan
-    conflicted = np.flatnonzero(~(level <= 0))
+    conflicted = np.flatnonzero(level > 0)
     conflicts = tuple(
         _Conflict(g, p, geometry.iou_matrix(gt.xyxy[g:g_end], pred.xyxy[p:p_end]), lvl)
         for g, g_end, p, p_end, lvl in zip(
@@ -347,7 +340,7 @@ def hota(table: _Table) -> tuple[float, float, float, tuple[tuple[float, float, 
     cell = np.repeat(np.arange(len(spans)), spans)
     direct_alpha = start[cell] + np.arange(len(cell)) - np.repeat(np.cumsum(spans) - spans, spans)
     # (gt row, pred row, alpha index) of each match a conflict frame solves
-    # at the alphas up to its level (all, if it is NaN), flat.
+    # at the alphas up to its level, flat.
     matched: list[int] = []
     for gt_start, pred_start, sim, level in table.conflicts:
         solved = int(np.searchsorted(_ALPHA_GRID, level, side="right"))

@@ -284,7 +284,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
     grouped: dict[int, list[Detection]] = {frame: [] for frame in table.frame_keys.tolist()}
     columns = (table.row_frames, *table.tlwh.T, table.confidence)
     for frame, x, y, w, h, conf in zip(*(column.tolist() for column in columns)):
-        grouped[frame].append(Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf))
+        grouped[frame].append(Detection(BoundingBox(x, y, w, h), conf))
     return grouped
 
 

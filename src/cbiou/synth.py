@@ -141,7 +141,7 @@ def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[De
                     suppressed = True
                     burst_left -= 1
             if not suppressed:
-                det_frames[frame].append(Detection(frame=frame, box=box, confidence=1.0))
+                det_frames[frame].append(Detection(box, 1.0))
             if spec.turn_prob > 0.0 and rng.random() < spec.turn_prob:
                 speed = float(rng.uniform(spec.speed_range[0], spec.speed_range[1]))
                 heading = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -161,7 +161,7 @@ def oracle_detections(gt: SequenceAnnotations) -> dict[int, list[Detection]]:
     """Ground-truth boxes reissued as detector output at confidence 1.0."""
     boxes = [BoundingBox(*row) for row in gt.tlwh.tolist()]
     return {
-        frame: [Detection(frame=frame, box=box, confidence=1.0) for box in boxes[rows]]
+        frame: [Detection(box, 1.0) for box in boxes[rows]]
         for frame, rows in gt.frame_slices().items()
     }
 
@@ -227,5 +227,5 @@ def perturb(
                 f"after {FP_MAX_ATTEMPTS} attempts",
                 frame=frame,
             )
-        result[frame].append(Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=1.0))
+        result[frame].append(Detection(BoundingBox(x, y, w, h), 1.0))
     return result

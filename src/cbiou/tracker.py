@@ -18,6 +18,10 @@ one per (kind, b2) over the cascade cells' leftovers; aging, deaths and
 births run once over the shared arrays. Each cell's records equal those of
 its config run alone.
 
+A ``Detection`` is a box and a confidence. Its frame is stated once, by the
+key it is listed under in a per-frame mapping or by the frame index of the
+``step`` it is passed to, and every frame key of a table is an integer >= 1.
+
 ``CBiouTracker.step`` advances one frame. It takes the frame's detections in
 one of two forms and answers in the same form: a ``Detection`` list gives a
 ``FrameOutput`` of boxes, and a ``TableFrame``, the frame's rows of a
@@ -117,15 +121,13 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output box for one frame."""
+    """One detector output: a box and its confidence. Its frame is the key
+    or step it is listed under, an integer >= 1."""
 
-    frame: int
     box: BoundingBox
     confidence: float
 
     def __post_init__(self) -> None:
-        if self.frame % 1 or self.frame < 1:
-            raise ValueError(f"frame must be a positive integer, got {self.frame!r}")
         if not math.isfinite(self.confidence):
             raise ValueError(f"confidence must be finite, got {self.confidence!r}")
 
@@ -250,22 +252,24 @@ class DetectionTable:
     ``confidence`` (N,), each box and confidence as given, which result rows
     echo; ``xyxy`` (N, 4), the same box in corner form, which matching uses.
     ``frame_keys`` holds every frame the sequence names, ascending, frames
-    without rows included. Each run admits the rows at or above its own
-    ``det_conf_min``. The constructor checks that layout with
-    ``geometry.grouped_rows``, then that each row would make a ``Detection``
-    (a frame >= 1, a box ``BoundingBox`` accepts, a finite confidence): the
-    first that would not raises that ``ValueError``, named by its row.
+    without rows included; each is an integer >= 1, and so is every row's
+    frame. Each run admits the rows at or above its own ``det_conf_min``.
+    The constructor checks that layout with ``geometry.grouped_rows`` and
+    the least frame key, then that each row would make a ``Detection`` (a
+    box ``BoundingBox`` accepts, a finite confidence): the first that would
+    not raises that ``ValueError``, named by its row.
     """
 
     def __init__(self, frame_keys, row_frames, tlwh, confidence):
         self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.confidence = geometry.grouped_rows(
             frame_keys, row_frames, tlwh, np.asarray(confidence, dtype=float)
         )
+        # Every row's frame is a key, so the least key bounds them all.
+        if len(self.frame_keys) and self.frame_keys[0] < 1:
+            raise ValueError(f"frame {self.frame_keys[0]} is below 1")
         geometry.raise_first_bad_row(
-            (self.row_frames < 1) | ~geometry.valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence),
-            lambda row: Detection(
-                int(self.row_frames[row]), BoundingBox(*self.tlwh[row].tolist()), float(self.confidence[row])
-            ),
+            ~geometry.valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence),
+            lambda row: Detection(BoundingBox(*self.tlwh[row].tolist()), float(self.confidence[row])),
             "detection",
         )
 
@@ -275,18 +279,24 @@ class DetectionTable:
 
     @classmethod
     def from_detections(cls, detections_by_frame: Mapping[int, Sequence[Detection]]) -> "DetectionTable":
-        """The table of per-frame ``Detection`` lists."""
-        return cls._of(*_detection_rows(detections_by_frame))
+        """The table of per-frame ``Detection`` lists, each listed under its
+        frame, an integer >= 1; rows keep their list order within a frame."""
+        return cls._of(detections_by_frame)[0]
 
     @classmethod
-    def _of(cls, frame_keys: list[int], detections: list[Detection]) -> "DetectionTable":
+    def _of(cls, detections_by_frame: Mapping[int, Sequence[Detection]]) -> tuple["DetectionTable", list[Detection]]:
+        """The table of ``from_detections`` and its detections in row order."""
+        frames = sorted(detections_by_frame.items(), key=lambda item: item[0])
+        detections = [det for _, dets in frames for det in dets]
         # One flat pass: a tuple per detection would all be alive at once.
         tlwh = np.fromiter(
             itertools.chain.from_iterable((d.box.x, d.box.y, d.box.w, d.box.h) for d in detections),
             dtype=float,
             count=4 * len(detections),
         ).reshape(-1, 4)
-        return cls(frame_keys, [d.frame for d in detections], tlwh, [d.confidence for d in detections])
+        keys = [key for key, _ in frames]
+        row_frames = np.repeat(keys, [len(dets) for _, dets in frames])
+        return cls(keys, row_frames, tlwh, [d.confidence for d in detections]), detections
 
     def frames(self, det_conf_min: float) -> Iterator[tuple[int, TableFrame]]:
         """Each frame with rows at or above ``det_conf_min``, ascending, with
@@ -298,28 +308,6 @@ class DetectionTable:
         bounds = [*starts.tolist(), len(rows)]
         for frame, lo, hi in zip(frames.tolist(), bounds, bounds[1:]):
             yield frame, TableFrame(xyxy[lo:hi], rows[lo:hi], confidence[lo:hi])
-
-
-def _detection_rows(
-    detections_by_frame: Mapping[int, Sequence[Detection]],
-) -> tuple[list[int], list[Detection]]:
-    """The frames of a per-frame mapping, ascending, and its detections in
-    table row order. A frame must be an integer >= 1 that its detections
-    name."""
-    frames = []
-    for key, dets in detections_by_frame.items():
-        if key % 1:  # fractional, NaN or infinite: int() would make 1.5 frame 1
-            raise ValueError(f"frame {key!r} is not an integer")
-        frame = int(key)
-        if frame < 1:
-            raise ValueError(f"frame index must be a positive integer, got {key!r}")
-        dets = list(dets)
-        for det in dets:
-            if det.frame != frame:
-                raise ValueError(f"detection for frame {det.frame} listed under frame {key!r}")
-        frames.append((frame, dets))
-    frames.sort(key=lambda item: item[0])
-    return [frame for frame, _ in frames], [det for _, dets in frames for det in dets]
 
 
 class CBiouTracker:
@@ -385,13 +373,14 @@ class CBiouTracker:
     def step(
         self, frame_index: int, detections: Sequence[Detection] | TableFrame
     ) -> FrameOutput | FrameRows:
-        """Advance to ``frame_index`` and return the records matched in it.
+        """Advance to ``frame_index``, an integer >= 1, and return the records
+        matched in it.
 
-        ``detections`` is the frame's ``Detection`` list, of which the ones
-        below ``det_conf_min`` are left out, or a ``TableFrame`` of its
-        admitted table rows. The records come in the same form: a
-        ``FrameOutput`` of (track id, box, confidence), or a ``FrameRows`` of
-        (track id, table row, confidence).
+        ``detections`` is the frame's ``Detection`` list, whose frame is
+        ``frame_index``, of which the ones below ``det_conf_min`` are left
+        out, or a ``TableFrame`` of its admitted table rows. The records come
+        in the same form: a ``FrameOutput`` of (track id, box, confidence),
+        or a ``FrameRows`` of (track id, table row, confidence).
 
         Frames skipped since the previous step count as frames without
         detections, crossed in this one step: unmatched tracks age by the
@@ -412,11 +401,6 @@ class CBiouTracker:
             rows, confidence = detections.rows, detections.confidence
             records = tuple([(tid, rows[k], confidence[k]) for tid, k in zip(tids, picks)])
             return FrameRows(frame=frame, records=records)
-        for det in detections:
-            if det.frame != frame_index:
-                raise ValueError(
-                    f"detection for frame {det.frame} passed to step for frame {frame_index}"
-                )
         conf_min = self.config.det_conf_min
         admitted = [d for d in detections if d.confidence >= conf_min]
         tids, dets = self._step_cells(frame, geometry.to_xyxy([d.box for d in admitted]))
@@ -565,13 +549,13 @@ def run_sequence(config: TrackerConfig, detections_by_frame: Mapping[int, Sequen
     and return one ``FrameOutput`` per key of the mapping, ascending.
 
     Frame indices absent from the mapping are treated as frames with zero
-    detections; a frame key must be an integer >= 1 that its detections
-    name. Each reported record holds its ``Detection``'s own box and
-    confidence. ``result_rows`` fills a track's gaps.
+    detections. A detection's frame is the key it is listed under, and the
+    keys are integers >= 1. Each reported record holds its ``Detection``'s
+    own box and confidence. ``result_rows`` fills a track's gaps.
     """
-    frame_keys, detections = _detection_rows(detections_by_frame)
-    frames, tids, rows = track_cells([config], DetectionTable._of(frame_keys, detections))[0]
-    by_frame: dict[int, list] = {frame: [] for frame in frame_keys}
+    table, detections = DetectionTable._of(detections_by_frame)
+    frames, tids, rows = track_cells([config], table)[0]
+    by_frame: dict[int, list] = {frame: [] for frame in table.frame_keys.tolist()}
     for frame, tid, row in zip(frames.tolist(), tids.tolist(), rows.tolist()):
         det = detections[row]
         by_frame[frame].append((tid, det.box, det.confidence))

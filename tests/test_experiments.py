@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 from dataclasses import replace
 
 import pytest
@@ -49,9 +50,10 @@ def test_parallel_grid_equals_serial():
     assert parallel == serial
 
 
-def test_reports_do_not_depend_on_jobs():
+def test_reports_do_not_depend_on_jobs(monkeypatch):
     # jobs splits the cells into contiguous lockstep chunks: 6 cells into
-    # 1, 2 or 4 chunks, and the grid's 6 cells likewise
+    # 1, 2 or 4 chunks, and the grid's 6 cells likewise, also on fewer CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     det_seqs, gt_seqs = tiny_sequence()
     combos = experiments.enumerate_buffer_grid(0.1, 0.4, 0.1)
     compares = [experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=jobs) for jobs in (1, 2, 4)]
@@ -86,14 +88,18 @@ def test_pool_is_never_larger_than_the_task_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     det_seqs, gt_seqs = tiny_sequence()
-    reports = experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=100_000)
-    assert list(reports) == list(experiments.VARIANT_ORDER)
     combos = experiments.enumerate_buffer_grid(0.1, 0.3, 0.1)
-    experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=100_000)
-    experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=2)
-    # a single task runs in this process: no pool
-    experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos[:1], jobs=100_000)
-    assert sizes == [6, 3, 2]
+    # nor larger than the CPU count: a pool forks all its workers at once
+    for cpus, expected in ((8, [6, 3, 2]), (2, [2, 2, 2])):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        sizes.clear()
+        reports = experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=100_000)
+        assert list(reports) == list(experiments.VARIANT_ORDER)
+        experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=100_000)
+        experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos, jobs=2)
+        # a single task runs in this process: no pool
+        experiments.run_grid(TrackerConfig(), det_seqs, gt_seqs, combos[:1], jobs=100_000)
+        assert sizes == expected
 
 
 def test_buffer_grid_is_bounded_in_values():
@@ -119,7 +125,7 @@ def sliding_box_grid(step):
     """The 0.1:0.4:0.1 grid, without motion, over one 10 px box that moves
     ``step`` px per frame and is detected exactly."""
     boxes = {f: BoundingBox(step * (f - 1), 0, 10, 10) for f in range(1, 7)}
-    dets = {f: [Detection(f, b, 1.0)] for f, b in boxes.items()}
+    dets = {f: [Detection(b, 1.0)] for f, b in boxes.items()}
     gt = labels({f: [(1, b)] for f, b in boxes.items()})
     combos = experiments.enumerate_buffer_grid(0.1, 0.4, 0.1)
     return combos, experiments.run_grid(TrackerConfig(motion_enabled=False), [dets], [gt], combos)

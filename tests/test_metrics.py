@@ -195,8 +195,9 @@ class TestGroupedRows:
             ([0, 0, 0, 10], "box extents must be positive"),
             ([0, 0, 10, math.inf], "h must be finite"),
             ([0, 0, 2e100, 10], "box corners must lie within"),
+            ([0, 0, 1e-200, 1e-200], "box area must be positive in corner form"),
         ],
-        ids=["negative_width", "zero_width", "infinite_height", "past_limit"],
+        ids=["negative_width", "zero_width", "infinite_height", "past_limit", "zero_area"],
     )
     def test_first_bad_box_rejected_by_its_row(self, table, tlwh, problem):
         # labels took any box: a negative width was scored (HOTA 0 against a
@@ -719,13 +720,11 @@ class TestArrayTable:
             bad = SequenceAnnotations([1, 2], [1] * others + [2], list(range(others + 1)), tlwh)
             evaluate(*((bad, good) if nan_side == "gt" else (good, bad)))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_non_finite_iou_still_raises(self):
-        # boxes that pass the check but whose areas underflow to 0 have an IoU
-        # of 0 / 0; their frame must not be read as one without overlap
-        tiny = SequenceAnnotations([1], [1, 1], [1, 2], [[0, 0, 1e-200, 1e-200], [0, 0, 10, 10]])
-        with pytest.raises(ValueError, match="similarity matrix contains non-finite values"):
-            evaluate(tiny, tiny)
+        # a box whose area underflows to 0 would have an IoU of 0 / 0: the
+        # labels reject it, named by its row, before either side is evaluated
+        with pytest.raises(ValueError, match="label row 0: box area must be positive in corner form"):
+            SequenceAnnotations([1], [1, 1], [1, 2], [[0, 0, 1e-200, 1e-200], [0, 0, 10, 10]])
 
     def test_hota_need_not_match_every_passing_pair(self):
         # gt x in [0, 10], [9, 19], [-9, 1] against pred [0, 10], [9, 19],

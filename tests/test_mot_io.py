@@ -59,6 +59,12 @@ CASES = [
         every(1, "box corners must lie within +-1e+100, got x=0.0, y=0.0, w=2e+100, h=10.0"),
     ),
     (
+        # the area underflows to 0, and every IoU with the box was 0 / 0
+        "zero_area",
+        b"1,1,0,0,1e-200,1e-200,1,1,1.0\n",
+        every(1, "box area must be positive in corner form, got x=0.0, y=0.0, w=1e-200, h=1e-200"),
+    ),
+    (
         "id_-1",
         with_field(1, "-1"),
         {"dets": None, "gt": None, "res": (1, "result rows need a real track id, got -1")},

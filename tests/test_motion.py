@@ -25,8 +25,8 @@ def window(entries, n_max=5) -> np.ndarray:
     return np.array([rows], dtype=float)
 
 
-def det(frame, x, w=10.0) -> Detection:
-    return Detection(frame=frame, box=BoundingBox(x, 0, w, 10), confidence=1.0)
+def det(x, w=10.0) -> Detection:
+    return Detection(BoundingBox(x, 0, w, 10), 1.0)
 
 
 def scalar_predict(state, velocity, delta):
@@ -53,19 +53,19 @@ class TestMotionHistory:
         tracker = CBiouTracker(TrackerConfig(n_max=3, max_age=5))
         xs = [0.0, 8.0, 10.0, 12.0, 14.0, 16.0]
         for f, x in enumerate(xs, start=1):
-            tracker.step(f, [det(f, x)])
+            tracker.step(f, [det(x)])
             assert tracker.tracks[0][0] == 1
         tracker.step(len(xs) + 1, [])
         assert tracker.tracks[0][1][0] == 18.0
 
     def test_frames_must_increase(self):
         tracker = CBiouTracker()
-        tracker.step(3, [det(3, 0)])
+        tracker.step(3, [det(0)])
         before = tracker.tracks
         with pytest.raises(ValueError):
-            tracker.step(3, [det(3, 5)])
+            tracker.step(3, [det(5)])
         with pytest.raises(ValueError):
-            tracker.step(2, [det(2, 5)])
+            tracker.step(2, [det(5)])
         assert tracker.tracks == before
 
     def test_rejects_bad_capacity(self):

@@ -183,7 +183,7 @@ class TestPerturb:
         envelope = BoundingBox(0.0, 0.0, 40.0, 40.0)
         rows = [(identity, envelope) for identity in range(1, 5)]
         gt = labels({1: rows})
-        dets = {1: [Detection(1, b, 1.0) for _, b in rows]}
+        dets = {1: [Detection(b, 1.0) for _, b in rows]}
         for seed in (0, 1, 2, 3, 12345):
             with pytest.raises(GenerationError) as err:
                 perturb(dets, NoiseSpec(ratio=0.5, seed=seed), gt)

@@ -28,8 +28,8 @@ from gap_filling import fill_gaps
 from labels import labels
 
 
-def det(frame, x, y=0.0, w=10.0, h=10.0, conf=1.0) -> Detection:
-    return Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf)
+def det(x, y=0.0, w=10.0, h=10.0, conf=1.0) -> Detection:
+    return Detection(BoundingBox(x, y, w, h), conf)
 
 
 class TestTrackerConfig:
@@ -66,7 +66,7 @@ class TestTrackerConfig:
         # n_max=5.0 passed the check, then sized np.zeros and raised TypeError
         cfg = TrackerConfig(**{name: 5.0})
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 5
-        assert CBiouTracker(cfg).step(1, [det(1, 0)]).records[0][0] == 1
+        assert CBiouTracker(cfg).step(1, [det(0)]).records[0][0] == 1
 
     @pytest.mark.parametrize("name, most", [("max_age", MAX_AGE_LIMIT), ("n_max", N_MAX_LIMIT)])
     def test_work_sizing_fields_are_bounded(self, name, most):
@@ -112,13 +112,12 @@ INF = float("inf")
     [
         lambda: TrackerConfig(max_age=INF),
         lambda: TrackerConfig(n_max=INF),
-        lambda: det(INF, 0.0),
         lambda: CBiouTracker().step(INF, []),
         lambda: ScenarioSpec(INF, 10, (100.0, 100.0), (1.0, 2.0), 0.0, (5.0, 10.0)),
         lambda: OcclusionSpec(0.1, (INF, INF)),
         lambda: enumerate_buffer_grid(0.0, 1e300, 1e-300),
     ],
-    ids=["max_age", "n_max", "detection_frame", "step_frame", "num_objects", "occlusion_duration", "grid_count"],
+    ids=["max_age", "n_max", "step_frame", "num_objects", "occlusion_duration", "grid_count"],
 )
 def test_infinite_counts_are_value_errors(build):
     # int(inf) raised OverflowError, which the documented ValueError misses
@@ -129,29 +128,29 @@ def test_infinite_counts_are_value_errors(build):
 class TestStep:
     def test_first_frame_initializes_all_detections(self):
         tracker = CBiouTracker()
-        out = tracker.step(1, [det(1, 0), det(1, 100), det(1, 200)])
+        out = tracker.step(1, [det(0), det(100), det(200)])
         assert [rec[0] for rec in out.records] == [1, 2, 3]
         assert [rec[1].x for rec in out.records] == [0, 100, 200]
 
     def test_nonoverlapping_jump_keeps_id(self):
         # plain IoU would be 0 here; the buffered overlap at b1=0.3 is 1/7
-        outputs = run_sequence(TrackerConfig(), {1: [det(1, 0)], 2: [det(2, 12)]})
+        outputs = run_sequence(TrackerConfig(), {1: [det(0)], 2: [det(12)]})
         assert [rec[0] for out in outputs for rec in out.records] == [1, 1]
 
     def test_termination_and_fresh_id(self):
         cfg = TrackerConfig(max_age=2)
         tracker = CBiouTracker(cfg)
-        tracker.step(1, [det(1, 0)])
+        tracker.step(1, [det(0)])
         for f in range(2, 5):
             tracker.step(f, [])
         assert tracker.tracks == ()
-        out = tracker.step(5, [det(5, 0)])
+        out = tracker.step(5, [det(0)])
         assert out.records[0][0] == 2
 
     def test_age_bound_while_alive(self):
         cfg = TrackerConfig(max_age=3, motion_enabled=False)
         tracker = CBiouTracker(cfg)
-        tracker.step(1, [det(1, 0)])
+        tracker.step(1, [det(0)])
         for f in range(2, 10):
             tracker.step(f, [])
             for _tid, _state, age in tracker.tracks:
@@ -165,29 +164,24 @@ class TestStep:
         with pytest.raises(ValueError):
             tracker.step(4, [])
 
-    def test_detection_frame_must_match(self):
-        tracker = CBiouTracker()
-        with pytest.raises(ValueError):
-            tracker.step(1, [det(2, 0)])
-
     def test_low_confidence_detections_dropped(self):
         cfg = TrackerConfig(det_conf_min=0.5)
         tracker = CBiouTracker(cfg)
-        out = tracker.step(1, [det(1, 0, conf=0.4), det(1, 100, conf=0.6)])
+        out = tracker.step(1, [det(0, conf=0.4), det(100, conf=0.6)])
         assert len(out.records) == 1
         assert out.records[0][1].x == 100
 
     def test_ids_strictly_increase(self):
         tracker = CBiouTracker()
-        tracker.step(1, [det(1, 0), det(1, 500)])
-        out = tracker.step(2, [det(2, 0), det(2, 500), det(2, 1000)])
+        tracker.step(1, [det(0), det(500)])
+        out = tracker.step(2, [det(0), det(500), det(1000)])
         assert [rec[0] for rec in out.records] == [1, 2, 3]
 
     def test_coasting_uses_frozen_velocity(self):
         cfg = TrackerConfig(max_age=10)
         tracker = CBiouTracker(cfg)
-        tracker.step(1, [det(1, 0)])
-        tracker.step(2, [det(2, 5)])  # velocity 5 px/frame
+        tracker.step(1, [det(0)])
+        tracker.step(2, [det(5)])  # velocity 5 px/frame
         for missing in range(1, 4):
             tracker.step(2 + missing, [])
             _tid, state, age = tracker.tracks[0]
@@ -196,16 +190,16 @@ class TestStep:
 
     def test_matched_state_is_detection_box(self):
         tracker = CBiouTracker()
-        tracker.step(1, [det(1, 0)])
-        tracker.step(2, [det(2, 7, y=1, w=12, h=9)])
+        tracker.step(1, [det(0)])
+        tracker.step(2, [det(7, y=1, w=12, h=9)])
         _tid, (x1, y1, x2, y2), _age = tracker.tracks[0]
         assert (x1, y1) == (7, 1)
         assert (x2 - x1, y2 - y1) == (12, 9)
 
     def test_gap_ages_by_elapsed_frames(self):
         tracker = CBiouTracker(TrackerConfig(max_age=2))
-        tracker.step(1, [det(1, 0)])
-        out = tracker.step(500, [det(500, 0)])
+        tracker.step(1, [det(0)])
+        out = tracker.step(500, [det(0)])
         assert [rec[0] for rec in out.records] == [2]
         tracker.step(502, [])
         assert [age for _tid, _state, age in tracker.tracks] == [2]
@@ -223,10 +217,10 @@ class TestStep:
 
         monkeypatch.setattr(motion, "predict", spy)
         tracker = CBiouTracker(TrackerConfig(max_age=3))
-        tracker.step(1, [det(1, 0)])
-        tracker.step(2, [det(2, 5)])
-        tracker.step(6, [det(6, 25)])
-        out = tracker.step(10**9, [det(10**9, 0)])
+        tracker.step(1, [det(0)])
+        tracker.step(2, [det(5)])
+        tracker.step(6, [det(25)])
+        out = tracker.step(10**9, [det(0)])
         assert deltas == [1, 4]
         assert [rec[0] for rec in out.records] == [2]
 
@@ -269,8 +263,8 @@ def assert_failed_steps_roll_back(monkeypatch, configs):
     # crosses a gap.
     tracker, twin = CBiouTracker(*configs), CBiouTracker(*configs)
     for t in (tracker, twin):
-        t.step(1, [det(1, 0)])
-        t.step(2, [det(2, 5)])
+        t.step(1, [det(0)])
+        t.step(2, [det(5)])
     before = tracker.tracks
     assert [tid for tid, _state, _age in before] == list(range(1, len(configs) + 1))
 
@@ -282,12 +276,12 @@ def assert_failed_steps_roll_back(monkeypatch, configs):
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, fail)
                 with pytest.raises(ValueError, match="finite"):
-                    tracker.step(frame, [det(frame, 15)])
+                    tracker.step(frame, [det(15)])
             assert tracker.tracks == before
     with pytest.raises(ValueError, match="must increase"):
         tracker.step(2, [])
     # the next allowed frame is still 3, and the tracker steps as one that never failed
-    assert tracker.step(3, [det(3, 10)]) == twin.step(3, [det(3, 10)])
+    assert tracker.step(3, [det(10)]) == twin.step(3, [det(10)])
     assert tracker.tracks == twin.tracks
 
 
@@ -359,7 +353,7 @@ class TestRunSequence:
     def test_missing_frames_treated_as_empty(self):
         # frames 2 and 3 age the track without ending it; only keys get an output
         outputs = run_sequence(
-            TrackerConfig(max_age=5), {1: [det(1, 0)], 4: [det(4, 3)]}
+            TrackerConfig(max_age=5), {1: [det(0)], 4: [det(3)]}
         )
         assert [out.frame for out in outputs] == [1, 4]
         assert [[rec[0] for rec in out.records] for out in outputs] == [[1], [1]]
@@ -367,7 +361,7 @@ class TestRunSequence:
     def test_single_linear_object_is_one_perfect_track(self):
         frames = 200
         dets = {
-            f: [det(f, 2.0 * f, y=1.5 * f)]
+            f: [det(2.0 * f, y=1.5 * f)]
             for f in range(1, frames + 1)
         }
         outputs = run_sequence(TrackerConfig(), dets)
@@ -390,7 +384,7 @@ class TestRunSequence:
             xb = 220.0 - 10.0 * f
             if f not in gap:
                 gt_frames[f] = [(1, BoundingBox(xa, 0, 8, 8)), (2, BoundingBox(xb, 40, 8, 8))]
-                dets[f] = [det(f, xa, y=0, w=8, h=8), det(f, xb, y=40, w=8, h=8)]
+                dets[f] = [det(xa, y=0, w=8, h=8), det(xb, y=40, w=8, h=8)]
             else:
                 dets[f] = []
         report = track_and_evaluate(TrackerConfig(max_age=5), [dets], [labels(gt_frames)])
@@ -436,9 +430,9 @@ class TestRunSequence:
 
     def test_interpolation_fills_gaps(self):
         dets = {
-            1: [det(1, 0)],
-            2: [det(2, 10)],
-            5: [det(5, 40)],
+            1: [det(0)],
+            2: [det(10)],
+            5: [det(40)],
         }
         table = DetectionTable.from_detections(dets)
         frames, tids, tlwh, _conf = result_rows(TrackerConfig(), table, interpolate_gaps=True)
@@ -453,14 +447,14 @@ class TestRunSequence:
 class TestFrameOutput:
     def test_one_record_per_id(self):
         outputs = run_sequence(
-            TrackerConfig(), {1: [det(1, 0), det(1, 100), det(1, 200)]}
+            TrackerConfig(), {1: [det(0), det(100), det(200)]}
         )
         ids = [rec[0] for rec in outputs[0].records]
         assert len(ids) == len(set(ids))
 
     def test_records_sorted_by_id(self):
         outputs = run_sequence(
-            TrackerConfig(), {1: [det(1, 300), det(1, 0), det(1, 150)]}
+            TrackerConfig(), {1: [det(300), det(0), det(150)]}
         )
         ids = [rec[0] for rec in outputs[0].records]
         assert ids == sorted(ids)
@@ -468,7 +462,7 @@ class TestFrameOutput:
 
 class TestDetectionTable:
     def test_rows_grouped_by_frame_in_given_order(self):
-        dets = {4: [det(4, 7, conf=0.5), det(4, 1)], 2: [], 1: [det(1, 3, w=2.5)]}
+        dets = {4: [det(7, conf=0.5), det(1)], 2: [], 1: [det(3, w=2.5)]}
         table = DetectionTable.from_detections(dets)
         assert table.frame_keys.tolist() == [1, 2, 4]
         assert table.row_frames.tolist() == [1, 4, 4]
@@ -483,23 +477,19 @@ class TestDetectionTable:
         # int(1.5) named frame 1, whose lookup missed: the detection was dropped
         message = re.escape(f"frame {key!r} is not an integer")
         with pytest.raises(ValueError, match=message):
-            DetectionTable.from_detections({key: [det(1, 0)]})
+            DetectionTable.from_detections({key: [det(0)]})
         with pytest.raises(ValueError, match=message):
-            run_sequence(TrackerConfig(), {key: [det(1, 0)]})
-
-    def test_detection_of_another_frame_rejected(self):
-        with pytest.raises(ValueError, match="detection for frame 1 listed under frame 2"):
-            run_sequence(TrackerConfig(), {1: [det(1, 0)], 2: [det(1, 5)]})
+            run_sequence(TrackerConfig(), {key: [det(0)]})
 
     def test_frame_below_one_rejected(self):
-        with pytest.raises(ValueError, match="frame index must be a positive integer, got 0"):
-            run_sequence(TrackerConfig(), {0: [], 1: [det(1, 0)]})
+        with pytest.raises(ValueError, match="frame 0 is below 1"):
+            run_sequence(TrackerConfig(), {0: [], 1: [det(0)]})
 
     def test_integral_float_frame_key_is_its_integer(self):
-        assert run_sequence(TrackerConfig(), {2.0: [det(2, 0)]}) == run_sequence(TrackerConfig(), {2: [det(2, 0)]})
+        assert run_sequence(TrackerConfig(), {2.0: [det(0)]}) == run_sequence(TrackerConfig(), {2: [det(0)]})
 
     def test_rows_index_the_table(self):
-        dets = {1: [det(1, 0), det(1, 100, conf=0.05)], 3: [det(3, 4), det(3, 300)]}
+        dets = {1: [det(0), det(100, conf=0.05)], 3: [det(4), det(300)]}
         table = DetectionTable.from_detections(dets)
         frames, tids, rows = track_cells([TrackerConfig(max_age=3)], table)[0]
         assert frames.tolist() == [1, 3, 3]
@@ -510,7 +500,7 @@ class TestDetectionTable:
 
     def test_pickled_table_stays_read_only(self):
         # a process pool pickles the table for each compare/grid task
-        dets = {1: [det(1, 0), det(1, 100, conf=0.05)], 3: [det(3, 4), det(3, 300)]}
+        dets = {1: [det(0), det(100, conf=0.05)], 3: [det(4), det(300)]}
         table = DetectionTable.from_detections(dets)
         copied = pickle.loads(pickle.dumps(table))
         for name in ("frame_keys", "row_frames", "tlwh", "xyxy", "confidence"):
@@ -524,7 +514,7 @@ class TestDetectionTable:
     @pytest.mark.parametrize(
         "frame_keys, rows, message",
         [
-            ([0, 1], [(0, [0, 0, 10, 10], 1.0)], "detection row 0: frame must be a positive integer, got 0"),
+            ([0, 1], [(0, [0, 0, 10, 10], 1.0)], "frame 0 is below 1"),
             (
                 [1, 2],
                 [(1, [0, 0, 10, 10], 1.0), (2, [0, 0, 0, 10], 1.0), (2, [0, 0, 10, 10], INF)],
@@ -549,10 +539,10 @@ class TestDetectionTable:
 
 
 class TestTableFrames:
-    DETS = {1: [det(1, 0), det(1, 100, conf=0.05), det(1, 50)], 3: [det(3, 51, w=9.5), det(3, 2)]}
+    DETS = {1: [det(0), det(100, conf=0.05), det(50)], 3: [det(51, w=9.5), det(2)]}
 
     def test_frames_admit_rows_and_skip_frames_without_them(self):
-        table = DetectionTable.from_detections({**self.DETS, 4: [], 5: [det(5, 0, conf=0.05)]})
+        table = DetectionTable.from_detections({**self.DETS, 4: [], 5: [det(0, conf=0.05)]})
         frames = list(table.frames(0.1))
         assert [frame for frame, _ in frames] == [1, 3]
         assert [rows.rows for _, rows in frames] == [[0, 2], [3, 4]]
@@ -601,7 +591,7 @@ class TestTableFrames:
         # the track of frame 1 dies in frame 5, inside the gap that frame 50's
         # step crosses; frame 60 has no admitted rows, so it is not stepped,
         # but run_sequence still gives its key an output
-        dets = {1: [det(1, 0)], 50: [det(50, 0)], 60: [det(60, 0, conf=0.05)]}
+        dets = {1: [det(0)], 50: [det(0)], 60: [det(0, conf=0.05)]}
         seen, (frames, tids, _rows) = self.stepped_frames(monkeypatch, TrackerConfig(max_age=3), dets)
         assert [out.frame for out in seen] == [1, 50]
         assert list(zip(frames.tolist(), tids.tolist())) == [(1, 1), (50, 2)]
@@ -622,7 +612,7 @@ DETECTION = st.builds(
 )
 SEQUENCES = st.dictionaries(
     st.integers(1, 14), st.lists(DETECTION, max_size=6), min_size=1, max_size=10
-).map(lambda frames: {f: [det(f, x, y, w, h, conf) for x, y, w, h, conf in rows] for f, rows in frames.items()})
+).map(lambda frames: {f: [det(x, y, w, h, conf) for x, y, w, h, conf in rows] for f, rows in frames.items()})
 CONFIGS = st.builds(
     lambda kind, cascade, motion_on, max_age, conf_min: TrackerConfig(
         similarity_kind=kind,
@@ -736,7 +726,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("field, value", [("det_conf_min", 0.5), ("n_max", 3)])
     def test_cells_must_share_admission_and_history(self, field, value):
-        table = DetectionTable.from_detections({1: [det(1, 0)]})
+        table = DetectionTable.from_detections({1: [det(0)]})
         with pytest.raises(ValueError, match="must share det_conf_min and n_max"):
             track_cells([TrackerConfig(), replace(TrackerConfig(), **{field: value})], table)
         with pytest.raises(ValueError, match="at least one config"):
@@ -747,7 +737,7 @@ class TestLockstep:
         # cell links track 1 in round 1, the b1 = 0 cell leaves both tracks
         # to the shared b2 = 0.4 round, where both cells link track 2.
         configs = [TrackerConfig(b1=b1, b2=0.4, motion_enabled=False) for b1 in (0.0, 0.1)]
-        dets = {1: [det(1, 0), det(1, 100)], 2: [det(2, 10.5), det(2, 115)]}
+        dets = {1: [det(0), det(100)], 2: [det(10.5), det(115)]}
         table = DetectionTable.from_detections(dets)
         together = track_cells(configs, table)
         for config, rows in zip(configs, together):
@@ -766,7 +756,7 @@ class TestLockstep:
 
         monkeypatch.setattr(geometry, "similarity_matrix", spy)
         configs = list(variant_configs(TrackerConfig()).values())
-        dets = {1: [det(1, 0), det(1, 100)], 2: [det(2, 2), det(2, 118)]}
+        dets = {1: [det(0), det(100)], 2: [det(2), det(118)]}
         track_cells(configs, DetectionTable.from_detections(dets))
         assert calls == [
             ("iou", 0.3, 2), ("giou", 0.3, 2), ("diou", 0.3, 2), ("biou", 0.3, 6), ("biou", 0.4, 2)
@@ -790,7 +780,7 @@ def collapsing_sequences(draw):
         frames.append(frames[-1] + gap + 1)
     return {
         f: [
-            det(f, x + drift * (f - 1), y=12.0 * k, w=max(w - shrink * (f - 1), 0.1))
+            det(x + drift * (f - 1), y=12.0 * k, w=max(w - shrink * (f - 1), 0.1))
             for k, (x, w, shrink, drift) in enumerate(objects)
         ]
         for f in frames
@@ -817,7 +807,7 @@ class TestGapRule:
         # in frame 24, 0.04 px short of the detection at b2. Re-centred once,
         # at the end of the gap, it was 1 px wide and kept track 1.
         config = TrackerConfig(b1=0.0, b2=0.1)
-        dets = {1: [det(1, 0)], 2: [det(2, 0, w=9.5)], 24: [det(24, -0.4, w=0.1)]}
+        dets = {1: [det(0)], 2: [det(0, w=9.5)], 24: [det(-0.4, w=0.1)]}
         tracker = CBiouTracker(config)
         direct = [tracker.step(f, dets[f]) for f in dets]
         assert [[rec[0] for rec in out.records] for out in direct] == [[1], [1], [2]]
@@ -872,7 +862,7 @@ class TestInterpolation:
         # x + 16 rounds up; their midpoint is even, and x + 16 rounds back to x
         x0, x1 = 2.0**57 + 32, 2.0**57 + 96
         assert x0 + 16 > x0 and x1 + 16 > x1
-        dets = {1: [det(1, x0, w=16, h=1)], 3: [det(3, x1, w=16, h=1)]}
+        dets = {1: [det(x0, w=16, h=1)], 3: [det(x1, w=16, h=1)]}
         config = TrackerConfig(b1=10, b2=20, motion_enabled=False)
         assert [len(out.records) for out in run_sequence(config, dets)] == [1, 1]
         with pytest.raises(ValueError) as expected:
