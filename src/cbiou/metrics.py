@@ -124,8 +124,9 @@ class MetricsReport:
 
 
 # Largest number of cells whose IoU one vectorised pass computes. The pass
-# holds a few hundred bytes per cell, so this bounds it near 1 MB whatever
-# the sequence; a frame with more cells gets a pass of its own.
+# peaks at about 170 bytes per cell (the row indices, both sides' gathered
+# coordinate rows and the IoU's temporaries), so this bounds it near 1 MB
+# whatever the sequence; a frame with more cells gets a pass of its own.
 _CHUNK_CELLS = 4096
 _ALPHA_GRID = np.asarray(ALPHAS)
 _ALPHA_COLUMNS = np.arange(len(ALPHAS))
@@ -197,7 +198,10 @@ def _frame_cells(gt_xyxy, pred_xyxy, gt_starts, pred_starts, widths, cells):
     row, col = np.divmod(offset, widths[frame])
     gt_rows = gt_starts[frame] + row
     pred_rows = pred_starts[frame] + col
-    return frame, gt_rows, pred_rows, geometry.paired_iou(gt_xyxy[gt_rows], pred_xyxy[pred_rows])
+    # Each side's boxes are gathered once, as (4, C) coordinate rows:
+    # paired_iou reads their (C, 4) transposes in place.
+    gt_boxes, pred_boxes = gt_xyxy.T.take(gt_rows, 1).T, pred_xyxy.T.take(pred_rows, 1).T
+    return frame, gt_rows, pred_rows, geometry.paired_iou(gt_boxes, pred_boxes)
 
 
 def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cbiou import geometry
+from cbiou import geometry, metrics
 from cbiou.geometry import BoundingBox, buffer_xyxy, iou
 
 
@@ -376,6 +377,29 @@ class TestMatrixForms:
         some = geometry.to_xyxy([BoundingBox(0, 0, 1, 1)])
         assert geometry.iou_matrix(empty, some).shape == (0, 1)
         assert geometry.similarity_matrix("biou", some, empty, 0.3).shape == (1, 0)
+        assert geometry.paired_iou(empty, empty).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((3, 8), (2, 4)), ((2, 2), (2, 4)), ((4,), (1, 4)), ((1, 4), (0,)), ((2, 1, 4), (2, 4)), ((2, 4), (2, 5))],
+    )
+    def test_matrix_forms_reject_other_shapes(self, shape_a, shape_b):
+        a, b = np.ones(shape_a), np.ones(shape_b)
+        for x, y in ((a, b), (b, a)):
+            message = re.escape(f"(N, 4) and (M, 4) arrays, got shapes {x.shape} and {y.shape}")
+            with pytest.raises(ValueError, match=message):
+                geometry.iou_matrix(x, y)
+            for kind in geometry.SIMILARITY_KINDS:
+                with pytest.raises(ValueError, match=message):
+                    geometry.similarity_matrix(kind, x, y, 0.3)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((3, 4), (2, 4)), ((0, 4), (1, 4)), ((2, 4), (2, 5)), ((4,), (4,)), ((2, 2), (2, 2))]
+    )
+    def test_paired_iou_rejects_other_shapes(self, shape_a, shape_b):
+        message = re.escape(f"two (C, 4) arrays of equal length, got shapes {shape_a} and {shape_b}")
+        with pytest.raises(ValueError, match=message):
+            geometry.paired_iou(np.ones(shape_a), np.ones(shape_b))
 
     @pytest.mark.parametrize("buffer_scale", [0.0, 0.3, 0.4, 1000.0])
     @pytest.mark.parametrize("kind", geometry.SIMILARITY_KINDS)
@@ -449,10 +473,20 @@ def random_corners(rng, count: int, magnitude: float) -> np.ndarray:
     return boxes
 
 
+def layouts(boxes: np.ndarray, rng) -> list[np.ndarray]:
+    """(N, 4) arrays in C order, then in layouts that are not: Fortran order,
+    a ``take`` of shuffled rows, columns 2:6 of an (N, 8) array and the rows
+    reversed."""
+    wide = np.zeros((len(boxes), 8))
+    wide[:, 2:6] = boxes
+    return [boxes, np.asfortranarray(boxes), boxes.take(rng.permutation(len(boxes)), 0), wide[:, 2:6], boxes[::-1]]
+
+
 class TestFusedOverlap:
-    """The fused overlap routine and the one-addition buffer keep the bits of
-    the per-coordinate formulas; pytest's warnings-as-errors stays on, so an
-    overflow or invalid value at the limits fails the test."""
+    """The coordinate-major kernels and the one-addition buffer keep the bits
+    of the per-coordinate formulas on (N, 4) inputs of any size and memory
+    layout; pytest's warnings-as-errors stays on, so an overflow or invalid
+    value at the limits fails the test."""
 
     SCALES = [0.0, 1e-3, 0.3, 0.4, 1.7, 1e3, 1e20, geometry.MAX_BUFFER_SCALE]
     MAGNITUDES = [1.0, 100.0, 1e4, 1e90, 2 * geometry.MAX_ABS_COORDINATE]
@@ -481,3 +515,28 @@ class TestFusedOverlap:
                 got = geometry.similarity_matrix(kind, boxes, boxes[::-1], scale)
                 assert got.tobytes() == reference_matrix(kind, boxes, boxes[::-1], scale).tobytes()
                 assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_large_and_strided_inputs_have_the_reference_bits(self, magnitude):
+        rng = np.random.default_rng(int(np.log10(magnitude)) + 41)
+        a, b = random_corners(rng, 40, magnitude), random_corners(rng, 33, magnitude)
+        b[:3] = a[:3]
+        assert (len(a), len(b)) == (40, 33)
+        for view_a, view_b in zip(layouts(a, rng), layouts(b, rng)):
+            same_a, same_b = np.array(view_a), np.array(view_b)  # C-order copies
+            inter, union = reference_parts(same_a[:, None], same_b[None, :])
+            assert geometry.iou_matrix(view_a, view_b).tobytes() == (inter / union).tobytes()
+            for scale in self.SCALES:
+                assert buffer_xyxy(view_a, scale).tobytes() == reference_buffer(same_a, scale).tobytes()
+                for kind in geometry.SIMILARITY_KINDS:
+                    got = geometry.similarity_matrix(kind, view_a, view_b, scale)
+                    assert got.tobytes() == reference_matrix(kind, same_a, same_b, scale).tobytes(), (kind, scale)
+
+    def test_paired_iou_over_more_than_a_chunk(self):
+        rng = np.random.default_rng(43)
+        a, b = random_corners(rng, 80, 100.0), random_corners(rng, 60, 100.0)
+        rows, cols = (grid.ravel() for grid in np.indices((len(a), len(b))))
+        assert len(rows) > metrics._CHUNK_CELLS
+        for view_a, view_b in zip(layouts(a[rows], rng), layouts(b[cols], rng)):
+            inter, union = reference_parts(np.array(view_a), np.array(view_b))
+            assert geometry.paired_iou(view_a, view_b).tobytes() == (inter / union).tobytes()
