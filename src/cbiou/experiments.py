@@ -5,9 +5,13 @@ A call turns each detection sequence into a ``DetectionTable`` once, and
 tracks all its cells, one config each, over every table with one
 ``tracker.track_cells`` run: the cells step the table's frames in lockstep,
 and each similarity matrix scores the tracks of every cell with the same
-(kind, buffer) at once. Each cell's rows then become its prediction
-labels, and its sequences are evaluated with pooled counts, exactly as
-``track_and_evaluate``, the one-config case, evaluates its own.
+(kind, buffer) at once. Each sequence is then aligned once against the
+table rows the cells admit (``metrics.align_sequence``). Every cell reports
+each of those rows once, matched or born, in its own order, so each cell's
+alignment is that pass with its rows renumbered (``metrics.align_cell``),
+and each cell's sequences are evaluated with pooled counts, exactly as
+``track_and_evaluate``, the one-config case, evaluates its own. No cell
+builds prediction labels.
 
 With ``jobs > 1`` the cells are split into ``min(jobs, cells, CPUs)``
 contiguous chunks; each chunk is one lockstep task in a process pool, which
@@ -22,6 +26,8 @@ import os
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import metrics, tracker
 from .metrics import MetricsReport, SequenceAnnotations
@@ -53,8 +59,8 @@ def track_and_evaluate(
     """Run one config over paired sequences and evaluate with pooled counts.
 
     Each detection sequence is a ``DetectionTable`` or a per-frame
-    ``Detection`` mapping; the tracker's rows become the prediction labels
-    as arrays.
+    ``Detection`` mapping; the tracker's rows are the predictions, evaluated
+    off the table as a sweep's cells are.
     """
     return _evaluate_cells([config], _tables(det_seqs, gt_seqs), gt_seqs)[0]
 
@@ -64,12 +70,15 @@ def _evaluate_cells(
 ) -> list[MetricsReport]:
     """Track every config over each table in lockstep, and evaluate each
     config's rows over all sequences with pooled counts."""
-    pairs: list[list] = [[] for _ in configs]
+    tables: list[list] = [[] for _ in configs]
     for table, gt in zip(det_seqs, gt_seqs):
-        for cell, (frames, tids, rows) in zip(pairs, tracker.track_cells(configs, table)):
-            pred = SequenceAnnotations(metrics.sorted_unique(frames), frames, tids, table.tlwh[rows])
-            cell.append((gt, pred))
-    return [metrics.evaluate_many(cell) for cell in pairs]
+        results = tracker.track_cells(configs, table)
+        # The cells share det_conf_min, and each reports every row it admits once.
+        admitted = np.flatnonzero(table.confidence >= configs[0].det_conf_min)
+        sequence = metrics.align_sequence(gt, table.row_frames[admitted], table.xyxy[admitted])
+        for cell, (_frames, tids, rows) in zip(tables, results):
+            cell.append(metrics.align_cell(sequence, tids, np.searchsorted(admitted, rows)))
+    return [metrics.pooled_report(cell) for cell in tables]
 
 
 def _tables(det_seqs, gt_seqs) -> list[DetectionTable]:

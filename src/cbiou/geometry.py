@@ -203,8 +203,12 @@ def grouped_rows(frame_keys, row_frames, tlwh, *columns) -> tuple[np.ndarray, ..
 
 def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
     """One bool per (N, 4) top-left/width/height row: whether its corners
-    pass ``BoundingBox``'s check. Non-finite rows fail it."""
-    x, y, w, h = np.asarray(tlwh, dtype=float).reshape(-1, 4).T
+    pass ``BoundingBox``'s check. Non-finite rows fail it. An array of any
+    other shape raises ``ValueError``."""
+    tlwh = np.asarray(tlwh, dtype=float)
+    if tlwh.shape[1:] != (4,):
+        raise ValueError(f"boxes must be an (N, 4) array, got shape {tlwh.shape}")
+    x, y, w, h = tlwh.T
     limit = MAX_ABS_COORDINATE
     with np.errstate(invalid="ignore", over="ignore"):
         x2, y2 = x + w, y + h

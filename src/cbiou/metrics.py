@@ -9,16 +9,25 @@ single-sequence; to evaluate several sequences together, pool them with
 ``evaluate_many`` which merges them onto disjoint frame/identity ranges so
 raw counts pool rather than ratios average.
 
-``evaluate`` aligns the two labelings once, as whole-sequence arrays. Every
-(gt row, pred row) cell of every frame with boxes on both sides gets its IoU
-in one vectorised pass per chunk of frames (at most ``_CHUNK_CELLS`` cells),
-and the positive cells are kept as flat arrays in (frame, gt row, pred row)
-order, each with its frame's conflict level: the largest second-highest IoU
-over the frame's rows and columns. A frame whose level is above 0 has a row
-or column with two positive cells, and keeps a dense IoU matrix. Every
-label box has a positive area, so every IoU is finite. ``clear_mota`` and
-``idf1`` (at ``IOU_THRESHOLD``) and ``hota`` (over the fixed grid
-``ALPHAS``) each take that table.
+Alignment has two parts, so that the cells of a sweep, which all take their
+predictions from the rows of one table of boxes per sequence, share the
+sequence's part. ``align_sequence`` takes the ground truth and such a table:
+every (gt row, table row) cell of every frame with rows on both sides gets
+its IoU in one vectorised pass per chunk of frames (at most ``_CHUNK_CELLS``
+cells), and the positive cells are kept as flat arrays in (frame, gt row,
+table row) order, each with its frame's conflict level: the largest
+second-highest IoU over the frame's rows and columns. A frame whose level is
+above 0 has a row or column with two positive cells, and keeps a dense IoU
+matrix. Every label box has a positive area, so every IoU is finite.
+``align_cell`` takes one cell's predictions: every table row once, in the
+cell's own order but still grouped by frame, with their identities. So each
+frame's predictions are its table rows and its level is the table's; the
+cell only renumbers the prediction side, re-sorts the cells into (frame, gt
+row, pred row) order and moves each conflict matrix's columns. ``evaluate``
+is the one-cell case: the predictions are their own table, in table order.
+``pooled_report`` joins several sequences' tables as ``pool_sequences``
+joins their labels, and ``clear_mota`` and ``idf1`` (at ``IOU_THRESHOLD``)
+and ``hota`` (over the fixed grid ``ALPHAS``) each take the joined table.
 
 Every matching follows one rule. Above a frame's conflict level no row or
 column holds two passing pairs, so the passing pairs form a matching; since
@@ -157,8 +166,9 @@ class _Conflict(NamedTuple):
 class _Table:
     """What every metric of one (gt, pred) pair reads.
 
-    ``gt_index`` gives each gt row's place among the distinct gt ids, and
-    ``gt_presence`` counts the rows of each distinct id; ``pred_index`` and
+    ``gt_ids`` holds each gt row's identity, which only pooling reads,
+    ``gt_index`` its place among the distinct gt ids, and ``gt_presence``
+    counts the rows of each distinct id; ``pred_ids``, ``pred_index`` and
     ``pred_presence`` do the same for predictions. ``gt_rows``,
     ``pred_rows``, ``pairs`` and ``iou`` describe the cells with a positive
     IoU in frames with boxes on both sides, in (frame, gt row, pred row)
@@ -166,21 +176,49 @@ class _Table:
     ``gt place * len(pred_presence) + pred place``, and the IoU. ``level``
     gives each cell its frame's conflict level: 0 in a frame without a
     conflict, and above 0 in one of the frames of ``conflicts``, which are
-    in frame order.
+    in frame order. ``gt_total`` and ``pred_total`` count each side's rows.
     """
 
+    gt_ids: np.ndarray
     gt_index: np.ndarray
     gt_presence: np.ndarray
+    pred_ids: np.ndarray
     pred_index: np.ndarray
     pred_presence: np.ndarray
     gt_rows: np.ndarray
     pred_rows: np.ndarray
-    pairs: np.ndarray
     iou: np.ndarray
     level: np.ndarray
     conflicts: tuple[_Conflict, ...]
-    gt_total: int
-    pred_total: int
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        return self.gt_index[self.gt_rows] * len(self.pred_presence) + self.pred_index[self.pred_rows]
+
+    @property
+    def gt_total(self) -> int:
+        return len(self.gt_ids)
+
+    @property
+    def pred_total(self) -> int:
+        return len(self.pred_ids)
+
+
+class _Overlaps(NamedTuple):
+    """What every cell of one sequence shares: the ground truth ``gt`` with
+    its ``_id_index``, and the alignment of ``gt`` against a table of
+    ``table_size`` prediction boxes, as ``_Table`` holds it with table rows
+    in place of prediction rows: ``gt_rows``, ``table_rows``, ``iou``,
+    ``level`` and ``conflicts``."""
+
+    gt: SequenceAnnotations
+    gt_id_index: tuple[np.ndarray, np.ndarray]
+    table_size: int
+    gt_rows: np.ndarray
+    table_rows: np.ndarray
+    iou: np.ndarray
+    level: np.ndarray
+    conflicts: tuple[_Conflict, ...]
 
 
 def _id_index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +242,15 @@ def _frame_cells(gt_xyxy, pred_xyxy, gt_starts, pred_starts, widths, cells):
     return frame, gt_rows, pred_rows, geometry.paired_iou(gt_boxes, pred_boxes)
 
 
-def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
+def align_sequence(gt: SequenceAnnotations, table_frames: np.ndarray, table_xyxy: np.ndarray) -> _Overlaps:
+    """The part of alignment every cell of a sequence shares: ``gt`` against
+    a table of prediction boxes, each row's frame in ``table_frames``
+    (grouped ascending, as labels are) and its corners in ``table_xyxy``."""
     # Frames with rows on both sides, ascending, and each side's row range.
     frames = sorted_unique(gt.row_frames)
     bounds = [
-        np.searchsorted(labels.row_frames, frames, side=side)
-        for labels in (gt, pred)
+        np.searchsorted(row_frames, frames, side=side)
+        for row_frames in (gt.row_frames, table_frames)
         for side in ("left", "right")
     ]
     both = bounds[3] > bounds[2]
@@ -224,18 +265,18 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
     start = 0
     while start < len(ends):
         stop = max(start + 1, bisect.bisect_right(ends, (ends[start - 1] if start else 0) + _CHUNK_CELLS))
-        frame, gt_rows, pred_rows, iou = _frame_cells(
-            gt.xyxy, pred.xyxy, g0[start:stop], p0[start:stop], widths[start:stop], cells[start:stop]
+        frame, gt_rows, table_rows, iou = _frame_cells(
+            gt.xyxy, table_xyxy, g0[start:stop], p0[start:stop], widths[start:stop], cells[start:stop]
         )
         frame += start
         positive = iou > 0
-        parts.append((frame[positive], gt_rows[positive], pred_rows[positive], iou[positive]))
+        parts.append((frame[positive], gt_rows[positive], table_rows[positive], iou[positive]))
         start = stop
-    frame, gt_rows, pred_rows, iou = map(np.concatenate, zip(*parts))
+    frame, gt_rows, table_rows, iou = map(np.concatenate, zip(*parts))
 
     # Sorted by row or column, then IoU: every entry but the last of its line
     # is below the line's largest, and the largest of those is its second.
-    lines = np.concatenate((gt_rows, pred_rows + len(gt.ids)))
+    lines = np.concatenate((gt_rows, table_rows + len(gt.ids)))
     order = np.lexsort((np.concatenate((iou, iou)), lines))
     lines = lines[order]
     seconds = order[:-1][lines[1:] == lines[:-1]] % max(len(iou), 1)
@@ -243,27 +284,79 @@ def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
     np.maximum.at(level, frame[seconds], iou[seconds])
     conflicted = np.flatnonzero(level > 0)
     conflicts = tuple(
-        _Conflict(g, p, geometry.iou_matrix(gt.xyxy[g:g_end], pred.xyxy[p:p_end]), lvl)
+        _Conflict(g, p, geometry.iou_matrix(gt.xyxy[g:g_end], table_xyxy[p:p_end]), lvl)
         for g, g_end, p, p_end, lvl in zip(
             *(values[conflicted].tolist() for values in (g0, g1, p0, p1, level))
         )
     )
-    gt_index, gt_presence = _id_index(gt.ids)
-    pred_index, pred_presence = _id_index(pred.ids)
-    pairs = gt_index[gt_rows] * len(pred_presence) + pred_index[pred_rows]
+    return _Overlaps(gt, _id_index(gt.ids), len(table_frames), gt_rows, table_rows, iou, level[frame], conflicts)
+
+
+def align_cell(sequence: _Overlaps, ids: np.ndarray, rows: np.ndarray | None = None) -> _Table:
+    """The part of alignment that is one cell's own: the ``_Table`` of
+    ``sequence``'s gt against predictions with identities ``ids`` that are
+    its table's rows, every one once, in the order ``rows`` gives them, or
+    in table order when ``rows`` is None. Like the rows of labels, ``rows``
+    must keep the table's frames grouped in ascending order; so each frame's
+    predictions are its table rows, and its conflict level is the table's.
+    A ``rows`` that is not every table row once raises ``ValueError``."""
+    gt_rows, pred_rows, iou, level = sequence.gt_rows, sequence.table_rows, sequence.iou, sequence.level
+    conflicts = sequence.conflicts
+    if rows is not None:
+        # Each table row's place among the predictions.
+        place = np.full(sequence.table_size, -1)
+        if len(rows) == sequence.table_size:
+            place[rows] = np.arange(len(rows))
+        if (place < 0).any():
+            raise ValueError(f"a cell's predictions must be each of the table's {sequence.table_size} rows once")
+        pred_rows = place[pred_rows]
+        order = np.lexsort((pred_rows, gt_rows))
+        gt_rows, pred_rows, iou, level = gt_rows[order], pred_rows[order], iou[order], level[order]
+        # A frame's predictions hold its table rows, so its columns move within it.
+        conflicts = tuple(
+            c._replace(sim=c.sim[:, rows[c.pred_start : c.pred_start + c.sim.shape[1]] - c.pred_start])
+            for c in conflicts
+        )
+    gt = sequence.gt
+    return _Table(gt.ids, *sequence.gt_id_index, ids, *_id_index(ids), gt_rows, pred_rows, iou, level, conflicts)
+
+
+def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
+    """The ``_Table`` of one (gt, pred) pair: the predictions are their own
+    table, and every row is selected."""
+    return align_cell(align_sequence(gt, pred.row_frames, pred.xyxy), pred.ids)
+
+
+def _pool(tables: Sequence[_Table]) -> _Table:
+    """One table of several sequences' tables, equal to the table of their
+    pooled labels: on each side, each table's rows follow the previous
+    table's, and its ids move as ``pool_sequences`` moves them."""
+    if len(tables) == 1:
+        return tables[0]
+
+    def joined(name: str, bases: list[int] | None = None) -> np.ndarray:
+        parts = [getattr(table, name) for table in tables]
+        return np.concatenate(parts if bases is None else [part + base for part, base in zip(parts, bases)])
+
+    gt_at = np.cumsum([0, *(table.gt_total for table in tables[:-1])]).tolist()
+    pred_at = np.cumsum([0, *(table.pred_total for table in tables[:-1])]).tolist()
+    gt_ids = _moved_ids([table.gt_ids for table in tables])
+    pred_ids = _moved_ids([table.pred_ids for table in tables])
+    conflicts = tuple(
+        conflict._replace(gt_start=conflict.gt_start + g, pred_start=conflict.pred_start + p)
+        for table, g, p in zip(tables, gt_at, pred_at)
+        for conflict in table.conflicts
+    )
     return _Table(
-        gt_index,
-        gt_presence,
-        pred_index,
-        pred_presence,
-        gt_rows,
-        pred_rows,
-        pairs,
-        iou,
-        level[frame],
+        gt_ids,
+        *_id_index(gt_ids),
+        pred_ids,
+        *_id_index(pred_ids),
+        joined("gt_rows", gt_at),
+        joined("pred_rows", pred_at),
+        joined("iou"),
+        joined("level"),
         conflicts,
-        len(gt.ids),
-        len(pred.ids),
     )
 
 
@@ -273,7 +366,7 @@ def clear_mota(table: _Table) -> tuple[float, int, int, int, int]:
     Boxes are matched per frame by maximum total IoU gated at
     ``IOU_THRESHOLD``. An identity switch is counted whenever a ground-truth
     identity's matched prediction differs from its last known match.
-    ``table`` is the aligned (gt, pred) pair as ``evaluate`` builds it.
+    ``table`` is the aligned (gt, pred) pair as ``align_cell`` builds it.
     """
     # (gt row, pred row) of each match in a conflict frame, flat.
     matched: list[int] = []
@@ -396,9 +489,10 @@ def hota(table: _Table) -> tuple[float, float, float, tuple[tuple[float, float, 
     return hota_score, deta_score, assa_score, tuple(per_alpha)
 
 
-def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsReport:
-    """Compute all reported metrics for one sequence from one aligned pass."""
-    table = _align(gt, pred)
+def pooled_report(tables: Sequence[_Table]) -> MetricsReport:
+    """Compute all reported metrics of one or more sequences' tables, with
+    pooled counts."""
+    table = _pool(tables)
     mota, tp, fn, fp, idsw = clear_mota(table)
     idf1_score = idf1(table)
     hota_score, deta_score, assa_score, per_alpha = hota(table)
@@ -417,6 +511,11 @@ def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsRepor
     )
 
 
+def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsReport:
+    """Compute all reported metrics for one sequence from one aligned pass."""
+    return pooled_report([_align(gt, pred)])
+
+
 def _rebase(values: np.ndarray, lo: int, base: int) -> np.ndarray:
     """``values - lo + base`` in int64, for ``lo <= values.min()``; raises
     ``LabelOverflowError`` where the result would not fit."""
@@ -425,41 +524,53 @@ def _rebase(values: np.ndarray, lo: int, base: int) -> np.ndarray:
     return (values - np.int64(lo)) + np.int64(base)
 
 
+def _moved_ids(ids_by_sequence: Sequence[np.ndarray]) -> np.ndarray:
+    """One side's identities of several sequences, joined, each sequence's
+    moved by the side's running base: to ``base + id`` when none is
+    negative, ``base + id - min(id)`` otherwise; the base then passes the
+    largest moved identity. Raises ``LabelOverflowError`` where a moved
+    identity would not fit in int64."""
+    moved, base = [np.zeros(0, np.int64)], 0
+    for ids in ids_by_sequence:
+        if ids.size:
+            lo = min(0, int(ids.min()))
+            moved.append(_rebase(ids, lo, base))
+            base += int(ids.max()) - lo + 1
+    return np.concatenate(moved)
+
+
 def pool_sequences(
     pairs: Sequence[tuple[SequenceAnnotations, SequenceAnnotations]],
 ) -> tuple[SequenceAnnotations, SequenceAnnotations]:
     """Merge (gt, pred) sequence pairs onto disjoint frame and identity ranges.
 
     Each pair's frames move to follow the previous pair's, keeping their
-    gaps. Each side's identities move by that side's running base: to
-    ``base + id`` when none is negative, ``base + id - min(id)`` otherwise,
-    and the base then passes the largest moved identity. Evaluating the
-    merged pair pools raw counts across sequences, which is the standard
-    multi-sequence aggregation (not an average of per-sequence ratios).
+    gaps, and each side's identities move as ``_moved_ids`` moves them.
+    Evaluating the merged pair pools raw counts across sequences, which is
+    the standard multi-sequence aggregation (not an average of per-sequence
+    ratios).
     """
-    empty = (np.zeros(0, np.int64),) * 3 + (np.zeros((0, 4)),)
+    empty = (np.zeros(0, np.int64),) * 2 + (np.zeros((0, 4)),)
     parts = ([empty], [empty])
     frame_base = 0
-    id_bases = [0, 0]
     for gt, pred in pairs:
         keys = sorted_unique(np.concatenate((gt.frame_keys, pred.frame_keys)))
         if not keys.size:
             continue
         lo, hi = int(keys[0]), int(keys[-1])
         for side, labels in enumerate((gt, pred)):
-            id_lo = min(0, int(labels.ids.min())) if labels.ids.size else 0
             parts[side].append(
                 (
                     _rebase(labels.frame_keys, lo, frame_base + 1),
                     _rebase(labels.row_frames, lo, frame_base + 1),
-                    _rebase(labels.ids, id_lo, id_bases[side]),
                     labels.tlwh,
                 )
             )
-            if labels.ids.size:
-                id_bases[side] += int(labels.ids.max()) - id_lo + 1
         frame_base += hi - lo + 1
-    merged = [SequenceAnnotations(*map(np.concatenate, zip(*part))) for part in parts]
+    merged = [
+        SequenceAnnotations(keys, frames, _moved_ids([pair[side].ids for pair in pairs]), tlwh)
+        for side, (keys, frames, tlwh) in enumerate(map(np.concatenate, zip(*part)) for part in parts)
+    ]
     return merged[0], merged[1]
 
 

@@ -2,10 +2,14 @@ import concurrent.futures
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbiou import experiments, metrics, scenarios, synth, tracker
 from cbiou.geometry import BoundingBox
+from cbiou.metrics import SequenceAnnotations
 from cbiou.synth import NoiseSpec, ScenarioSpec
 from cbiou.tracker import Detection, DetectionTable, TrackerConfig
 from labels import labels
@@ -190,3 +194,101 @@ def test_track_and_evaluate_labels_are_the_frame_outputs():
     )
     expected = metrics.evaluate(gt_seqs[0], pred)
     assert repr(experiments.track_and_evaluate(config, det_seqs, gt_seqs)) == repr(expected)
+
+
+def per_cell_label_reports(configs, tables, gt_seqs):
+    """The reference route for a sweep's cells: each cell's rows become its
+    prediction labels, and its sequences are pooled by ``evaluate_many``."""
+    pairs = [[] for _ in configs]
+    for table, gt in zip(tables, gt_seqs):
+        for cell, (frames, tids, rows) in zip(pairs, tracker.track_cells(configs, table)):
+            pred = SequenceAnnotations(metrics.sorted_unique(frames), frames, tids, table.tlwh[rows])
+            cell.append((gt, pred))
+    return [metrics.evaluate_many(cell) for cell in pairs]
+
+
+@st.composite
+def frame_rows(draw, row):
+    """Rows on a few of frames 1..8: gaps between them, and frames with keys
+    but no rows; 10 px high strips at a few places, so that boxes overlap
+    within a frame and tracks carry on across frames."""
+    keys = sorted(draw(st.lists(st.integers(1, 8), max_size=5, unique=True)))
+    rows = [(key, draw(row)) for key in keys for _ in range(draw(st.integers(0, 4)))]
+    return keys, rows
+
+
+STRIP = st.tuples(st.sampled_from([0, 4, 20, 26, 40]), st.sampled_from([6, 10, 14]))
+DET_ROWS = frame_rows(st.tuples(STRIP, st.sampled_from([0.05, 0.3, 0.9])))
+GT_ROWS = frame_rows(st.tuples(STRIP, st.integers(-2, 6)))
+
+
+def strip_tlwh(strips):
+    return np.array([(x, 0.0, w, 10.0) for x, w in strips], dtype=float).reshape(-1, 4)
+
+
+@st.composite
+def sweeps(draw):
+    """Cells sharing det_conf_min, and one or three sequences whose rows
+    below it the cells never admit."""
+    base = TrackerConfig(det_conf_min=draw(st.sampled_from([0.1, 0.5])), max_age=draw(st.sampled_from([1, 30])))
+    variants = [*experiments.variant_configs(base).values(), replace(base, b1=0.1, b2=0.4)]
+    configs = draw(st.lists(st.sampled_from(variants), min_size=1, max_size=4))
+    tables, gt_seqs = [], []
+    for _ in range(draw(st.sampled_from([1, 3]))):
+        keys, rows = draw(DET_ROWS)
+        frames = [frame for frame, _ in rows]
+        tables.append(DetectionTable(keys, frames, strip_tlwh(s for _, (s, _c) in rows), [c for _, (_s, c) in rows]))
+        keys, rows = draw(GT_ROWS)
+        # one row per gt identity in a frame
+        rows = list({(frame, identity): (frame, strip) for frame, (strip, identity) in rows}.items())
+        gt_seqs.append(
+            SequenceAnnotations(
+                keys,
+                [frame for (frame, _id), _ in rows],
+                [identity for (_f, identity), _ in rows],
+                strip_tlwh(strip for _, (_f, strip) in rows),
+            )
+        )
+    return configs, tables, gt_seqs
+
+
+def swapped_rows_sweep():
+    """Frame 2 lists its detections in the other order, so a cell's rows
+    there (by track id) are not in table order, and gt 3 overlaps both: a
+    conflict frame whose columns the cell reorders."""
+    table = DetectionTable([1, 2], [1, 1, 2, 2], strip_tlwh([(0, 10), (30, 10)] * 2)[[0, 1, 1, 0]], [0.9] * 4)
+    gt = SequenceAnnotations([1, 2], [1, 1, 2, 2, 2], [1, 2, 1, 2, 3], strip_tlwh([(0, 10), (30, 10)] * 2 + [(5, 30)]))
+    return [TrackerConfig()], [table], [gt]
+
+
+@settings(max_examples=150)
+@given(sweeps(), st.sampled_from([None, 1, 7]))
+@example(swapped_rows_sweep(), None)
+def test_sweep_reports_equal_per_cell_label_reports(sweep, chunk):
+    configs, tables, gt_seqs = sweep
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(metrics, "_CHUNK_CELLS", chunk)
+        got = experiments._evaluate_cells(configs, tables, gt_seqs)
+        assert repr(got) == repr(per_cell_label_reports(configs, tables, gt_seqs))
+
+
+def test_sweeps_build_no_labels_and_align_each_sequence_once_per_chunk(monkeypatch):
+    gt_seqs, tables = [], []
+    for seed in (4, 5, 6):
+        gt, dets = synth.generate(replace(scenarios.noise_study_scenario(seed), num_objects=4, num_frames=10))
+        gt_seqs.append(gt)
+        tables.append(DetectionTable.from_detections(synth.perturb(dets, NoiseSpec(0.2, seed), gt)))
+    built, aligned = [], []
+    init = SequenceAnnotations.__init__
+    monkeypatch.setattr(SequenceAnnotations, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    align = metrics.align_sequence
+    monkeypatch.setattr(metrics, "align_sequence", lambda gt, *args: aligned.append(gt) or align(gt, *args))
+    # every lockstep chunk runs in this process, so each is counted
+    monkeypatch.setattr(experiments, "_pool_map", lambda fn, items, jobs: [fn(item) for item in items])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for jobs in (1, 2, 4):
+        aligned.clear()
+        experiments.run_compare(TrackerConfig(), tables, gt_seqs, jobs=jobs)
+        assert [gt_seqs.index(gt) for gt in aligned] == [0, 1, 2] * jobs
+    assert built == []

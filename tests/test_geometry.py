@@ -166,6 +166,12 @@ class TestBoxTypes:
                 expected.append(True)
         assert geometry.valid_tlwh(np.array(rows)).tolist() == expected
 
+    @pytest.mark.parametrize("shape", [(3, 8), (4,), (2, 4, 1)])
+    def test_valid_tlwh_rejects_other_shapes(self, shape):
+        # reshape(-1, 4) read a (3, 8) array as 6 rows and gave 6 results
+        with pytest.raises(ValueError, match=re.escape(f"(N, 4) array, got shape {shape}")):
+            geometry.valid_tlwh(np.ones(shape))
+
     def test_grouped_rows_give_the_corners_of_to_xyxy(self):
         boxes = [BoundingBox(0.1, 0.2, 0.3, 0.7), BoundingBox(2.0**57 + 32, -5.5, 16.0, 1e-3)]
         _keys, _frames, tlwh, xyxy = geometry.grouped_rows([1], [1, 1], [[b.x, b.y, b.w, b.h] for b in boxes])

@@ -703,6 +703,15 @@ class TestArrayTable:
             patch.setattr(metrics, "_CHUNK_CELLS", chunk)
             assert repr(evaluate(gt, pred)) == repr(reference_evaluate(gt, pred))
 
+    @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 0, 2], [0, 1, 2, 3]])
+    def test_a_cell_takes_every_table_row_once(self, rows):
+        # a frame's level is the table's only when the cell holds all its rows
+        gt = labels({1: [(1, strip(0, 10))]})
+        table = labels({1: [(5, strip(0, 10)), (6, strip(7, 10)), (7, strip(3, 10))]})
+        sequence = metrics.align_sequence(gt, table.row_frames, table.xyxy)
+        with pytest.raises(ValueError, match="must be each of the table's 3 rows once"):
+            metrics.align_cell(sequence, np.arange(len(rows)), np.array(rows))
+
     def test_pooled_irregular_scene_equals_reference(self):
         gt = random_scene(np.random.default_rng(3), max_ids=12, max_frames=30)
         pred = random_scene(np.random.default_rng(4), max_ids=12, max_frames=30)
