@@ -3,14 +3,13 @@
 __version__ = "0.1.0"
 
 from .assignment import MatchResult, gated_match, solve
-from .geometry import BoundingBox, iou
-from .metrics import MetricsReport, SequenceAnnotations, evaluate, evaluate_many
+from .geometry import BoundingBox, BoxTable, iou
+from .metrics import MetricsReport, evaluate, evaluate_many
 from .motion import average_velocity, predict
 from .synth import NoiseSpec, OcclusionSpec, ScenarioSpec, generate, oracle_detections, perturb
 from .tracker import (
     CBiouTracker,
     Detection,
-    DetectionTable,
     FrameOutput,
     FrameRows,
     TableFrame,
@@ -21,6 +20,7 @@ from .tracker import (
 __all__ = [
     "__version__",
     "BoundingBox",
+    "BoxTable",
     "iou",
     "MatchResult",
     "solve",
@@ -33,9 +33,7 @@ __all__ = [
     "FrameRows",
     "TableFrame",
     "CBiouTracker",
-    "DetectionTable",
     "run_sequence",
-    "SequenceAnnotations",
     "MetricsReport",
     "evaluate",
     "evaluate_many",

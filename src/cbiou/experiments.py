@@ -1,17 +1,18 @@
 """Experiment drivers shared by the CLI and scripts: tracker-variant
 comparison and buffer-scale grid search.
 
-A call turns each detection sequence into a ``DetectionTable`` once, and
-tracks all its cells, one config each, over every table with one
-``tracker.track_cells`` run: the cells step the table's frames in lockstep,
-and each similarity matrix scores the tracks of every cell with the same
-(kind, buffer) at once. Each sequence is then aligned once against the
-table rows the cells admit (``metrics.align_sequence``). Every cell reports
-each of those rows once, matched or born, in its own order, so each cell's
-alignment is that pass with its rows renumbered (``metrics.align_cell``),
-and each cell's sequences are evaluated with pooled counts, exactly as
+A call turns each detection sequence into a table of rows, a
+``geometry.BoxTable``, once, and tracks all its cells, one config each,
+over every table with one ``tracker.track_cells`` run: the cells step the
+table's frames in lockstep, and each similarity matrix scores the tracks of
+every cell with the same (kind, buffer) at once. Each sequence is then
+aligned once against the table rows the cells admit
+(``metrics.align_sequence``). Every cell reports each of those rows once,
+matched or born, in its own order, so each cell's alignment is that pass
+with its rows renumbered (``metrics.align_cell``), and each cell's
+sequences are evaluated with pooled counts, exactly as
 ``track_and_evaluate``, the one-config case, evaluates its own. No cell
-builds prediction labels.
+builds prediction labels. A call needs at least one sequence.
 
 With ``jobs > 1`` the cells are split into ``min(jobs, cells, CPUs)``
 contiguous chunks; each chunk is one lockstep task in a process pool, which
@@ -30,8 +31,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics, tracker
-from .metrics import MetricsReport, SequenceAnnotations
-from .tracker import Detection, DetectionTable, TrackerConfig
+from .geometry import BoxTable
+from .metrics import MetricsReport
+from .tracker import Detection, TrackerConfig
 
 VARIANT_ORDER = ("IoU", "GIoU", "DIoU", "BIoU", "C-BIoU", "C-BIoU+motion")
 
@@ -53,20 +55,20 @@ def variant_configs(base: TrackerConfig) -> dict[str, TrackerConfig]:
 
 def track_and_evaluate(
     config: TrackerConfig,
-    det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
-    gt_seqs: Sequence[SequenceAnnotations],
+    det_seqs: Sequence[BoxTable | Mapping[int, Sequence[Detection]]],
+    gt_seqs: Sequence[BoxTable],
 ) -> MetricsReport:
     """Run one config over paired sequences and evaluate with pooled counts.
 
-    Each detection sequence is a ``DetectionTable`` or a per-frame
-    ``Detection`` mapping; the tracker's rows are the predictions, evaluated
-    off the table as a sweep's cells are.
+    Each detection sequence is a ``BoxTable`` or a per-frame ``Detection``
+    mapping; the tracker's rows are the predictions, evaluated off the
+    table as a sweep's cells are.
     """
     return _evaluate_cells([config], _tables(det_seqs, gt_seqs), gt_seqs)[0]
 
 
 def _evaluate_cells(
-    configs: Sequence[TrackerConfig], det_seqs: Sequence[DetectionTable], gt_seqs: Sequence[SequenceAnnotations]
+    configs: Sequence[TrackerConfig], det_seqs: Sequence[BoxTable], gt_seqs: Sequence[BoxTable]
 ) -> list[MetricsReport]:
     """Track every config over each table in lockstep, and evaluate each
     config's rows over all sequences with pooled counts."""
@@ -81,15 +83,14 @@ def _evaluate_cells(
     return [metrics.pooled_report(cell) for cell in tables]
 
 
-def _tables(det_seqs, gt_seqs) -> list[DetectionTable]:
+def _tables(det_seqs, gt_seqs) -> list[BoxTable]:
     """Each detection sequence as a table, built once for all of a call's
-    cells; there must be one per ground-truth sequence."""
+    cells; there must be one per ground-truth sequence, and at least one."""
     if len(det_seqs) != len(gt_seqs):
         raise ValueError(f"got {len(det_seqs)} detection sequences for {len(gt_seqs)} gt sequences")
-    return [
-        dets if isinstance(dets, DetectionTable) else DetectionTable.from_detections(dets)
-        for dets in det_seqs
-    ]
+    if not gt_seqs:
+        raise ValueError("no sequences to evaluate")
+    return [dets if isinstance(dets, BoxTable) else tracker.detection_table(dets) for dets in det_seqs]
 
 
 def _pool_map(fn, items, jobs: int):
@@ -120,8 +121,8 @@ def _run_cells(configs, det_seqs, gt_seqs, jobs: int) -> list[MetricsReport]:
 
 def run_compare(
     base: TrackerConfig,
-    det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
-    gt_seqs: Sequence[SequenceAnnotations],
+    det_seqs: Sequence[BoxTable | Mapping[int, Sequence[Detection]]],
+    gt_seqs: Sequence[BoxTable],
     jobs: int = 1,
 ) -> dict[str, MetricsReport]:
     """Evaluate the six tracker variants on the same inputs."""
@@ -164,8 +165,8 @@ class GridResult:
 
 def run_grid(
     base: TrackerConfig,
-    det_seqs: Sequence[DetectionTable | Mapping[int, Sequence[Detection]]],
-    gt_seqs: Sequence[SequenceAnnotations],
+    det_seqs: Sequence[BoxTable | Mapping[int, Sequence[Detection]]],
+    gt_seqs: Sequence[BoxTable],
     combos: Sequence[tuple[float, float]],
     jobs: int = 1,
 ) -> GridResult:

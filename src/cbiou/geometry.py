@@ -3,11 +3,11 @@
 ``BoundingBox`` is the validated top-left/width/height box of the API's
 ``Detection`` and ``FrameOutput`` records, which the synthetic generator
 also builds; files are read into (N, 4) arrays of such rows. Its check has
-one array form, ``valid_tlwh``, which the file readers, the row tables and
+one array form, ``valid_tlwh``, which the file readers, ``BoxTable`` and
 the tracker's gap filling use; ``raise_first_bad_row`` raises the record's
-error for the first row that fails. ``grouped_rows`` checks the layout that
-the label and detection tables share, rows grouped by frame, and gives their
-boxes in corner form. ``similarity_matrix`` is the tracker's one entry
+error for the first row that fails. ``BoxTable`` holds the MOTChallenge
+rows of detections, ground truth and results alike, grouped by frame, each
+box also in corner form. ``similarity_matrix`` is the tracker's one entry
 point: it scores every (track, detection) pair of a frame under any
 similarity kind (IoU, GIoU, DIoU or the buffered BIoU), over (N, 4) arrays
 of corner-form boxes. The metrics score plain IoU: ``iou_matrix`` over whole
@@ -36,7 +36,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -158,49 +160,6 @@ def int64_values(values, name: str) -> np.ndarray:
         raise LabelOverflowError(f"every {name} must fit in 64 bits") from None
 
 
-def grouped_rows(frame_keys, row_frames, tlwh, *columns) -> tuple[np.ndarray, ...]:
-    """The arrays of a table of rows grouped by frame, checked, as read-only
-    copies that the table owns: ``frame_keys`` and ``row_frames`` as int64,
-    ``tlwh`` and the same boxes in corner form, ``xyxy``, as float, then
-    each of ``columns`` as given. The corners are the ones ``to_xyxy`` gives for the boxes of those rows,
-    bit for bit.
-
-    The layout, which the label and detection tables share: ``frame_keys``
-    strictly ascending; ``row_frames`` (N,) non-decreasing, each one of
-    ``frame_keys``; ``tlwh`` (N, 4); and N values in each column. A table
-    not laid out so raises ``ValueError``, and frames as ``int64_values``
-    does.
-    """
-    frame_keys = int64_values(frame_keys, "frame")
-    row_frames = int64_values(row_frames, "frame")
-    tlwh = np.asarray(tlwh, dtype=float)
-    n = len(row_frames) if row_frames.ndim == 1 else -1
-    if frame_keys.ndim != 1 or tlwh.shape != (n, 4) or any(len(values) != n for values in columns):
-        shapes = ", ".join(str(np.shape(values)) for values in (row_frames, tlwh, *columns))
-        raise ValueError(
-            "rows need one-dimensional frame_keys, (N,) row_frames, (N, 4) tlwh and N values "
-            f"per column, got frame_keys {frame_keys.shape} and rows {shapes}"
-        )
-    if (frame_keys[1:] <= frame_keys[:-1]).any():
-        raise ValueError("frame_keys must be strictly ascending")
-    if (row_frames[1:] < row_frames[:-1]).any():
-        raise ValueError("rows must be grouped by ascending frame")
-    # Keys are distinct, so each row counts at most once: all do iff all are keys.
-    counted = np.searchsorted(row_frames, frame_keys, "right") - np.searchsorted(row_frames, frame_keys)
-    if counted.sum() != n:
-        keys = set(frame_keys.tolist())
-        missing = next(frame for frame in row_frames.tolist() if frame not in keys)
-        raise ValueError(f"row frame {missing} is not one of frame_keys")
-    xyxy = tlwh.copy()
-    np.add(tlwh[:, :2], tlwh[:, 2:], out=xyxy[:, 2:])
-    # Copies, as the conversions above return the caller's own arrays when
-    # they need none: a table owns its rows, and its caller's stay writeable.
-    arrays = (frame_keys.copy(), row_frames.copy(), tlwh.copy(), xyxy, *(np.array(values) for values in columns))
-    for values in arrays:
-        values.flags.writeable = False
-    return arrays
-
-
 def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
     """One bool per (N, 4) top-left/width/height row: whether its corners
     pass ``BoundingBox``'s check. Non-finite rows fail it. An array of any
@@ -217,16 +176,104 @@ def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
         return inside & ((x2 - x) * (y2 - y) > 0)
 
 
-def raise_first_bad_row(bad: np.ndarray, rebuild: Callable[[int], object], name: str = "") -> None:
+def raise_first_bad_row(bad: np.ndarray, rebuild: Callable[[int], object], label: str = "") -> None:
     """Where ``bad`` marks a row, rebuild the first marked row as its record
     with ``rebuild(row)`` and let the record's ``ValueError`` out, prefixed
-    with ``"<name> row <row>: "`` when ``name`` is given."""
+    with ``"<label> <row>: "`` when ``label`` is given."""
     if bad.any():
         row = int(np.argmax(bad))
         try:
             rebuild(row)
         except ValueError as exc:
-            raise ValueError(f"{name} row {row}: {exc}" if name else str(exc)) from None
+            raise ValueError(f"{label} {row}: {exc}" if label else str(exc)) from None
+
+
+class BoxTable:
+    """One sequence's MOTChallenge rows (frame, identity, box, confidence)
+    as read-only arrays: detections, ground truth and results alike.
+
+    Rows are grouped by ascending frame, in given order within a frame:
+    ``row_frames`` (N,) and ``ids`` (N,), int64; ``tlwh`` (N, 4) and
+    ``confidence`` (N,), as given; ``xyxy`` (N, 4), each box in corner form,
+    the bits ``to_xyxy`` gives. ``frame_keys`` holds every frame the
+    sequence names, ascending, frames without rows included, each >= 1.
+    Raw detections have id -1, and labels confidence 1.0.
+
+    The constructor checks that layout, and raises ``ValueError`` for a
+    table not laid out so or a frame or identity that is not an integer,
+    and ``LabelOverflowError`` for one outside int64. Then the first row
+    without a box ``BoundingBox`` accepts or a finite confidence raises that
+    ``ValueError``, prefixed with ``"row <row>: "``. The arrays are copies
+    the table owns. ``frames`` is a read-only per-frame view of the rows as
+    (identity, ``BoundingBox``) tuples, built on first use, for API callers.
+    """
+
+    def __init__(self, frame_keys, row_frames, ids, tlwh, confidence):
+        frame_keys = int64_values(frame_keys, "frame")
+        row_frames = int64_values(row_frames, "frame")
+        ids = int64_values(ids, "identity")
+        tlwh = np.asarray(tlwh, dtype=float)
+        confidence = np.asarray(confidence, dtype=float)
+        n = len(row_frames) if row_frames.ndim == 1 else -1
+        if frame_keys.ndim != 1 or tlwh.shape != (n, 4) or not ids.shape == confidence.shape == (n,):
+            raise ValueError(
+                "rows need one-dimensional frame_keys, (N,) row_frames, ids and confidence, and (N, 4) tlwh, "
+                f"got shapes {frame_keys.shape}, {row_frames.shape}, {ids.shape}, {tlwh.shape} and {confidence.shape}"
+            )
+        if (frame_keys[1:] <= frame_keys[:-1]).any():
+            raise ValueError("frame_keys must be strictly ascending")
+        if (row_frames[1:] < row_frames[:-1]).any():
+            raise ValueError("rows must be grouped by ascending frame")
+        # Keys are distinct, so each row counts at most once: all do iff all are keys.
+        counted = np.searchsorted(row_frames, frame_keys, "right") - np.searchsorted(row_frames, frame_keys)
+        if counted.sum() != n:
+            keys = set(frame_keys.tolist())
+            missing = next(frame for frame in row_frames.tolist() if frame not in keys)
+            raise ValueError(f"row frame {missing} is not one of frame_keys")
+        # Every row's frame is a key, so the least key bounds them all.
+        if len(frame_keys) and frame_keys[0] < 1:
+            raise ValueError(f"frame {frame_keys[0]} is below 1")
+        xyxy = tlwh.copy()
+        np.add(tlwh[:, :2], tlwh[:, 2:], out=xyxy[:, 2:])
+        # Copies: the conversions above return the caller's own arrays when they need none.
+        columns = (*map(np.array, (frame_keys, row_frames, ids, tlwh, confidence)), xyxy)
+        for values in columns:
+            values.flags.writeable = False
+        self.frame_keys, self.row_frames, self.ids, self.tlwh, self.confidence, self.xyxy = columns
+        raise_first_bad_row(
+            ~valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence),
+            lambda row: (BoundingBox(*self.tlwh[row].tolist()), _require_finite("confidence", self.confidence[row])),
+            "row",
+        )
+
+    def __reduce__(self):
+        # Rows only: the cached ``frames`` view does not pickle, and the constructor makes rows read-only again.
+        return type(self), (self.frame_keys, self.row_frames, self.ids, self.tlwh, self.confidence)
+
+    def frame_slices(self) -> dict[int, slice]:
+        """Each frame of ``frame_keys`` with the slice of its rows."""
+        ends = np.searchsorted(self.row_frames, self.frame_keys, side="right").tolist()
+        return {
+            frame: slice(start, end)
+            for frame, start, end in zip(self.frame_keys.tolist(), [0, *ends], ends)
+        }
+
+    @cached_property
+    def frames(self) -> Mapping[int, tuple[tuple[int, BoundingBox], ...]]:
+        labels = list(zip(self.ids.tolist(), (BoundingBox(*row) for row in self.tlwh.tolist())))
+        return MappingProxyType({frame: tuple(labels[rows]) for frame, rows in self.frame_slices().items()})
+
+    def box_count(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoxTable):
+            return NotImplemented
+        # Equal rows give equal corners: xyxy need not be compared.
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("frame_keys", "row_frames", "ids", "tlwh", "confidence")
+        )
 
 
 def buffer_xyxy(boxes: np.ndarray, scale: float) -> np.ndarray:

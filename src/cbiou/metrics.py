@@ -1,13 +1,11 @@
 """Tracking evaluation: HOTA (with DetA/AssA), CLEAR-MOT accuracy, and IDF1.
 
-All metrics consume two per-frame labelings (ground truth and predictions) of
-(identity, box) pairs, as ``SequenceAnnotations``. Labels are built and
-stored in one form, arrays: int64 frames and ids, and boxes in (N, 4)
-arrays, rows grouped by frame; ``frames`` is a per-frame (identity,
-``BoundingBox``) view derived from the arrays for API callers. Scores are
-single-sequence; to evaluate several sequences together, pool them with
-``evaluate_many`` which merges them onto disjoint frame/identity ranges so
-raw counts pool rather than ratios average.
+All metrics consume two per-frame labelings (ground truth and predictions)
+of (identity, box) pairs, each a ``geometry.BoxTable``: the rows of one
+sequence as arrays, grouped by frame, whose confidence column the metrics do
+not read. Scores are single-sequence; to evaluate several sequences
+together, pool them with ``evaluate_many`` which merges them onto disjoint
+frame/identity ranges so raw counts pool rather than ratios average.
 
 Alignment has two parts, so that the cells of a sweep, which all take their
 predictions from the rows of one table of boxes per sequence, share the
@@ -46,73 +44,15 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import assignment, geometry
-from .geometry import BoundingBox, LabelOverflowError
+from .geometry import BoxTable, LabelOverflowError
 
 ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 IOU_THRESHOLD = 0.5
-
-
-class SequenceAnnotations:
-    """Per-frame (identity, box) labels for one sequence, as five read-only
-    arrays, rows grouped by ascending frame and in given order within a
-    frame: ``frame_keys``, every frame the labels name, frames without rows
-    included; ``row_frames`` (N,), each row's frame, and ``ids`` (N,), its
-    identity, all int64; ``tlwh`` (N, 4), each box as given, and ``xyxy``
-    (N, 4), the same box in corner form.
-
-    The constructor takes the rows in that layout, as the file readers,
-    ``synth.generate``, the tracker's result rows and ``pool_sequences``
-    make them, and checks it with ``geometry.grouped_rows``: a bad layout or
-    a frame or identity that is not an integer raises ``ValueError``, and
-    one outside int64 ``LabelOverflowError``. Then each box must pass
-    ``BoundingBox``'s check: the first that does not raises that
-    ``ValueError``, named by its row. ``frames`` is a read-only
-    view of the rows as per-frame (identity, ``BoundingBox``) tuples, built
-    from the arrays on first use, for API callers.
-    """
-
-    def __init__(self, frame_keys, row_frames, ids, tlwh):
-        self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.ids = geometry.grouped_rows(
-            frame_keys, row_frames, tlwh, geometry.int64_values(ids, "identity")
-        )
-        geometry.raise_first_bad_row(
-            ~geometry.valid_tlwh(self.tlwh), lambda row: BoundingBox(*self.tlwh[row].tolist()), "label"
-        )
-
-    def __reduce__(self):
-        # Rows only: the cached ``frames`` view, a mappingproxy, does not pickle.
-        return type(self), (self.frame_keys, self.row_frames, self.ids, self.tlwh)
-
-    def frame_slices(self) -> dict[int, slice]:
-        """Each frame of ``frame_keys`` with the slice of its rows."""
-        ends = np.searchsorted(self.row_frames, self.frame_keys, side="right").tolist()
-        return {
-            frame: slice(start, end)
-            for frame, start, end in zip(self.frame_keys.tolist(), [0, *ends], ends)
-        }
-
-    @cached_property
-    def frames(self) -> Mapping[int, tuple[tuple[int, BoundingBox], ...]]:
-        labels = list(zip(self.ids.tolist(), (BoundingBox(*row) for row in self.tlwh.tolist())))
-        return MappingProxyType({frame: tuple(labels[rows]) for frame, rows in self.frame_slices().items()})
-
-    def box_count(self) -> int:
-        return len(self.ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SequenceAnnotations):
-            return NotImplemented
-        # Equal rows give equal corners: xyxy need not be compared.
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("frame_keys", "row_frames", "ids", "tlwh")
-        )
 
 
 @dataclass(frozen=True)
@@ -211,7 +151,7 @@ class _Overlaps(NamedTuple):
     in place of prediction rows: ``gt_rows``, ``table_rows``, ``iou``,
     ``level`` and ``conflicts``."""
 
-    gt: SequenceAnnotations
+    gt: BoxTable
     gt_id_index: tuple[np.ndarray, np.ndarray]
     table_size: int
     gt_rows: np.ndarray
@@ -242,7 +182,7 @@ def _frame_cells(gt_xyxy, pred_xyxy, gt_starts, pred_starts, widths, cells):
     return frame, gt_rows, pred_rows, geometry.paired_iou(gt_boxes, pred_boxes)
 
 
-def align_sequence(gt: SequenceAnnotations, table_frames: np.ndarray, table_xyxy: np.ndarray) -> _Overlaps:
+def align_sequence(gt: BoxTable, table_frames: np.ndarray, table_xyxy: np.ndarray) -> _Overlaps:
     """The part of alignment every cell of a sequence shares: ``gt`` against
     a table of prediction boxes, each row's frame in ``table_frames``
     (grouped ascending, as labels are) and its corners in ``table_xyxy``."""
@@ -299,13 +239,14 @@ def align_cell(sequence: _Overlaps, ids: np.ndarray, rows: np.ndarray | None = N
     in table order when ``rows`` is None. Like the rows of labels, ``rows``
     must keep the table's frames grouped in ascending order; so each frame's
     predictions are its table rows, and its conflict level is the table's.
-    A ``rows`` that is not every table row once raises ``ValueError``."""
+    A ``rows`` that is not every table row once, a row outside the table
+    included, raises ``ValueError``."""
     gt_rows, pred_rows, iou, level = sequence.gt_rows, sequence.table_rows, sequence.iou, sequence.level
     conflicts = sequence.conflicts
     if rows is not None:
         # Each table row's place among the predictions.
         place = np.full(sequence.table_size, -1)
-        if len(rows) == sequence.table_size:
+        if len(rows) == sequence.table_size and ((0 <= rows) & (rows < len(rows))).all():
             place[rows] = np.arange(len(rows))
         if (place < 0).any():
             raise ValueError(f"a cell's predictions must be each of the table's {sequence.table_size} rows once")
@@ -321,7 +262,7 @@ def align_cell(sequence: _Overlaps, ids: np.ndarray, rows: np.ndarray | None = N
     return _Table(gt.ids, *sequence.gt_id_index, ids, *_id_index(ids), gt_rows, pred_rows, iou, level, conflicts)
 
 
-def _align(gt: SequenceAnnotations, pred: SequenceAnnotations) -> _Table:
+def _align(gt: BoxTable, pred: BoxTable) -> _Table:
     """The ``_Table`` of one (gt, pred) pair: the predictions are their own
     table, and every row is selected."""
     return align_cell(align_sequence(gt, pred.row_frames, pred.xyxy), pred.ids)
@@ -511,7 +452,7 @@ def pooled_report(tables: Sequence[_Table]) -> MetricsReport:
     )
 
 
-def evaluate(gt: SequenceAnnotations, pred: SequenceAnnotations) -> MetricsReport:
+def evaluate(gt: BoxTable, pred: BoxTable) -> MetricsReport:
     """Compute all reported metrics for one sequence from one aligned pass."""
     return pooled_report([_align(gt, pred)])
 
@@ -540,8 +481,8 @@ def _moved_ids(ids_by_sequence: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def pool_sequences(
-    pairs: Sequence[tuple[SequenceAnnotations, SequenceAnnotations]],
-) -> tuple[SequenceAnnotations, SequenceAnnotations]:
+    pairs: Sequence[tuple[BoxTable, BoxTable]],
+) -> tuple[BoxTable, BoxTable]:
     """Merge (gt, pred) sequence pairs onto disjoint frame and identity ranges.
 
     Each pair's frames move to follow the previous pair's, keeping their
@@ -550,7 +491,7 @@ def pool_sequences(
     the standard multi-sequence aggregation (not an average of per-sequence
     ratios).
     """
-    empty = (np.zeros(0, np.int64),) * 2 + (np.zeros((0, 4)),)
+    empty = (np.zeros(0, np.int64),) * 2 + (np.zeros((0, 4)), np.zeros(0))
     parts = ([empty], [empty])
     frame_base = 0
     for gt, pred in pairs:
@@ -564,22 +505,25 @@ def pool_sequences(
                     _rebase(labels.frame_keys, lo, frame_base + 1),
                     _rebase(labels.row_frames, lo, frame_base + 1),
                     labels.tlwh,
+                    labels.confidence,
                 )
             )
         frame_base += hi - lo + 1
     merged = [
-        SequenceAnnotations(keys, frames, _moved_ids([pair[side].ids for pair in pairs]), tlwh)
-        for side, (keys, frames, tlwh) in enumerate(map(np.concatenate, zip(*part)) for part in parts)
+        BoxTable(keys, frames, _moved_ids([pair[side].ids for pair in pairs]), tlwh, confidence)
+        for side, (keys, frames, tlwh, confidence) in enumerate(map(np.concatenate, zip(*part)) for part in parts)
     ]
     return merged[0], merged[1]
 
 
 def evaluate_many(
-    pairs: Sequence[tuple[SequenceAnnotations, SequenceAnnotations]],
+    pairs: Sequence[tuple[BoxTable, BoxTable]],
 ) -> MetricsReport:
     """Evaluate several sequences with pooled raw counts; a single pair is
-    evaluated as it is, which gives the report its pooled copy would."""
+    evaluated as it is, which gives the report its pooled copy would. No
+    pairs raise ``ValueError``: there is nothing to score."""
+    if not pairs:
+        raise ValueError("no sequences to evaluate")
     if len(pairs) == 1:
         return evaluate(*pairs[0])
-    gt, pred = pool_sequences(pairs)
-    return evaluate(gt, pred)
+    return evaluate(*pool_sequences(pairs))

@@ -14,11 +14,12 @@ result row per (frame, id). Frames and ids are int64, and one outside int64
 is a data error; one at or beyond 2**53 in magnitude, where float64 rounds,
 is read again exactly. The earliest failing line is reported, as
 ``_check_row`` words it for one row: bytes that are not UTF-8 and rows that
-do not parse as parse errors, the rest as data errors. Ground truth and
-results become ``SequenceAnnotations``, built from their arrays as every
-label is, and ``write_ground_truth`` writes from those arrays: neither
-builds a ``BoundingBox`` per row. Detections become the tracker's
-``DetectionTable``, which ``read_detections`` turns into per-frame
+do not parse as parse errors, the rest as data errors. Every file becomes
+a ``BoxTable``, built from its arrays by ``_table``: detections keep the
+file's ids and confidences, and ground truth and results, whose confidence
+the metrics do not read, get confidence 1.0. ``write_ground_truth`` writes
+from a table's arrays, so neither direction builds a ``BoundingBox`` per
+row; ``read_detections`` turns a detection table into per-frame
 ``Detection`` lists for the API's ``run_sequence``.
 
 Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
@@ -34,9 +35,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, valid_tlwh
-from .metrics import SequenceAnnotations, sorted_unique
-from .tracker import Detection, DetectionTable, FrameOutput
+from .geometry import BoundingBox, BoxTable, valid_tlwh
+from .metrics import sorted_unique
+from .tracker import Detection, FrameOutput
 
 _INT64 = np.iinfo(np.int64)
 # Frames and ids of this magnitude or more may have been rounded by float64.
@@ -264,17 +265,19 @@ def _read(path, layout: _Layout, keep=None):
     return frames[rows], ids[rows], values[rows]
 
 
-def read_detection_table(path) -> DetectionTable:
-    """Read a detection file into the tracker's ``DetectionTable``, with no
-    ``BoundingBox`` per row.
-
-    The id column is ignored; a missing confidence column defaults to 1.0.
-    """
-    frames, _ids, values = _read(path, _DETECTIONS)
+def _table(frames: np.ndarray, ids: np.ndarray, values: np.ndarray, confidence: np.ndarray) -> BoxTable:
+    """The table of a reader's rows, stably grouped by frame; the boxes are
+    columns 2 to 5 of ``values``."""
     order = np.argsort(frames, kind="stable")
     row_frames = frames[order]
-    values = values[order]
-    return DetectionTable(sorted_unique(row_frames), row_frames, values[:, 2:6], values[:, 6])
+    return BoxTable(sorted_unique(row_frames), row_frames, ids[order], values[order, 2:6], confidence[order])
+
+
+def read_detection_table(path) -> BoxTable:
+    """Read a detection file into a table, with no ``BoundingBox`` per row;
+    ids are the file's, and a missing confidence column defaults to 1.0."""
+    frames, ids, values = _read(path, _DETECTIONS)
+    return _table(frames, ids, values, values[:, 6])
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
@@ -288,15 +291,10 @@ def read_detections(path) -> dict[int, list[Detection]]:
     return grouped
 
 
-def _annotations(frames: np.ndarray, ids: np.ndarray, values: np.ndarray) -> SequenceAnnotations:
-    order = np.argsort(frames, kind="stable")
-    row_frames = frames[order]
-    return SequenceAnnotations(sorted_unique(row_frames), row_frames, ids[order], values[order, 2:6])
-
-
-def read_ground_truth(path, min_visibility: float | None = None) -> SequenceAnnotations:
+def read_ground_truth(path, min_visibility: float | None = None) -> BoxTable:
     """Read a ground-truth file; drops rows with active = 0 and, when a
-    threshold is given, rows below the visibility threshold."""
+    threshold is given, rows below the visibility threshold. Every row's
+    confidence is 1.0."""
     if min_visibility is not None and not math.isfinite(min_visibility):
         raise ValueError(f"min_visibility must be finite, got {min_visibility!r}")
 
@@ -306,12 +304,15 @@ def read_ground_truth(path, min_visibility: float | None = None) -> SequenceAnno
             kept &= values[:, 7] >= min_visibility
         return kept
 
-    return _annotations(*_read(path, _GROUND_TRUTH, keep))
+    frames, ids, values = _read(path, _GROUND_TRUTH, keep)
+    return _table(frames, ids, values, np.ones(len(frames)))
 
 
-def read_results(path) -> SequenceAnnotations:
-    """Read a tracker results file; the confidence column is ignored."""
-    return _annotations(*_read(path, _RESULTS))
+def read_results(path) -> BoxTable:
+    """Read a tracker results file; the confidence column is ignored, and
+    every row's confidence is 1.0."""
+    frames, ids, values = _read(path, _RESULTS)
+    return _table(frames, ids, values, np.ones(len(frames)))
 
 
 _RESULT_ROW = "{},{},{:.2f},{:.2f},{:.2f},{:.2f},{:.2f},-1,-1,-1\n"
@@ -353,7 +354,7 @@ def write_detections(path, detections_by_frame: Mapping[int, Sequence[Detection]
                 )
 
 
-def write_ground_truth(path, annotations: SequenceAnnotations) -> None:
+def write_ground_truth(path, annotations: BoxTable) -> None:
     """Write annotations as ground-truth rows (active 1, class 1, visibility 1.0)."""
     order = np.lexsort((annotations.ids, annotations.row_frames))
     columns = (annotations.row_frames[order], annotations.ids[order], *annotations.tlwh[order].T)

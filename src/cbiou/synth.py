@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, corner_iou
-from .metrics import SequenceAnnotations
+from .geometry import BoundingBox, BoxTable, corner_iou
 from .tracker import Detection
 
 FP_GT_IOU_MAX = 0.2
@@ -107,7 +106,7 @@ def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float
             return pos, vel
 
 
-def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[Detection]]]:
+def generate(spec: ScenarioSpec) -> tuple[BoxTable, dict[int, list[Detection]]]:
     """Simulate a scenario; returns (ground truth, oracle detections per frame).
 
     Deterministic for a given spec: the same seed always produces the same
@@ -154,10 +153,10 @@ def generate(spec: ScenarioSpec) -> tuple[SequenceAnnotations, dict[int, list[De
     row_frames, ids = np.indices((frames, count)).reshape(2, -1) + 1
     boxes = np.array(tlwh).reshape(count, frames, 4).swapaxes(0, 1).reshape(-1, 4)
     frame_keys = np.arange(1, (frames if count else 0) + 1)
-    return SequenceAnnotations(frame_keys, row_frames, ids, boxes), det_frames
+    return BoxTable(frame_keys, row_frames, ids, boxes, np.ones(len(ids))), det_frames
 
 
-def oracle_detections(gt: SequenceAnnotations) -> dict[int, list[Detection]]:
+def oracle_detections(gt: BoxTable) -> dict[int, list[Detection]]:
     """Ground-truth boxes reissued as detector output at confidence 1.0."""
     boxes = [BoundingBox(*row) for row in gt.tlwh.tolist()]
     return {
@@ -169,7 +168,7 @@ def oracle_detections(gt: SequenceAnnotations) -> dict[int, list[Detection]]:
 def perturb(
     detections_by_frame: dict[int, list[Detection]],
     noise: NoiseSpec,
-    gt: SequenceAnnotations,
+    gt: BoxTable,
     *,
     stratified: bool = False,
 ) -> dict[int, list[Detection]]:

@@ -24,15 +24,16 @@ key it is listed under in a per-frame mapping or by the frame index of the
 
 ``CBiouTracker.step`` advances one frame. It takes the frame's detections in
 one of two forms and answers in the same form: a ``Detection`` list gives a
-``FrameOutput`` of boxes, and a ``TableFrame``, the frame's rows of a
-``DetectionTable``, gives a ``FrameRows`` of table rows. A ``DetectionTable``
-holds a sequence's detections as arrays, built once; ``track_cells`` steps
-a tracker over it and returns each cell's (frame, track id, table row)
-arrays, and ``result_rows`` turns one config's into result rows, gaps
-filled on request. So ``cbiou track``, ``compare`` and ``grid`` build no
-``BoundingBox``. ``run_sequence`` keeps the ``Detection`` mapping as an
-input and wraps the rows into ``FrameOutput``s that hold each
-``Detection``'s own box.
+``FrameOutput`` of boxes, and a ``TableFrame``, the frame's admitted rows of
+a detection table as ``admitted_frames`` yields them, gives a ``FrameRows``
+of table rows. A detection table is a ``geometry.BoxTable`` of a sequence's
+detections, built once, by the file reader or by ``detection_table`` from a
+``Detection`` mapping; ``track_cells`` steps a tracker over it and returns
+each cell's (frame, track id, table row) arrays, and ``result_rows`` turns
+one config's into result rows, gaps filled on request. So ``cbiou track``,
+``compare`` and ``grid`` build no ``BoundingBox``. ``run_sequence`` keeps the
+``Detection`` mapping as an input and wraps the rows into ``FrameOutput``s
+that hold each ``Detection``'s own box.
 
 The one gap rule: every run steps only the frames it is given (a table
 run, the frames with admitted rows) and crosses the frames between in one
@@ -52,7 +53,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import assignment, geometry, motion
-from .geometry import MAX_BUFFER_SCALE, SIMILARITY_KINDS, BoundingBox
+from .geometry import MAX_BUFFER_SCALE, SIMILARITY_KINDS, BoundingBox, BoxTable
 
 # Bounds on the two fields that size the work of one step: a step across a
 # gap predicts up to max_age + 1 frames, and each born track keeps n_max + 1
@@ -142,17 +143,17 @@ class FrameOutput:
 
 @dataclass(frozen=True)
 class FrameRows:
-    """Records reported for one frame of a ``DetectionTable``: (track id,
-    table row, confidence) tuples; the row holds the box as the table has it."""
+    """Records reported for one frame of a detection table: (track id, table
+    row, confidence) tuples; the row holds the box as the table has it."""
 
     frame: int
     records: tuple[tuple[int, int, float], ...]
 
 
 class TableFrame(NamedTuple):
-    """One frame's admitted rows of a ``DetectionTable``, as
-    ``DetectionTable.frames`` yields them: their (M, 4) corners, their row
-    numbers in the table and their confidences."""
+    """One frame's admitted rows of a detection table, as ``admitted_frames``
+    yields them: their (M, 4) corners, their row numbers in the table and
+    their confidences."""
 
     xyxy: np.ndarray
     rows: list[int]
@@ -243,71 +244,39 @@ def cascade_match(t_xyxy: np.ndarray, d_xyxy: np.ndarray, rounds: _Rounds, bound
     return matches, left_tracks, left_dets
 
 
-class DetectionTable:
-    """One sequence's detections as arrays, built once and shared by every
-    run over the sequence.
+def detection_table(detections_by_frame: Mapping[int, Sequence[Detection]]) -> BoxTable:
+    """The table of per-frame ``Detection`` lists, each listed under its
+    frame, an integer >= 1; rows keep their list order within a frame, and
+    their ids are -1, as a raw detection's."""
+    return _table_of(detections_by_frame)[0]
 
-    Rows are grouped by ascending frame and keep their given order within a
-    frame: ``row_frames`` (N,) int64, each row's frame; ``tlwh`` (N, 4) and
-    ``confidence`` (N,), each box and confidence as given, which result rows
-    echo; ``xyxy`` (N, 4), the same box in corner form, which matching uses.
-    ``frame_keys`` holds every frame the sequence names, ascending, frames
-    without rows included; each is an integer >= 1, and so is every row's
-    frame. Each run admits the rows at or above its own ``det_conf_min``.
-    The constructor checks that layout with ``geometry.grouped_rows`` and
-    the least frame key, then that each row would make a ``Detection`` (a
-    box ``BoundingBox`` accepts, a finite confidence): the first that would
-    not raises that ``ValueError``, named by its row.
-    """
 
-    def __init__(self, frame_keys, row_frames, tlwh, confidence):
-        self.frame_keys, self.row_frames, self.tlwh, self.xyxy, self.confidence = geometry.grouped_rows(
-            frame_keys, row_frames, tlwh, np.asarray(confidence, dtype=float)
-        )
-        # Every row's frame is a key, so the least key bounds them all.
-        if len(self.frame_keys) and self.frame_keys[0] < 1:
-            raise ValueError(f"frame {self.frame_keys[0]} is below 1")
-        geometry.raise_first_bad_row(
-            ~geometry.valid_tlwh(self.tlwh) | ~np.isfinite(self.confidence),
-            lambda row: Detection(BoundingBox(*self.tlwh[row].tolist()), float(self.confidence[row])),
-            "detection",
-        )
+def _table_of(detections_by_frame: Mapping[int, Sequence[Detection]]) -> tuple[BoxTable, list[Detection]]:
+    """The table of ``detection_table`` and its detections in row order."""
+    frames = sorted(detections_by_frame.items(), key=lambda item: item[0])
+    detections = [det for _, dets in frames for det in dets]
+    # One flat pass: a tuple per detection would all be alive at once.
+    tlwh = np.fromiter(
+        itertools.chain.from_iterable((d.box.x, d.box.y, d.box.w, d.box.h) for d in detections),
+        dtype=float,
+        count=4 * len(detections),
+    ).reshape(-1, 4)
+    keys = [key for key, _ in frames]
+    row_frames = np.repeat(keys, [len(dets) for _, dets in frames])
+    confidence = [d.confidence for d in detections]
+    return BoxTable(keys, row_frames, np.full(len(detections), -1), tlwh, confidence), detections
 
-    def __reduce__(self):
-        # Rows only: the constructor makes the unpickled arrays read-only again.
-        return type(self), (self.frame_keys, self.row_frames, self.tlwh, self.confidence)
 
-    @classmethod
-    def from_detections(cls, detections_by_frame: Mapping[int, Sequence[Detection]]) -> "DetectionTable":
-        """The table of per-frame ``Detection`` lists, each listed under its
-        frame, an integer >= 1; rows keep their list order within a frame."""
-        return cls._of(detections_by_frame)[0]
-
-    @classmethod
-    def _of(cls, detections_by_frame: Mapping[int, Sequence[Detection]]) -> tuple["DetectionTable", list[Detection]]:
-        """The table of ``from_detections`` and its detections in row order."""
-        frames = sorted(detections_by_frame.items(), key=lambda item: item[0])
-        detections = [det for _, dets in frames for det in dets]
-        # One flat pass: a tuple per detection would all be alive at once.
-        tlwh = np.fromiter(
-            itertools.chain.from_iterable((d.box.x, d.box.y, d.box.w, d.box.h) for d in detections),
-            dtype=float,
-            count=4 * len(detections),
-        ).reshape(-1, 4)
-        keys = [key for key, _ in frames]
-        row_frames = np.repeat(keys, [len(dets) for _, dets in frames])
-        return cls(keys, row_frames, tlwh, [d.confidence for d in detections]), detections
-
-    def frames(self, det_conf_min: float) -> Iterator[tuple[int, TableFrame]]:
-        """Each frame with rows at or above ``det_conf_min``, ascending, with
-        those rows; a frame without such rows is not yielded."""
-        admitted = np.flatnonzero(self.confidence >= det_conf_min)
-        rows, confidence = admitted.tolist(), self.confidence[admitted].tolist()
-        xyxy = self.xyxy[admitted]
-        frames, starts = np.unique(self.row_frames[admitted], return_index=True)
-        bounds = [*starts.tolist(), len(rows)]
-        for frame, lo, hi in zip(frames.tolist(), bounds, bounds[1:]):
-            yield frame, TableFrame(xyxy[lo:hi], rows[lo:hi], confidence[lo:hi])
+def admitted_frames(table: BoxTable, det_conf_min: float) -> Iterator[tuple[int, TableFrame]]:
+    """Each frame of ``table`` with rows at or above ``det_conf_min``,
+    ascending, with those rows; a frame without such rows is not yielded."""
+    admitted = np.flatnonzero(table.confidence >= det_conf_min)
+    rows, confidence = admitted.tolist(), table.confidence[admitted].tolist()
+    xyxy = table.xyxy[admitted]
+    frames, starts = np.unique(table.row_frames[admitted], return_index=True)
+    bounds = [*starts.tolist(), len(rows)]
+    for frame, lo, hi in zip(frames.tolist(), bounds, bounds[1:]):
+        yield frame, TableFrame(xyxy[lo:hi], rows[lo:hi], confidence[lo:hi])
 
 
 class CBiouTracker:
@@ -329,7 +298,7 @@ class CBiouTracker:
     shared history; ``config`` is the first cell's.
 
     ``step`` takes one frame's ``Detection`` list or ``TableFrame``;
-    ``track_cells`` steps a tracker over a whole ``DetectionTable``.
+    ``track_cells`` steps a tracker over a whole detection table.
 
     Instances are single-threaded; independent instances may run on different
     sequences concurrently.
@@ -498,7 +467,7 @@ def _rows(index: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def track_cells(
-    configs: Sequence[TrackerConfig], table: DetectionTable
+    configs: Sequence[TrackerConfig], table: BoxTable
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run the tracker of each config over ``table`` and return each
     config's reported records as (frames, track ids, table rows) int64
@@ -514,7 +483,7 @@ def track_cells(
         raise ValueError("a tracker needs at least one config")
     tracker = CBiouTracker(*configs)
     frames, records = [], []
-    for frame, detections in table.frames(tracker.config.det_conf_min):
+    for frame, detections in admitted_frames(table, tracker.config.det_conf_min):
         matched = tracker.step(frame, detections).records
         frames += [frame] * len(matched)
         records += matched
@@ -531,7 +500,7 @@ def track_cells(
 
 
 def result_rows(
-    config: TrackerConfig, table: DetectionTable, *, interpolate_gaps: bool = False
+    config: TrackerConfig, table: BoxTable, *, interpolate_gaps: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Track ``table`` and return the result rows as (frames, track ids,
     tlwh, confidence) arrays, each box and confidence as the table holds it.
@@ -553,7 +522,7 @@ def run_sequence(config: TrackerConfig, detections_by_frame: Mapping[int, Sequen
     keys are integers >= 1. Each reported record holds its ``Detection``'s
     own box and confidence. ``result_rows`` fills a track's gaps.
     """
-    table, detections = DetectionTable._of(detections_by_frame)
+    table, detections = _table_of(detections_by_frame)
     frames, tids, rows = track_cells([config], table)[0]
     by_frame: dict[int, list] = {frame: [] for frame in table.frame_keys.tolist()}
     for frame, tid, row in zip(frames.tolist(), tids.tolist(), rows.tolist()):

@@ -4,14 +4,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from cbiou.geometry import BoundingBox
-from cbiou.metrics import SequenceAnnotations
+from cbiou.geometry import BoundingBox, BoxTable
 
 
-def labels(frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]) -> SequenceAnnotations:
+def labels(frames: Mapping[int, Iterable[tuple[int, BoundingBox]]]) -> BoxTable:
     """The labels of ``{frame: [(identity, box), ...]}``: frames ascending,
-    frames without rows kept, and rows in given order within a frame."""
+    frames without rows kept, rows in given order within a frame, and
+    every confidence 1.0."""
     keys = sorted(frames)
     rows = [(frame, identity, box) for frame in keys for identity, box in frames[frame]]
     tlwh = np.array([(box.x, box.y, box.w, box.h) for _, _, box in rows], dtype=float).reshape(-1, 4)
-    return SequenceAnnotations(keys, [row[0] for row in rows], [row[1] for row in rows], tlwh)
+    return BoxTable(keys, [row[0] for row in rows], [row[1] for row in rows], tlwh, np.ones(len(rows)))

@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbiou import experiments, metrics, scenarios, synth, tracker
-from cbiou.geometry import BoundingBox
-from cbiou.metrics import SequenceAnnotations
+from cbiou.geometry import BoundingBox, BoxTable
 from cbiou.synth import NoiseSpec, ScenarioSpec
-from cbiou.tracker import Detection, DetectionTable, TrackerConfig
+from cbiou.tracker import Detection, TrackerConfig
 from labels import labels
 
 
@@ -174,7 +173,7 @@ def test_cells_share_one_table_per_sequence(monkeypatch):
     det_seqs, gt_seqs = tiny_sequence()
     by_mapping = experiments.run_compare(TrackerConfig(), det_seqs, gt_seqs, jobs=2)
     tables = seen[-1]
-    assert len(tables) == 1 and isinstance(tables[0], DetectionTable)
+    assert len(tables) == 1 and isinstance(tables[0], BoxTable)
     assert not any(isinstance(value, Detection) for value in vars(tables[0]).values())
     # tables given in: passed through as they are, with the same reports
     assert experiments.run_compare(TrackerConfig(), tables, gt_seqs, jobs=2) == by_mapping
@@ -202,7 +201,7 @@ def per_cell_label_reports(configs, tables, gt_seqs):
     pairs = [[] for _ in configs]
     for table, gt in zip(tables, gt_seqs):
         for cell, (frames, tids, rows) in zip(pairs, tracker.track_cells(configs, table)):
-            pred = SequenceAnnotations(metrics.sorted_unique(frames), frames, tids, table.tlwh[rows])
+            pred = BoxTable(metrics.sorted_unique(frames), frames, tids, table.tlwh[rows], table.confidence[rows])
             cell.append((gt, pred))
     return [metrics.evaluate_many(cell) for cell in pairs]
 
@@ -237,16 +236,18 @@ def sweeps(draw):
     for _ in range(draw(st.sampled_from([1, 3]))):
         keys, rows = draw(DET_ROWS)
         frames = [frame for frame, _ in rows]
-        tables.append(DetectionTable(keys, frames, strip_tlwh(s for _, (s, _c) in rows), [c for _, (_s, c) in rows]))
+        tlwh, confidence = strip_tlwh(s for _, (s, _c) in rows), [c for _, (_s, c) in rows]
+        tables.append(BoxTable(keys, frames, [-1] * len(rows), tlwh, confidence))
         keys, rows = draw(GT_ROWS)
         # one row per gt identity in a frame
         rows = list({(frame, identity): (frame, strip) for frame, (strip, identity) in rows}.items())
         gt_seqs.append(
-            SequenceAnnotations(
+            BoxTable(
                 keys,
                 [frame for (frame, _id), _ in rows],
                 [identity for (_f, identity), _ in rows],
                 strip_tlwh(strip for _, (_f, strip) in rows),
+                np.ones(len(rows)),
             )
         )
     return configs, tables, gt_seqs
@@ -256,8 +257,9 @@ def swapped_rows_sweep():
     """Frame 2 lists its detections in the other order, so a cell's rows
     there (by track id) are not in table order, and gt 3 overlaps both: a
     conflict frame whose columns the cell reorders."""
-    table = DetectionTable([1, 2], [1, 1, 2, 2], strip_tlwh([(0, 10), (30, 10)] * 2)[[0, 1, 1, 0]], [0.9] * 4)
-    gt = SequenceAnnotations([1, 2], [1, 1, 2, 2, 2], [1, 2, 1, 2, 3], strip_tlwh([(0, 10), (30, 10)] * 2 + [(5, 30)]))
+    table = BoxTable([1, 2], [1, 1, 2, 2], [-1] * 4, strip_tlwh([(0, 10), (30, 10)] * 2)[[0, 1, 1, 0]], [0.9] * 4)
+    gt_tlwh = strip_tlwh([(0, 10), (30, 10)] * 2 + [(5, 30)])
+    gt = BoxTable([1, 2], [1, 1, 2, 2, 2], [1, 2, 1, 2, 3], gt_tlwh, [1.0] * 5)
     return [TrackerConfig()], [table], [gt]
 
 
@@ -278,10 +280,10 @@ def test_sweeps_build_no_labels_and_align_each_sequence_once_per_chunk(monkeypat
     for seed in (4, 5, 6):
         gt, dets = synth.generate(replace(scenarios.noise_study_scenario(seed), num_objects=4, num_frames=10))
         gt_seqs.append(gt)
-        tables.append(DetectionTable.from_detections(synth.perturb(dets, NoiseSpec(0.2, seed), gt)))
+        tables.append(tracker.detection_table(synth.perturb(dets, NoiseSpec(0.2, seed), gt)))
     built, aligned = [], []
-    init = SequenceAnnotations.__init__
-    monkeypatch.setattr(SequenceAnnotations, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    init = BoxTable.__init__
+    monkeypatch.setattr(BoxTable, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     align = metrics.align_sequence
     monkeypatch.setattr(metrics, "align_sequence", lambda gt, *args: aligned.append(gt) or align(gt, *args))
     # every lockstep chunk runs in this process, so each is counted
@@ -292,3 +294,19 @@ def test_sweeps_build_no_labels_and_align_each_sequence_once_per_chunk(monkeypat
         experiments.run_compare(TrackerConfig(), tables, gt_seqs, jobs=jobs)
         assert [gt_seqs.index(gt) for gt in aligned] == [0, 1, 2] * jobs
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: experiments.run_compare(TrackerConfig(), [], []),
+        lambda: experiments.run_grid(TrackerConfig(), [], [], [(0.1, 0.2)]),
+        lambda: experiments.track_and_evaluate(TrackerConfig(), [], []),
+        lambda: metrics.evaluate_many([]),
+    ],
+    ids=["compare", "grid", "track_and_evaluate", "evaluate_many"],
+)
+def test_no_sequences_rejected(run):
+    # the sweeps failed inside numpy, and evaluate_many scored nothing as HOTA 1.0
+    with pytest.raises(ValueError, match="no sequences to evaluate"):
+        run()

@@ -172,9 +172,10 @@ class TestBoxTypes:
         with pytest.raises(ValueError, match=re.escape(f"(N, 4) array, got shape {shape}")):
             geometry.valid_tlwh(np.ones(shape))
 
-    def test_grouped_rows_give_the_corners_of_to_xyxy(self):
+    def test_box_table_gives_the_corners_of_to_xyxy(self):
         boxes = [BoundingBox(0.1, 0.2, 0.3, 0.7), BoundingBox(2.0**57 + 32, -5.5, 16.0, 1e-3)]
-        _keys, _frames, tlwh, xyxy = geometry.grouped_rows([1], [1, 1], [[b.x, b.y, b.w, b.h] for b in boxes])
+        table = geometry.BoxTable([1], [1, 1], [1, 2], [[b.x, b.y, b.w, b.h] for b in boxes], [1.0, 1.0])
+        tlwh, xyxy = table.tlwh, table.xyxy
         assert xyxy.tobytes() == geometry.to_xyxy(boxes).tobytes()
         assert tlwh.tolist() == [[b.x, b.y, b.w, b.h] for b in boxes]
         for values in (tlwh, xyxy):

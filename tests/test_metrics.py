@@ -10,11 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbiou import assignment, geometry, metrics
-from cbiou.geometry import BoundingBox, iou
+from cbiou.geometry import BoundingBox, BoxTable, iou
 from cbiou.metrics import (
     ALPHAS,
     MetricsReport,
-    SequenceAnnotations,
     clear_mota,
     evaluate,
     evaluate_many,
@@ -22,7 +21,6 @@ from cbiou.metrics import (
     idf1,
     pool_sequences,
 )
-from cbiou.tracker import DetectionTable
 from labels import labels
 
 
@@ -90,6 +88,8 @@ def random_scene(rng, max_ids=3, max_frames=5):
 
 
 class TestSequenceAnnotations:
+    """A sequence's labels: a ``BoxTable`` of (identity, box) rows."""
+
     def test_counts_and_identities(self):
         ann = labels({1: [(1, box(0)), (2, box(30))], 2: [(1, box(5))]})
         assert ann.box_count() == 3
@@ -120,37 +120,46 @@ class TestSequenceAnnotations:
             with pytest.raises(ValueError):
                 copied.ids[0] = 5
 
+    def test_equal_tables_agree_on_every_row_column(self):
+        ann = labels({1: [(1, box(0))]})
+        assert ann == BoxTable([1], [1], [1], [ROW], [1.0])
+        assert ann != BoxTable([1], [1], [1], [ROW], [0.5])
+        assert ann != BoxTable([1], [1], [2], [ROW], [1.0])
+        assert ann != BoxTable([1, 2], [1], [1], [ROW], [1.0])
+
     @pytest.mark.parametrize("key", [1.5, math.nan, math.inf])
     def test_non_integral_frame_rejected(self, key):
         # an int64 cast made 1.5 and 1.7 both frame 1
         with pytest.raises(ValueError, match=f"frame {key!r} is not an integer"):
-            SequenceAnnotations([key, 1.7], [key, 1.7], [1, 2], [ROW, ROW])
+            BoxTable([key, 1.7], [key, 1.7], [1, 2], [ROW, ROW], [1.0, 1.0])
 
     @pytest.mark.parametrize("identity", [1.5, math.nan, math.inf])
     def test_non_integral_identity_rejected(self, identity):
         # an int64 cast stored 1.5 as id 1
         with pytest.raises(ValueError, match=f"identity {identity!r} is not an integer"):
-            SequenceAnnotations([1], [1, 1], [identity, 1.7], [ROW, ROW])
+            BoxTable([1], [1, 1], [identity, 1.7], [ROW, ROW], [1.0, 1.0])
 
     def test_integral_float_identity_is_its_integer(self):
-        assert SequenceAnnotations([1], [1], [2.0], [ROW]).ids.tolist() == [2]
+        assert BoxTable([1], [1], [2.0], [ROW], [1.0]).ids.tolist() == [2]
 
     def test_integral_float_frame_is_its_integer(self):
-        assert SequenceAnnotations([2.0], [2.0], [1], [ROW]).frame_keys.tolist() == [2]
+        assert BoxTable([2.0], [2.0], [1], [ROW], [1.0]).frame_keys.tolist() == [2]
 
 
 def label_table(frame_keys, row_frames, tlwh):
-    return SequenceAnnotations(frame_keys, row_frames, list(range(len(row_frames))), tlwh)
+    """Labels fill the confidence column."""
+    return BoxTable(frame_keys, row_frames, list(range(len(row_frames))), tlwh, [1.0] * len(row_frames))
 
 
 def detection_table(frame_keys, row_frames, tlwh):
-    return DetectionTable(frame_keys, row_frames, tlwh, [1.0] * len(row_frames))
+    """Raw detections fill the id column."""
+    return BoxTable(frame_keys, row_frames, [-1] * len(row_frames), tlwh, [0.5] * len(row_frames))
 
 
 @pytest.mark.parametrize("table", [label_table, detection_table])
 class TestGroupedRows:
-    """Both row tables take the same grouped-rows layout, checked by one
-    function."""
+    """Every ``BoxTable`` takes the same grouped-rows layout, checked by its
+    constructor, whichever column the caller fills."""
 
     def test_rows_out_of_frame_order_rejected(self, table):
         # taken as they were, the frame-2 row was read as frame 1's
@@ -202,7 +211,7 @@ class TestGroupedRows:
     def test_first_bad_box_rejected_by_its_row(self, table, tlwh, problem):
         # labels took any box: a negative width was scored (HOTA 0 against a
         # valid box), and a zero width on both sides failed inside evaluate
-        with pytest.raises(ValueError, match=f"(label|detection) row 1: {problem}"):
+        with pytest.raises(ValueError, match=f"^row 1: {problem}"):
             table([1], [1, 1, 1], [ROW, tlwh, [0, 0, -1, -1]])
 
     def test_empty_table_and_frames_without_rows(self, table):
@@ -210,28 +219,33 @@ class TestGroupedRows:
         assert rows.row_frames.shape == (0,) and rows.xyxy.shape == (0, 4)
         rows = table([1, 4, 9], [4, 4], [ROW, ROW])
         assert rows.frame_keys.tolist() == [1, 4, 9]
-        for values in (rows.frame_keys, rows.row_frames, rows.tlwh, rows.xyxy):
+        for values in (rows.frame_keys, rows.row_frames, rows.ids, rows.tlwh, rows.confidence, rows.xyxy):
             assert not values.flags.writeable
+
+    def test_frames_below_one_rejected(self, table):
+        # labels took frame 0, which no annotation file may hold
+        with pytest.raises(ValueError, match="frame 0 is below 1"):
+            table([0, 1], [0, 1], [ROW, ROW])
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: SequenceAnnotations([1], [1, 1], [1], [ROW, ROW]),
-        lambda: DetectionTable([1], [1, 1], [ROW, ROW], [1.0]),
+        lambda: BoxTable([1], [1, 1], [1], [ROW, ROW], [1.0, 1.0]),
+        lambda: BoxTable([1], [1, 1], [1, 2], [ROW, ROW], [1.0]),
     ],
     ids=["ids", "confidence"],
 )
 def test_column_of_another_length_rejected(build):
-    with pytest.raises(ValueError, match="N values per column"):
+    with pytest.raises(ValueError, match=r"\(N,\) row_frames, ids and confidence"):
         build()
 
 
 @pytest.mark.parametrize(
     "build, column, name",
     [
-        (lambda keys, frames, ids, tlwh: SequenceAnnotations(keys, frames, ids, tlwh), [5], "ids"),
-        (lambda keys, frames, conf, tlwh: DetectionTable(keys, frames, tlwh, conf), [0.5], "confidence"),
+        (lambda keys, frames, ids, tlwh: BoxTable(keys, frames, ids, tlwh, [1.0]), [5], "ids"),
+        (lambda keys, frames, conf, tlwh: BoxTable(keys, frames, [-1], tlwh, conf), [0.5], "confidence"),
     ],
     ids=["labels", "detections"],
 )
@@ -254,7 +268,7 @@ def test_tables_keep_copies_of_their_rows(build, column, name):
 @pytest.mark.parametrize("identity", [2**63, -(2**63) - 1, np.uint64(2**63)], ids=["above", "below", "uint64"])
 def test_identities_past_int64_rejected(identity):
     with pytest.raises(metrics.LabelOverflowError, match="every identity must fit in 64 bits"):
-        SequenceAnnotations([1], [1, 1], [1, identity], [ROW, ROW])
+        BoxTable([1], [1, 1], [1, identity], [ROW, ROW], [1.0, 1.0])
 
 
 def test_sorted_unique_matches_np_unique():
@@ -703,8 +717,9 @@ class TestArrayTable:
             patch.setattr(metrics, "_CHUNK_CELLS", chunk)
             assert repr(evaluate(gt, pred)) == repr(reference_evaluate(gt, pred))
 
-    @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 0, 2], [0, 1, 2, 3]])
+    @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 0, 2], [0, 1, 2, 3], [0, 1, -1], [0, 1, 5]])
     def test_a_cell_takes_every_table_row_once(self, rows):
+        # -1 was taken as the last row, 5 raised IndexError
         # a frame's level is the table's only when the cell holds all its rows
         gt = labels({1: [(1, strip(0, 10))]})
         table = labels({1: [(5, strip(0, 10)), (6, strip(7, 10)), (7, strip(3, 10))]})
@@ -725,15 +740,15 @@ class TestArrayTable:
         # reject it, named by its row, before either side is evaluated
         good = labels({f: [(k, box(40.0 * k)) for k in range(others)] for f in (1, 2)})
         tlwh = [[40.0 * k, 0, 10, 10] for k in range(others)] + [[math.nan, 0, 10, 10]]
-        with pytest.raises(ValueError, match=f"label row {others}: x must be finite, got nan"):
-            bad = SequenceAnnotations([1, 2], [1] * others + [2], list(range(others + 1)), tlwh)
+        with pytest.raises(ValueError, match=f"^row {others}: x must be finite, got nan"):
+            bad = BoxTable([1, 2], [1] * others + [2], list(range(others + 1)), tlwh, [1.0] * (others + 1))
             evaluate(*((bad, good) if nan_side == "gt" else (good, bad)))
 
     def test_non_finite_iou_still_raises(self):
         # a box whose area underflows to 0 would have an IoU of 0 / 0: the
         # labels reject it, named by its row, before either side is evaluated
-        with pytest.raises(ValueError, match="label row 0: box area must be positive in corner form"):
-            SequenceAnnotations([1], [1, 1], [1, 2], [[0, 0, 1e-200, 1e-200], [0, 0, 10, 10]])
+        with pytest.raises(ValueError, match="^row 0: box area must be positive in corner form"):
+            BoxTable([1], [1, 1], [1, 2], [[0, 0, 1e-200, 1e-200], [0, 0, 10, 10]], [1.0, 1.0])
 
     def test_hota_need_not_match_every_passing_pair(self):
         # gt x in [0, 10], [9, 19], [-9, 1] against pred [0, 10], [9, 19],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cbiou import assignment, geometry, motion
 from cbiou import tracker as tracker_module
-from cbiou.geometry import BoundingBox
+from cbiou.geometry import BoundingBox, BoxTable
 from cbiou.experiments import enumerate_buffer_grid, track_and_evaluate, variant_configs
 from cbiou.synth import OcclusionSpec, ScenarioSpec, generate
 from cbiou.tracker import (
@@ -17,9 +17,10 @@ from cbiou.tracker import (
     N_MAX_LIMIT,
     CBiouTracker,
     Detection,
-    DetectionTable,
     FrameRows,
     TrackerConfig,
+    admitted_frames,
+    detection_table,
     result_rows,
     run_sequence,
     track_cells,
@@ -434,7 +435,7 @@ class TestRunSequence:
             2: [det(10)],
             5: [det(40)],
         }
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         frames, tids, tlwh, _conf = result_rows(TrackerConfig(), table, interpolate_gaps=True)
         by_frame = dict(zip(frames.tolist(), tlwh[:, 0].tolist()))
         assert by_frame[3] == pytest.approx(20)
@@ -461,13 +462,16 @@ class TestFrameOutput:
 
 
 class TestDetectionTable:
+    """A sequence's detections: a ``BoxTable`` of raw rows, with id -1."""
+
     def test_rows_grouped_by_frame_in_given_order(self):
         dets = {4: [det(7, conf=0.5), det(1)], 2: [], 1: [det(3, w=2.5)]}
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         assert table.frame_keys.tolist() == [1, 2, 4]
         assert table.row_frames.tolist() == [1, 4, 4]
         assert table.tlwh.tolist() == [[3, 0, 2.5, 10], [7, 0, 10, 10], [1, 0, 10, 10]]
         assert table.confidence.tolist() == [1.0, 0.5, 1.0]
+        assert table.ids.tolist() == [-1] * 3
         assert table.xyxy.tobytes() == geometry.to_xyxy(d.box for f in (1, 4) for d in dets[f]).tobytes()
         with pytest.raises(ValueError):
             table.xyxy[0, 0] = 5.0
@@ -477,7 +481,7 @@ class TestDetectionTable:
         # int(1.5) named frame 1, whose lookup missed: the detection was dropped
         message = re.escape(f"frame {key!r} is not an integer")
         with pytest.raises(ValueError, match=message):
-            DetectionTable.from_detections({key: [det(0)]})
+            detection_table({key: [det(0)]})
         with pytest.raises(ValueError, match=message):
             run_sequence(TrackerConfig(), {key: [det(0)]})
 
@@ -490,7 +494,7 @@ class TestDetectionTable:
 
     def test_rows_index_the_table(self):
         dets = {1: [det(0), det(100, conf=0.05)], 3: [det(4), det(300)]}
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         frames, tids, rows = track_cells([TrackerConfig(max_age=3)], table)[0]
         assert frames.tolist() == [1, 3, 3]
         assert tids.tolist() == [1, 1, 2]
@@ -501,9 +505,9 @@ class TestDetectionTable:
     def test_pickled_table_stays_read_only(self):
         # a process pool pickles the table for each compare/grid task
         dets = {1: [det(0), det(100, conf=0.05)], 3: [det(4), det(300)]}
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         copied = pickle.loads(pickle.dumps(table))
-        for name in ("frame_keys", "row_frames", "tlwh", "xyxy", "confidence"):
+        for name in ("frame_keys", "row_frames", "ids", "tlwh", "xyxy", "confidence"):
             assert getattr(copied, name).tobytes() == getattr(table, name).tobytes()
             assert not getattr(copied, name).flags.writeable
         config = TrackerConfig(max_age=3)
@@ -518,10 +522,10 @@ class TestDetectionTable:
             (
                 [1, 2],
                 [(1, [0, 0, 10, 10], 1.0), (2, [0, 0, 0, 10], 1.0), (2, [0, 0, 10, 10], INF)],
-                "detection row 1: box extents must be positive in corner form, got x=0.0, y=0.0, w=0.0, h=10.0",
+                "row 1: box extents must be positive in corner form, got x=0.0, y=0.0, w=0.0, h=10.0",
             ),
-            ([1], [(1, [0, 0, 10, 10], 1.0), (1, [INF, 0, 10, 10], 1.0)], "detection row 1: x must be finite, got inf"),
-            ([1], [(1, [0, 0, 10, 10], float("nan"))], "detection row 0: confidence must be finite, got nan"),
+            ([1], [(1, [0, 0, 10, 10], 1.0), (1, [INF, 0, 10, 10], 1.0)], "row 1: x must be finite, got inf"),
+            ([1], [(1, [0, 0, 10, 10], float("nan"))], "row 0: confidence must be finite, got nan"),
         ],
         ids=["frame_zero", "zero_width", "infinite_x", "nan_confidence"],
     )
@@ -529,11 +533,11 @@ class TestDetectionTable:
         # a zero-width box was widened to 1 px by predict and never matched;
         # a frame 0 failed only at its first step
         frames, tlwh, confidence = zip(*rows)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            DetectionTable(frame_keys, frames, tlwh, confidence)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            BoxTable(frame_keys, frames, [-1] * len(rows), tlwh, confidence)
 
     def test_empty_table(self):
-        empty = DetectionTable.from_detections({})
+        empty = detection_table({})
         assert [a.tolist() for a in track_cells([TrackerConfig()], empty)[0]] == [[], [], []]
         assert [len(a) for a in result_rows(TrackerConfig(), empty, interpolate_gaps=True)] == [0] * 4
 
@@ -542,20 +546,20 @@ class TestTableFrames:
     DETS = {1: [det(0), det(100, conf=0.05), det(50)], 3: [det(51, w=9.5), det(2)]}
 
     def test_frames_admit_rows_and_skip_frames_without_them(self):
-        table = DetectionTable.from_detections({**self.DETS, 4: [], 5: [det(0, conf=0.05)]})
-        frames = list(table.frames(0.1))
+        table = detection_table({**self.DETS, 4: [], 5: [det(0, conf=0.05)]})
+        frames = list(admitted_frames(table, 0.1))
         assert [frame for frame, _ in frames] == [1, 3]
         assert [rows.rows for _, rows in frames] == [[0, 2], [3, 4]]
         assert [rows.confidence for _, rows in frames] == [[1.0, 1.0], [1.0, 1.0]]
         assert frames[1][1].xyxy.tobytes() == table.xyxy[3:5].tobytes()
-        assert [frame for frame, _ in table.frames(0.01)] == [1, 3, 5]
-        assert list(table.frames(1.5)) == []
-        assert list(DetectionTable.from_detections({}).frames(0.1)) == []
+        assert [frame for frame, _ in admitted_frames(table, 0.01)] == [1, 3, 5]
+        assert list(admitted_frames(table, 1.5)) == []
+        assert list(admitted_frames(detection_table({}), 0.1)) == []
 
     def test_step_answers_in_the_form_it_is_given(self):
-        table = DetectionTable.from_detections(self.DETS)
+        table = detection_table(self.DETS)
         by_rows, by_boxes = CBiouTracker(), CBiouTracker()
-        for frame, rows in table.frames(TrackerConfig().det_conf_min):
+        for frame, rows in admitted_frames(table, TrackerConfig().det_conf_min):
             got = by_rows.step(frame, rows)
             want = by_boxes.step(frame, self.DETS.get(frame, []))
             assert isinstance(got, FrameRows) and got.frame == want.frame == frame
@@ -577,7 +581,7 @@ class TestTableFrames:
             return out
 
         monkeypatch.setattr(CBiouTracker, "step", wrapped)
-        return seen, track_cells([config], DetectionTable.from_detections(dets))[0]
+        return seen, track_cells([config], detection_table(dets))[0]
 
     def test_table_runs_step_only_frames_with_admitted_rows(self, monkeypatch):
         # frame 2 has no rows: a track is alive, but frame 3's step crosses it
@@ -664,7 +668,7 @@ class TestTableLoopEqualsStep:
     @given(CONFIGS, SEQUENCES)
     def test_result_rows_equal_frame_outputs(self, config, dets):
         # the array rows of cbiou track, with and without gap filling
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         for interpolate in (False, True):
             outputs = run_sequence(config, dets)
             assert result_row_records(config, table, interpolate) == frame_records(
@@ -708,7 +712,7 @@ class TestLockstep:
     @given(CELLS, st.sampled_from([0.1, 0.6]), st.sampled_from([2, 5]), SEQUENCES)
     def test_each_cell_equals_its_config_alone(self, cells, conf_min, n_max, dets):
         configs = [replace(config, det_conf_min=conf_min, n_max=n_max) for config in cells]
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         for config, rows in zip(configs, track_cells(configs, table), strict=True):
             alone = track_cells([config], table)[0]
             assert [a.tolist() for a in rows] == [a.tolist() for a in alone]
@@ -726,7 +730,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("field, value", [("det_conf_min", 0.5), ("n_max", 3)])
     def test_cells_must_share_admission_and_history(self, field, value):
-        table = DetectionTable.from_detections({1: [det(0)]})
+        table = detection_table({1: [det(0)]})
         with pytest.raises(ValueError, match="must share det_conf_min and n_max"):
             track_cells([TrackerConfig(), replace(TrackerConfig(), **{field: value})], table)
         with pytest.raises(ValueError, match="at least one config"):
@@ -738,7 +742,7 @@ class TestLockstep:
         # to the shared b2 = 0.4 round, where both cells link track 2.
         configs = [TrackerConfig(b1=b1, b2=0.4, motion_enabled=False) for b1 in (0.0, 0.1)]
         dets = {1: [det(0), det(100)], 2: [det(10.5), det(115)]}
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         together = track_cells(configs, table)
         for config, rows in zip(configs, together):
             assert [a.tolist() for a in rows] == [a.tolist() for a in track_cells([config], table)[0]]
@@ -757,7 +761,7 @@ class TestLockstep:
         monkeypatch.setattr(geometry, "similarity_matrix", spy)
         configs = list(variant_configs(TrackerConfig()).values())
         dets = {1: [det(0), det(100)], 2: [det(2), det(118)]}
-        track_cells(configs, DetectionTable.from_detections(dets))
+        track_cells(configs, detection_table(dets))
         assert calls == [
             ("iou", 0.3, 2), ("giou", 0.3, 2), ("diou", 0.3, 2), ("biou", 0.3, 6), ("biou", 0.4, 2)
         ]
@@ -812,7 +816,7 @@ class TestGapRule:
         direct = [tracker.step(f, dets[f]) for f in dets]
         assert [[rec[0] for rec in out.records] for out in direct] == [[1], [1], [2]]
         assert run_sequence(config, dets) == direct
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         assert [a.tolist() for a in track_cells([config], table)[0]] == direct_rows(config, dets)
         assert direct_rows(config, dets) == direct_rows(config, dets, every_frame=True)
 
@@ -820,7 +824,7 @@ class TestGapRule:
     @given(CONFIGS, collapsing_sequences())
     def test_direct_steps_equal_track_cells(self, config, dets):
         # and both equal stepping each empty frame of every gap
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         direct = direct_rows(config, dets)
         assert [a.tolist() for a in track_cells([config], table)[0]] == direct
         assert direct == direct_rows(config, dets, every_frame=True)
@@ -829,7 +833,7 @@ class TestGapRule:
     @given(CELLS, collapsing_sequences())
     def test_direct_steps_equal_each_lockstep_cell(self, cells, dets):
         # mixed kinds, motion and max_age, tracked together over the table
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         for config, rows in zip(cells, track_cells(cells, table), strict=True):
             direct = direct_rows(config, dets)
             assert [a.tolist() for a in rows] == direct
@@ -854,7 +858,7 @@ class TestInterpolation:
         plain = run_sequence(TrackerConfig(), dets)
         filled = fill_gaps(plain)
         assert filled != plain
-        table = DetectionTable.from_detections(dets)
+        table = detection_table(dets)
         assert result_row_records(TrackerConfig(), table, True) == frame_records(filled)
 
     def test_collapsed_box_raises_the_box_error(self):
@@ -868,5 +872,5 @@ class TestInterpolation:
         with pytest.raises(ValueError) as expected:
             BoundingBox((x0 + x1) / 2, 0.0, 16.0, 1.0)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            result_rows(config, DetectionTable.from_detections(dets), interpolate_gaps=True)
+            result_rows(config, detection_table(dets), interpolate_gaps=True)
 
