@@ -22,6 +22,13 @@ the handler and writes the JSON manifest next to the output, with the fully
 resolved configuration, so a run can be reproduced from the manifest alone.
 Exit codes: 0 success, 2 argument/configuration errors, 3 data errors, 4 I/O
 errors.
+
+Each handler imports the modules its subcommand runs, and building the parser
+imports none of them, so a process pays only for its own subcommand: ``track``
+loads ``tracker`` (with ``assignment``, ``geometry`` and ``motion``),
+``eval`` loads ``metrics`` (with ``assignment`` and ``geometry``), ``grid``
+and ``compare`` load ``experiments`` (both of those), and ``perturb`` loads
+``synth``; every one loads ``mot_io``.
 """
 
 from __future__ import annotations
@@ -33,13 +40,15 @@ import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, experiments, metrics, mot_io, synth, tracker
-from .experiments import VARIANT_ORDER
-from .metrics import LabelOverflowError, MetricsReport
+from . import __version__, mot_io
+from .geometry import SIMILARITY_KINDS, LabelOverflowError
 from .mot_io import MotFileError
-from .synth import GenerationError, NoiseSpec
-from .tracker import TrackerConfig
+
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
+    from .tracker import TrackerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,8 +56,6 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 CONFIG_ENV_VAR = "CBIOU_CONFIG"
-
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(TrackerConfig)}
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -67,7 +74,7 @@ _TRACKER_FLAGS = {
     "max_age": ("--max-age", {"type": int, "help": "frames a track may stay unmatched"}),
     "min_sim": ("--min-sim", {"type": float, "help": "matching gate"}),
     "det_conf_min": ("--det-conf-min", {"type": float, "help": "detection confidence floor"}),
-    "similarity_kind": ("--sim", {"choices": tracker.SIMILARITY_KINDS, "help": "similarity kind"}),
+    "similarity_kind": ("--sim", {"choices": SIMILARITY_KINDS, "help": "similarity kind"}),
     "cascade_enabled": (
         "--no-cascade", {"action": "store_false", "default": None, "help": "single matching round"}
     ),
@@ -79,6 +86,9 @@ _TRACKER_FLAGS = {
 
 def load_config_file(path) -> dict:
     """Parse a flat ``key = value`` config file into TrackerConfig kwargs."""
+    from .tracker import TrackerConfig
+
+    field_types = {f.name: f.type for f in fields(TrackerConfig)}
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -100,9 +110,9 @@ def load_config_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in field_types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        read, expected = _CONFIG_READERS[_CONFIG_FIELD_TYPES[key]]
+        read, expected = _CONFIG_READERS[field_types[key]]
         try:
             values[key] = read(value)
         except (KeyError, ValueError):
@@ -113,6 +123,8 @@ def load_config_file(path) -> dict:
 def resolve_config(args, ignore=()) -> TrackerConfig:
     """Build the effective TrackerConfig: file values, then every flag given;
     the ``ignore`` fields keep their defaults."""
+    from .tracker import TrackerConfig
+
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     values = load_config_file(config_path) if config_path else {}
     flags = {name: getattr(args, name, None) for name in _TRACKER_FLAGS}
@@ -185,6 +197,8 @@ def _write_report(args, lines: list[str]) -> None:
 
 
 def cmd_track(args) -> tuple[str, dict]:
+    from . import tracker
+
     config = resolve_config(args)
     table = mot_io.read_detection_table(args.dets)
     rows = tracker.result_rows(config, table, interpolate_gaps=args.interpolate)
@@ -199,6 +213,8 @@ def cmd_track(args) -> tuple[str, dict]:
 
 
 def cmd_eval(args) -> tuple[str, dict]:
+    from . import metrics
+
     gt = mot_io.read_ground_truth(args.gt, args.min_visibility)
     pred = mot_io.read_results(args.res)
     report = metrics.evaluate(gt, pred)
@@ -226,6 +242,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
 
 
 def cmd_grid(args) -> tuple[str, dict]:
+    from . import experiments
+
     # Every cell sets its own b1/b2, so a config file's buffers are neither run nor checked.
     base = resolve_config(args, ignore=("b1", "b2"))
     combos = experiments.enumerate_buffer_grid(*_parse_range(args.range))
@@ -253,11 +271,13 @@ def cmd_grid(args) -> tuple[str, dict]:
 
 
 def cmd_compare(args) -> tuple[str, dict]:
+    from . import experiments
+
     base = resolve_config(args)
     det_seqs, gt_seqs, inputs = _load_pairs(args)
     reports = experiments.run_compare(base, det_seqs, gt_seqs, jobs=args.jobs)
     lines = ["variant,hota,deta,assa,mota,idf1"]
-    lines += [f"{name},{_metrics_csv_row(reports[name])}" for name in VARIANT_ORDER]
+    lines += [f"{name},{_metrics_csv_row(reports[name])}" for name in experiments.VARIANT_ORDER]
     _write_report(args, lines)
     variants = experiments.variant_configs(base)
     return args.report, {
@@ -271,7 +291,9 @@ def cmd_compare(args) -> tuple[str, dict]:
 
 
 def cmd_perturb(args) -> tuple[str, dict]:
-    noise = NoiseSpec(ratio=args.ratio, seed=args.seed)
+    from . import synth
+
+    noise = synth.NoiseSpec(ratio=args.ratio, seed=args.seed)
     gt = mot_io.read_ground_truth(args.gt)
     dets = synth.oracle_detections(gt)
     noisy = synth.perturb(dets, noise, gt, stratified=args.stratified)
@@ -341,6 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _data_errors() -> tuple[type[Exception], ...]:
+    """The errors that exit with ``EXIT_DATA``. ``GenerationError`` is one
+    of them once ``synth`` is loaded: only ``synth`` raises it, and importing
+    ``synth`` here would load it into every subcommand."""
+    synth = sys.modules.get(f"{__package__}.synth")
+    return (MotFileError, LabelOverflowError, *([synth.GenerationError] if synth else []))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -350,7 +380,7 @@ def main(argv=None) -> int:
         with open(f"{output_path}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except (MotFileError, GenerationError, LabelOverflowError) as exc:
+    except _data_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, TypeError) as exc:

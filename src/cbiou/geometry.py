@@ -160,6 +160,16 @@ def int64_values(values, name: str) -> np.ndarray:
         raise LabelOverflowError(f"every {name} must fit in 64 bits") from None
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending, as ``np.unique`` returns
+    them. ``np.unique`` imports ``numpy.ma`` on first use, which costs each
+    ``cbiou track`` or ``cbiou eval`` process about 13 ms and 1.3 MB."""
+    values = np.sort(values)
+    first = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def valid_tlwh(tlwh: np.ndarray) -> np.ndarray:
     """One bool per (N, 4) top-left/width/height row: whether its corners
     pass ``BoundingBox``'s check. Non-finite rows fail it. An array of any

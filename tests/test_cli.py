@@ -194,28 +194,31 @@ def test_nonfinite_grid_range_is_a_usage_error(tmp_path, capsys, text):
     assert "error: invalid grid range" in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter: records whether the module named by its first
-# argument is loaded after a bare ``import cbiou``, after ``import cbiou.cli``
-# and after each command.
+# Runs in a fresh interpreter: records which of the modules named by its
+# first argument are loaded after a bare ``import cbiou``, after
+# ``import cbiou.cli`` and after each command.
 MODULE_PROBE = """
 import json, sys
-module = sys.argv[1]
+modules = json.loads(sys.argv[1])
+def loaded():
+    return sorted(module for module in modules if module in sys.modules)
 import cbiou
-loaded = {"import cbiou": module in sys.modules}
+stages = {"import cbiou": loaded()}
 from cbiou import cli
-loaded["import cbiou.cli"] = module in sys.modules
+stages["import cbiou.cli"] = loaded()
 codes = {}
 for argv in json.loads(sys.argv[2]):
     codes[argv[0]] = cli.main(argv)
-    loaded[argv[0]] = module in sys.modules
-print(json.dumps({"codes": codes, "loaded": loaded}))
+    stages[argv[0]] = loaded()
+print(json.dumps({"codes": codes, "loaded": stages}))
 """
+PACKAGE_MODULES = sorted(f"cbiou.{path.stem}" for path in Path(cbiou.__file__).parent.glob("[!_]*.py"))
 
 
-def _probe_oracle_commands(tmp_path, module: str, names: tuple[str, ...]) -> dict:
+def _probe_oracle_commands(tmp_path, modules: list[str], names: tuple[str, ...]) -> dict:
     """Run ``names`` of ``cbiou track``/``cbiou eval`` in a fresh interpreter
     on sparse oracle files, as in the benchmark's cli_oracle workload, and
-    return the probe's record of ``module``."""
+    return the probe's record of which of ``modules`` are loaded."""
     spec = scenarios.bench_scenario(10, 200, 3)
     width, height = spec.arena
     gt, dets = synth.generate(replace(spec, arena=(4 * width, 4 * height)))
@@ -230,30 +233,61 @@ def _probe_oracle_commands(tmp_path, module: str, names: tuple[str, ...]) -> dic
     }
     src = str(Path(cbiou.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, module, json.dumps([commands[name] for name in names])],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(modules), json.dumps([commands[name] for name in names])],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    assert paths["report"].read_text(encoding="utf-8").startswith("hota = 100.0\n")
+    if "eval" in names:
+        assert paths["report"].read_text(encoding="utf-8").startswith("hota = 100.0\n")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_track_and_eval_on_oracle_files_leave_scipy_unloaded(tmp_path):
     # Every matching reduces to forced pairs and tiny cores.
-    result = _probe_oracle_commands(tmp_path, "scipy.optimize", ("track", "eval"))
+    result = _probe_oracle_commands(tmp_path, ["scipy.optimize"], ("track", "eval"))
     assert result["codes"] == {"track": cli.EXIT_OK, "eval": cli.EXIT_OK}
-    assert result["loaded"] == {"import cbiou": False, "import cbiou.cli": False, "track": False, "eval": False}
+    assert result["loaded"] == {"import cbiou": [], "import cbiou.cli": [], "track": [], "eval": []}
 
 
 def test_eval_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique, np.union1d and np.intersect1d import numpy.ma on first use:
     # about 13 ms and 1.3 MB for each track or eval process.
-    result = _probe_oracle_commands(tmp_path, "numpy.ma", ("track", "eval"))
+    result = _probe_oracle_commands(tmp_path, ["numpy.ma"], ("track", "eval"))
     assert result["codes"] == {"track": cli.EXIT_OK, "eval": cli.EXIT_OK}
-    assert result["loaded"] == {"import cbiou": False, "import cbiou.cli": False, "track": False, "eval": False}
+    assert result["loaded"] == {"import cbiou": [], "import cbiou.cli": [], "track": [], "eval": []}
+
+
+@pytest.mark.parametrize(
+    "command, loads",
+    [
+        ("track", ["cbiou.assignment", "cbiou.geometry", "cbiou.mot_io", "cbiou.motion", "cbiou.tracker"]),
+        ("eval", ["cbiou.assignment", "cbiou.geometry", "cbiou.metrics", "cbiou.mot_io"]),
+    ],
+)
+def test_track_and_eval_load_only_their_own_modules(tmp_path, command, loads):
+    # Each process compiles and runs what it imports: eval runs no tracker,
+    # track no metrics, and neither runs synth or experiments.
+    result = _probe_oracle_commands(tmp_path, PACKAGE_MODULES, (command,))
+    assert result["codes"] == {command: cli.EXIT_OK}
+    assert result["loaded"] == {
+        "import cbiou": [],
+        "import cbiou.cli": ["cbiou.cli", "cbiou.geometry", "cbiou.mot_io"],
+        command: sorted(["cbiou.cli", *loads]),
+    }
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from cbiou import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(cbiou.__all__)
+    for name in cbiou.__all__:
+        assert getattr(cbiou, name) is namespace[name]
+        assert name == "__version__" or namespace[name].__module__.startswith("cbiou.")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cbiou.no_such_name
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -585,3 +619,21 @@ def test_pooled_ids_past_int64_are_a_data_error(tmp_path, monkeypatch, capsys, j
     assert cli.main([*argv, "--jobs", jobs]) == cli.EXIT_DATA
     assert "error: pooled frames or identities do not fit in 64 bits" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_perturb_without_room_for_a_false_positive_is_a_data_error(tmp_path):
+    # A fresh interpreter: ``main`` maps the error of a module that only
+    # this subcommand loads.
+    gt = tmp_path / "gt.txt"
+    gt.write_text("".join(f"1,{tid},0,0,40,40,1,1,1.0\n" for tid in (1, 2, 3, 4)), encoding="utf-8")
+    out = tmp_path / "dets.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbiou.cli", "perturb", "--gt", str(gt), "--ratio", "0.5", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(cbiou.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stderr.startswith("error: could not place a false positive in frame 1 ")
+    assert not out.exists()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbiou import experiments, metrics, scenarios, synth, tracker
-from cbiou.geometry import BoundingBox, BoxTable
+from cbiou.geometry import BoundingBox, BoxTable, sorted_unique
 from cbiou.synth import NoiseSpec, ScenarioSpec
 from cbiou.tracker import Detection, TrackerConfig
 from labels import labels
@@ -201,7 +201,7 @@ def per_cell_label_reports(configs, tables, gt_seqs):
     pairs = [[] for _ in configs]
     for table, gt in zip(tables, gt_seqs):
         for cell, (frames, tids, rows) in zip(pairs, tracker.track_cells(configs, table)):
-            pred = BoxTable(metrics.sorted_unique(frames), frames, tids, table.tlwh[rows], table.confidence[rows])
+            pred = BoxTable(sorted_unique(frames), frames, tids, table.tlwh[rows], table.confidence[rows])
             cell.append((gt, pred))
     return [metrics.evaluate_many(cell) for cell in pairs]
 

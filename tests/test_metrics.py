@@ -275,7 +275,7 @@ def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(8)
     for size in (0, 1, 2, 50):
         values = rng.integers(-5, 5, size)
-        assert metrics.sorted_unique(values).tolist() == np.unique(values).tolist()
+        assert geometry.sorted_unique(values).tolist() == np.unique(values).tolist()
 
 
 class TestClearMota:

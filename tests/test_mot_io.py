@@ -105,7 +105,10 @@ CASES = [
     ),
     ("active_1.5", with_field(6, "1.5"), {"dets": None, "gt": (1, "active is not an integer: '1.5'"), "res": None}),
     ("column_8_ignored", with_field(7, "x"), ACCEPTED),
+    # "#" starts no comment
+    ("hash_suffix", with_field(5, "10#x"), every(1, "h is not a number: '10#x'")),
     ("blank_file", b"\n \n\r\n", ACCEPTED),
+    ("empty_file", b"", ACCEPTED),
 ]
 for _column, _name in enumerate(COLUMNS):
     for _value in ("nan", "inf", "-inf"):
@@ -246,11 +249,55 @@ def test_first_duplicate_is_the_first_repeated_pair_in_row_order(pairs):
     assert mot_io._first_duplicate(frames, ids) == expected
 
 
+number_texts = st.sampled_from([repr, "{:.2f}".format, "{:e}".format, " {} ".format])
+path_rows = st.integers(6, 10).flatmap(
+    lambda width: st.lists(
+        st.tuples(
+            st.integers(1, 50).map(str),
+            st.integers(-3, 50).map(str),
+            *(st.builds(lambda text, value: text(value), number_texts, st.floats(-1e3, 1e3)) for _ in "xy"),
+            *(st.builds(lambda text, value: text(value), number_texts, st.floats(0.5, 1e3)) for _ in "wh"),
+            st.sampled_from(["0", "1", "1.0"]),
+            st.sampled_from(["1", "-1"]),
+            st.builds(lambda text, value: text(value), number_texts, st.floats(0, 1)),
+            st.just("-1"),
+        ).map(lambda fields: ",".join(fields[:width])),
+        min_size=1,
+        max_size=12,
+    )
+)
+
+
+@settings(max_examples=200)
+@given(path_rows, st.lists(st.integers(0, 12), max_size=3), st.sampled_from(["\n", "\r\n"]))
+def test_both_conversions_read_valid_rows_to_the_same_bits(rows, blanks, newline):
+    lines = list(rows)
+    for at in blanks:
+        lines.insert(min(at, len(lines)), "")
+    lines = newline.join(lines).splitlines()
+    for layout in LAYOUTS.values():
+        values, linenos, fault = mot_io._convert_by_line("f.txt", lines, layout)
+        assert fault is None
+        at_once = mot_io._convert_at_once(lines, layout, len(linenos))
+        assert at_once is not None
+        assert (at_once.shape, at_once.tobytes()) == (values.shape, values.tobytes())
+        assert mot_io._convert("f.txt", lines, layout)[1] == linenos
+
+
+def test_rows_of_one_width_convert_in_one_call(monkeypatch):
+    monkeypatch.setattr(mot_io, "_convert_by_line", None)
+    lines = ["1,1,0,0,10,10,1,-1,-1,-1", "", "2,1,0,0,10,10,1,-1,-1,-1"]
+    values, linenos, fault = mot_io._convert("f.txt", lines, mot_io._RESULTS)
+    assert (values.tolist(), linenos, fault) == ([[1, 1, 0, 0, 10, 10], [2, 1, 0, 0, 10, 10]], [1, 3], None)
+
+
 @pytest.mark.parametrize("chunk", [1, 6, 7, 8192])
 def test_reads_do_not_depend_on_the_conversion_chunk(tmp_path, monkeypatch, chunk):
     # six values per results row: chunks end inside, on and past row ends
     monkeypatch.setattr(mot_io, "_CHUNK_FLOATS", chunk)
-    rows = [f"{frame},{tid},{10 * tid},0,10,10,1,-1,-1,-1\n" for frame in (2, 1, 3) for tid in (3, 1)]
+    # Rows of 10 and 6 fields: uneven rows are converted a line at a time.
+    tail = {3: ",1,-1,-1,-1", 1: ""}
+    rows = [f"{frame},{tid},{10 * tid},0,10,10{tail[tid]}\n" for frame in (2, 1, 3) for tid in (3, 1)]
     path = tmp_path / "res.txt"
     path.write_text("".join(rows), encoding="utf-8")
     expected = {
