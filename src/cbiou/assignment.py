@@ -5,6 +5,12 @@ discards matched pairs whose similarity falls below a minimum. No tie rule is
 imposed between equally good matchings, but the same matrix always yields the
 same matching.
 
+``gated_match`` is the one gated matching of the tracker and of
+``metrics.clear_mota``. Its ``MatchResult`` holds the kept pairs as two index
+arrays, rows and columns, so the tracker writes its matches back without
+building a Python tuple per pair; the tuple forms of the pairs and of the
+unmatched rows and columns are built only when read.
+
 Most matrices the tracker and the metrics build are sparse: few entries are
 positive, and most of those are alone in their row and column. A
 non-negative matrix is therefore reduced before any solver runs:
@@ -36,7 +42,10 @@ The reduction reads the nonzeros as Python lists. On the matrices the
 tracker builds (about 12 x 5 with a few nonzeros) that is cheaper than array
 operations, whose fixed cost per numpy call dominates: an array form of the
 one-to-one case (every nonzero alone in its row and column) made ``_reduced``
-about a third slower over the matchings of a benchmark ablation round.
+about a third slower over the matchings of a benchmark ablation round. Only
+its kept pairs become arrays, one flat list each for rows and columns. A
+scipy matching stays in arrays: its kept values are read with one fancy
+index.
 """
 
 from __future__ import annotations
@@ -68,13 +77,40 @@ _MAX_CORE_NONZEROS = max(a * b for a, b in _CORE_SHAPES)
 _MAX_CORE_EXCESS = max(2 * a * b - a - b for a, b in _CORE_SHAPES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
-    """A gated matching: kept pairs plus leftover row/col indices."""
+    """A gated matching of a ``shape`` matrix: the kept pairs as ``rows`` and
+    ``cols`` int arrays, sorted by row.
 
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_rows: tuple[int, ...]
-    unmatched_cols: tuple[int, ...]
+    ``pairs``, ``unmatched_rows`` and ``unmatched_cols`` are the same
+    matching as tuples of ints, built from the arrays each time they are
+    read: the kept (row, col) pairs, and the rows and the columns in no kept
+    pair, ascending.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
+
+    @property
+    def unmatched_rows(self) -> tuple[int, ...]:
+        return _unused(self.rows, self.shape[0])
+
+    @property
+    def unmatched_cols(self) -> tuple[int, ...]:
+        return _unused(self.cols, self.shape[1])
+
+
+def _unused(used: np.ndarray, n: int) -> tuple[int, ...]:
+    """The indices in range(n) missing from ``used``, ascending."""
+    if len(used) == n:
+        return ()
+    used = set(used.tolist())
+    return tuple([i for i in range(n) if i not in used])
 
 
 def _matrix(sim) -> np.ndarray:
@@ -175,19 +211,15 @@ def gated_match(sim, min_sim: float = DEFAULT_MIN_SIMILARITY) -> MatchResult:
     min_sim = float(min_sim)
     if not math.isfinite(min_sim):
         raise ValueError(f"min_sim must be finite, got {min_sim!r}")
-    n_rows, n_cols = m.shape
     if m.size == 0:
-        return MatchResult((), tuple(range(n_rows)), tuple(range(n_cols)))
+        none = np.zeros(0, dtype=np.intp)
+        return MatchResult(none, none, m.shape)
     # A positive gate drops every zero-valued pair, so the reduction may omit them.
     triples = _reduced(m) if min_sim > 0 else None
     if triples is None:
         r, c = _linear_sum_assignment(m)
-        triples = [(i, j, m.item(i, j)) for i, j in zip(r.tolist(), c.tolist())]
-    pairs = [(i, j) for i, j, v in triples if v >= min_sim]
-    used_rows = {i for i, _ in pairs}
-    used_cols = {j for _, j in pairs}
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_rows=tuple([i for i in range(n_rows) if i not in used_rows]),
-        unmatched_cols=tuple([j for j in range(n_cols) if j not in used_cols]),
-    )
+        keep = m[r, c] >= min_sim
+        return MatchResult(r[keep], c[keep], m.shape)
+    rows = np.array([i for i, _, v in triples if v >= min_sim], dtype=np.intp)
+    cols = np.array([j for _, j, v in triples if v >= min_sim], dtype=np.intp)
+    return MatchResult(rows, cols, m.shape)

@@ -321,7 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("track", help="run the tracker over a detection file")
     p.add_argument("--dets", required=True, help="detection file")
     p.add_argument("--out", required=True, help="results file to write")
-    p.add_argument("--interpolate", action="store_true", help="fill match gaps by linear interpolation")
+    p.add_argument(
+        "--interpolate",
+        action="store_true",
+        help="fill each gap of up to max_age frames between two matches of a track linearly; "
+        "on noisy detections this can lower MOTA",
+    )
     _add_tracker_flags(p, _TRACKER_FLAGS)
     p.set_defaults(handler=cmd_track)
 

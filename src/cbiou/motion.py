@@ -26,20 +26,18 @@ def average_velocity(history: np.ndarray) -> np.ndarray:
     return change[:, 1:] / np.maximum(change[:, :1], 1.0)
 
 
-def predict(states: np.ndarray, velocities: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+def predict(states: np.ndarray, velocities: np.ndarray, delta: int) -> np.ndarray:
     """Advance (N, 4) corner-form states by ``delta`` frames of constant velocity.
 
     Per frame, the velocity is added and an extent that collapses is
     re-centred with a 1-pixel minimum instead of failing, so advancing by
     a + b frames is bit-identical to advancing by a then by b, collapsed rows
     included: a step across a gap predicts as stepping each empty frame.
-    Returns the new states and an (N,) degenerate mask, the rows collapsed at
-    any frame. A non-finite predicted state raises ``ValueError``.
+    Returns the new states; a non-finite one raises ``ValueError``.
     """
     if int(delta) != delta or delta < 1:
         raise ValueError(f"delta must be a positive integer, got {delta!r}")
     out = states
-    degenerate = np.zeros(len(states), dtype=bool)
     for _ in range(int(delta)):
         out = out + velocities
         collapsed = out[:, 2:] - out[:, :2] <= 0
@@ -49,7 +47,6 @@ def predict(states: np.ndarray, velocities: np.ndarray, delta: int) -> tuple[np.
                 center = (out[rows, axis] + out[rows, axis + 2]) / 2.0
                 out[rows, axis] = center - 0.5
                 out[rows, axis + 2] = center + 0.5
-            degenerate |= collapsed.any(axis=1)
     if not np.isfinite(out).all():
         raise ValueError("predicted state must be finite")
-    return out, degenerate
+    return out

@@ -11,12 +11,15 @@ frame are reported.
 when no config is given, else of the configs, its cells, which step in
 lockstep through one per-frame core, ``CBiouTracker._step_cells``. The
 cells' alive tracks share one set of arrays, grouped by cell. Per frame,
-prediction runs once over the rows of the cells with motion;
-``cascade_match``, given the cells' matching plan and row bounds, makes one
-similarity call per run of consecutive cells with the same (kind, b1), and
-one per (kind, b2) over the cascade cells' leftovers; aging, deaths and
-births run once over the shared arrays. Each cell's records equal those of
-its config run alone.
+prediction runs once per run of consecutive cells with motion, over that
+run's slice of rows; ``cascade_match``, given the cells' matching plan and
+row bounds, makes one similarity call per run of consecutive cells with the
+same (kind, b1), and one per (kind, b2) over the cascade cells' leftovers,
+and returns the matches as (track row, detection) index arrays, as
+``assignment.gated_match`` gives them; the write-back, aging and deaths run
+once over the shared arrays with those indices, and each cell's births go
+after its own rows. Each cell's records equal those of its config run
+alone.
 
 A ``Detection`` is a box and a confidence. Its frame is stated once, by the
 key it is listed under in a per-frame mapping or by the frame index of the
@@ -189,59 +192,65 @@ def cascade_match(t_xyxy: np.ndarray, d_xyxy: np.ndarray, rounds: _Rounds, bound
     Takes (N, 4) track states and (M, 4) detection boxes in corner form, the
     cells' ``_Rounds`` and their bounds: cell k's tracks are rows
     ``bounds[k]:bounds[k + 1]``, matched alone against every detection.
-    Returns the (row, detection) matches sorted by row, then the unmatched
-    rows and the unmatched detections, one sequence per cell; a cell's two
-    rounds match disjoint tracks and detections. Round 1 makes one
-    similarity call per run of cells with the same (kind, b1), and round 2
-    one per (kind, b2) over those cascade cells' leftover tracks; each
-    cell's ``gated_match`` takes its own block. Every similarity entry
-    depends only on its two boxes, so the blocks hold the bits of matrices
-    made for each cell alone.
+    Returns the matched (track rows, detection indices) as two int arrays
+    sorted by row, then each cell's unmatched detections as an ascending
+    sequence; a cell's two rounds match disjoint tracks and detections.
+    Round 1 makes one similarity call per run of cells with the same
+    (kind, b1), and round 2 one per (kind, b2) over the leftover tracks of
+    those cascade cells that have leftover tracks and detections; a cell's
+    leftovers are listed only when it enters round 2. Each cell's
+    ``gated_match`` takes its own block. Every similarity entry depends only
+    on its two boxes, so the blocks hold the bits of matrices made for each
+    cell alone.
     """
-    n_cells = len(bounds) - 1
-    matches: list[tuple[int, int]] = []
-    left_dets = [range(len(d_xyxy))] * n_cells
-    if not len(d_xyxy) or not bounds[-1]:
-        left_tracks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    else:
-        left_tracks = [()] * n_cells  # each cell with tracks meets round 1
-        waiting = []  # the cascade cells with tracks and detections left
-        for kind, b1, first, stop in rounds.round1:
-            lo, hi = bounds[first], bounds[stop]
-            if lo == hi:
+    n_cells, n_dets = len(bounds) - 1, len(d_xyxy)
+    left_dets = [range(n_dets)] * n_cells
+    if not n_dets or not bounds[-1]:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, left_dets
+    rows, dets = [], []
+    waiting = []  # the cascade cells with tracks and detections left, and their round-1 matching
+    for kind, b1, first, stop in rounds.round1:
+        lo, hi = bounds[first], bounds[stop]
+        if lo == hi:
+            continue
+        sim = geometry.similarity_matrix(kind, t_xyxy[lo:hi], d_xyxy, b1)
+        for k in range(first, stop):
+            a, b = bounds[k], bounds[k + 1]
+            if a == b:
                 continue
-            sim = geometry.similarity_matrix(kind, t_xyxy[lo:hi], d_xyxy, b1)
-            for k in range(first, stop):
-                a, b = bounds[k], bounds[k + 1]
-                if a == b:
-                    continue
-                found = assignment.gated_match(sim[a - lo : b - lo], rounds.min_sim[k])
-                if a:
-                    matches += [(a + i, j) for i, j in found.pairs]
-                    left_tracks[k] = [a + i for i in found.unmatched_rows]
-                else:  # the first rows: their indices need no offset
-                    matches += found.pairs
-                    left_tracks[k] = found.unmatched_rows
-                left_dets[k] = found.unmatched_cols
-                if rounds.cascade[k] and found.unmatched_rows and found.unmatched_cols:
-                    waiting.append(k)
-        for kind, b2, cascaded in rounds.round2 if waiting else ():
-            cells = [k for k in cascaded if k in waiting]
-            if not cells:
-                continue
-            rows = list(itertools.chain.from_iterable([left_tracks[k] for k in cells]))
-            sim = geometry.similarity_matrix(kind, t_xyxy.take(rows, 0), d_xyxy, b2)
-            top = 0
-            for k in cells:
-                tracks, dets = left_tracks[k], left_dets[k]
-                block = sim[top : top + len(tracks)].take(dets, 1)
-                top += len(tracks)
-                found = assignment.gated_match(block, rounds.min_sim[k])
-                matches += [(tracks[i], dets[j]) for i, j in found.pairs]
-                left_tracks[k] = [tracks[i] for i in found.unmatched_rows]
-                left_dets[k] = [dets[j] for j in found.unmatched_cols]
-        matches.sort()
-    return matches, left_tracks, left_dets
+            found = assignment.gated_match(sim[a - lo : b - lo], rounds.min_sim[k])
+            rows.append(found.rows + a if a else found.rows)
+            dets.append(found.cols)
+            left_dets[k] = found.unmatched_cols
+            if rounds.cascade[k] and len(found.rows) < b - a and left_dets[k]:
+                waiting.append((k, a, found))
+    round1 = len(rows)
+    for kind, b2, cascaded in rounds.round2 if waiting else ():
+        leftovers = [
+            (k, a + np.array(found.unmatched_rows, dtype=np.intp), left_dets[k])
+            for k, a, found in waiting
+            if k in cascaded
+        ]
+        if not leftovers:
+            continue
+        sim = geometry.similarity_matrix(
+            kind, t_xyxy.take(np.concatenate([tracks for _, tracks, _ in leftovers]), 0), d_xyxy, b2
+        )
+        top = 0
+        for k, tracks, left in leftovers:
+            block = sim[top : top + len(tracks)].take(left, 1)
+            top += len(tracks)
+            found = assignment.gated_match(block, rounds.min_sim[k])
+            rows.append(tracks[found.rows])
+            dets.append(np.take(left, found.cols))
+            left_dets[k] = [left[j] for j in found.unmatched_cols]
+    resort = len(rows) > round1  # round 2 ran, and its rows go among round 1's
+    rows, dets = np.concatenate(rows), np.concatenate(dets)
+    if resort:
+        order = rows.argsort()
+        rows, dets = rows[order], dets[order]
+    return rows, dets, left_dets
 
 
 def detection_table(detections_by_frame: Mapping[int, Sequence[Detection]]) -> BoxTable:
@@ -317,9 +326,16 @@ class CBiouTracker:
         max_ages = [config.max_age for config in configs]
         # One bound for every row when the cells share it, as one config does.
         self._max_age = max_ages[0] if len(set(max_ages)) == 1 else np.array(max_ages)
-        moving = [config.motion_enabled for config in configs]
-        # Every cell, none, or the cells whose rows a mask picks.
-        self._motion = all(moving) or (np.array(moving) if any(moving) else False)
+        # Runs of consecutive cells with motion, as (first cell, stop cell):
+        # each run's rows are one slice of the shared arrays.
+        self._motion: list[tuple[int, int]] = []
+        for k, config in enumerate(configs):
+            if not config.motion_enabled:
+                continue
+            if self._motion and self._motion[-1][1] == k:
+                self._motion[-1] = (self._motion[-1][0], k + 1)
+            else:
+                self._motion.append((k, k + 1))
         self._born = [0] * len(configs)
         self._edges = np.arange(len(configs) + 1)
         self._ids = np.zeros(0, dtype=np.int64)
@@ -390,6 +406,7 @@ class CBiouTracker:
         ids, states, ages, history, cells = self._ids, self._states, self._ages, self._history, self._cells
         n_cells = len(self._born)
 
+        bounds = (0,) * (n_cells + 1)
         if len(ids):
             elapsed = frame - self._last_frame
             if elapsed > 1:
@@ -398,21 +415,17 @@ class CBiouTracker:
                     (ages + (elapsed - 1) <= self._age_limits(cells)).nonzero()[0], ids, states, ages, history, cells
                 )
             ages = ages + elapsed
+            bounds = np.searchsorted(cells, self._edges).tolist() if n_cells > 1 else (0, len(ids))
             # Survivors have elapsed <= max_age + 1, which bounds the predict loop.
-            if self._motion is True:
-                if len(ids):
-                    states, _ = motion.predict(states, motion.average_velocity(history), elapsed)
-            elif self._motion is not False:
-                moving = self._motion[cells].nonzero()[0]
-                if len(moving):
-                    predicted, _ = motion.predict(states[moving], motion.average_velocity(history[moving]), elapsed)
-                    states = states.copy()
-                    states[moving] = predicted
+            for first, stop in self._motion:
+                lo, hi = bounds[first], bounds[stop]
+                if lo < hi:
+                    predicted = motion.predict(states[lo:hi], motion.average_velocity(history[lo:hi]), elapsed)
+                    whole = hi - lo == len(states)
+                    states = predicted if whole else np.concatenate((states[:lo], predicted, states[hi:]))
 
-        bounds = np.searchsorted(cells, self._edges).tolist() if n_cells > 1 else (0, len(ids))
-        matches, _, un_dets = cascade_match(states, det_xyxy, self._rounds, bounds)
-        if matches:
-            ti, di = np.fromiter(itertools.chain.from_iterable(matches), np.intp, 2 * len(matches)).reshape(-1, 2).T
+        ti, di, un_dets = cascade_match(states, det_xyxy, self._rounds, bounds)
+        if len(ti):
             matched = det_xyxy.take(di, 0)
             states[ti] = matched
             ages[ti] = 0
@@ -421,10 +434,8 @@ class CBiouTracker:
             window[:, -1, 0] = frame
             window[:, -1, 1:] = matched
             history[ti] = window
-            # Matches come sorted by row: by cell, then in creation order.
-            tids, dets = ids.take(ti).tolist(), di.tolist()
-        else:
-            tids, dets = [], []
+        # Matches come sorted by row: by cell, then in creation order.
+        tids, dets = ids.take(ti).tolist(), di.tolist()
         alive = (ages <= self._age_limits(cells)).nonzero()[0]
         if len(alive) < len(ids):
             ids, states, ages, history, cells = _rows(alive, ids, states, ages, history, cells)

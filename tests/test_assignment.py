@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -175,6 +176,73 @@ class TestGatedMatch:
         assert assignment.DEFAULT_MIN_SIMILARITY == 1e-9
         res = gated_match(np.zeros((3, 3)))
         assert res.pairs == ()
+
+
+def tuple_gated_match(m: np.ndarray, min_sim: float):
+    """``gated_match`` as (pairs, unmatched rows, unmatched columns) tuples,
+    from the matching of ``solve`` under a positive gate (the zero-valued
+    pairs it may add fall below the gate) or of one scipy call otherwise,
+    filtered by the gate."""
+    n_rows, n_cols = m.shape
+    if m.size and not np.isfinite(m).all():
+        raise ValueError("similarity matrix contains non-finite values")
+    if not m.size:
+        matched = []
+    elif min_sim > 0:
+        matched = solve(m)
+    else:
+        matched = zip(*(index.tolist() for index in linear_sum_assignment(m, maximize=True)))
+    pairs = tuple((i, j) for i, j in matched if m[i, j] >= min_sim)
+    return (
+        pairs,
+        tuple(i for i in range(n_rows) if i not in {i for i, _ in pairs}),
+        tuple(j for j in range(n_cols) if j not in {j for _, j in pairs}),
+    )
+
+
+@st.composite
+def gated_inputs(draw):
+    """A matrix of up to 6 x 6, empty shapes included, with zeros, negative
+    entries and all-zero rows, and a gate, zero and negative ones included."""
+    m = draw(
+        arrays(
+            float,
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.5, 0.25, 0.5]), st.floats(min_value=-1, max_value=1, allow_nan=False)
+            ),
+        )
+    )
+    m[draw(st.lists(st.integers(0, max(len(m) - 1, 0)), max_size=len(m)))] = 0.0
+    gate = draw(st.one_of(st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.3]), st.floats(min_value=-1, max_value=1)))
+    return m, gate
+
+
+class TestArrayResult:
+    """``MatchResult`` holds the kept pairs as index arrays; its tuple fields
+    equal the tuple form of the matching."""
+
+    @given(gated_inputs())
+    @settings(max_examples=400)
+    def test_fields_equal_the_tuple_form(self, case):
+        m, gate = case
+        res = gated_match(m, gate)
+        assert (res.pairs, res.unmatched_rows, res.unmatched_cols) == tuple_gated_match(m, gate)
+        assert res.rows.dtype.kind == res.cols.dtype.kind == "i"
+        assert list(zip(res.rows.tolist(), res.cols.tolist())) == list(res.pairs)
+        assert res.rows.tolist() == sorted(res.rows.tolist())
+
+    @given(gated_inputs(), st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.data())
+    @settings(max_examples=100)
+    def test_same_error_on_nonfinite_entries(self, case, bad, data):
+        m, gate = case
+        if not m.size:
+            return
+        m[data.draw(st.integers(0, m.shape[0] - 1)), data.draw(st.integers(0, m.shape[1] - 1))] = bad
+        with pytest.raises(ValueError) as expected:
+            tuple_gated_match(m, gate)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            gated_match(m, gate)
 
 
 def test_one_scipy_call_per_matching(monkeypatch):

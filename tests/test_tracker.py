@@ -290,8 +290,11 @@ def cascade_match(t_xyxy, d_xyxy, config):
     """``tracker.cascade_match`` for the tracks of one config: (matches,
     unmatched tracks, unmatched detections)."""
     rounds = tracker_module._Rounds([config])
-    matches, un_t, un_d = tracker_module.cascade_match(t_xyxy, d_xyxy, rounds, (0, len(t_xyxy)))
-    return matches, list(un_t[0]), list(un_d[0])
+    rows, dets, un_d = tracker_module.cascade_match(t_xyxy, d_xyxy, rounds, (0, len(t_xyxy)))
+    matched = rows.tolist()
+    assert matched == sorted(matched)
+    un_t = [i for i in range(len(t_xyxy)) if i not in matched]
+    return list(zip(matched, dets.tolist())), un_t, list(un_d[0])
 
 
 class TestCascadeMatch:
@@ -747,6 +750,28 @@ class TestLockstep:
         for config, rows in zip(configs, together):
             assert [a.tolist() for a in rows] == [a.tolist() for a in track_cells([config], table)[0]]
             assert rows[1].tolist() == [1, 2, 1, 2]
+
+    def test_rows_stay_grouped_by_cell_in_creation_order(self):
+        # Births of cells 0 and 1 go after their own cell's rows, before the
+        # rows of the cells after them.
+        configs = [
+            TrackerConfig(similarity_kind="iou", cascade_enabled=False, motion_enabled=False, max_age=2),
+            TrackerConfig(b1=0.0, b2=0.1, max_age=5),
+            TrackerConfig(),
+        ]
+        tracker = CBiouTracker(*configs)
+        rng = np.random.default_rng(7)
+        checked = 0
+        for frame in range(1, 40):
+            born = list(tracker._born)
+            tracker.step(frame, [det(x, y) for x, y in rng.uniform(0, 120, size=(int(rng.integers(0, 7)), 2))])
+            cells, ids = tracker._cells, tracker._ids
+            assert (np.diff(cells) >= 0).all()
+            for k in range(len(configs)):
+                assert (np.diff(ids[cells == k]) > 0).all()
+            if tracker._born[:2] != born[:2] and (cells == 2).any():
+                checked += 1
+        assert checked > 10
 
     def test_one_similarity_call_per_kind_and_buffer(self, monkeypatch):
         # the six variants: round 1 scores IoU, GIoU, DIoU and the three BIoU
