@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, mot_io
 from .geometry import SIMILARITY_KINDS, LabelOverflowError
-from .mot_io import MotFileError
+from .mot_io import MotFileError, _split_lines
 
 if TYPE_CHECKING:
     from .metrics import MetricsReport
@@ -93,15 +93,15 @@ def load_config_file(path) -> dict:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Count lines as splitlines does below; the bytes before exc.start decode.
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        # Count lines as below; the bytes before exc.start decode.
+        lines = _split_lines(data[: exc.start].decode("utf-8") + "?")
         key, sep, _ = lines[-1].partition("=")
         where = f" in the value of {key.strip()}" if sep and not key.lstrip().startswith("#") else ""
         raise ValueError(
             f"{path}:{len(lines)}: not UTF-8 text{where} at byte {exc.start}: {exc.reason}"
         ) from None
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

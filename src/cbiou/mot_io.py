@@ -3,33 +3,35 @@
 Detections: ``frame,id,x,y,w,h,conf,-1,-1,-1`` with id -1 for raw detector
 output. Ground truth: ``frame,id,x,y,w,h,active,class,visibility``. Readers
 tolerate 6 to 10 columns (missing conf, active and visibility default to 1)
-and CR/LF line endings, and ignore the columns they do not read.
+and ``\\n``, ``\\r\\n`` and ``\\r`` line ends, and ignore the columns they do
+not read.
 
-Each reader parses its file once into one float array, a row per box and a
-column per field it reads, next to the line number of every row. A file
-whose non-empty lines all hold the same number of fields, 6 to 10, each a
-plain number, converts in one ``np.loadtxt`` call (``_convert_at_once``);
-any other file goes a line at a time (``_convert_by_line``), which also
-reads ragged rows, ``1_000``, text in an ignored column and whitespace-only
-lines, and words the first row that does not parse. On a 10,000-row
-ground-truth file the one call took 4.4 ms where the line loop took 14 ms
-(best of 7, one CPU of a 2-CPU x86-64 Xeon, numpy 2.4). The row checks run
-as array operations over the columns: finite numbers, integer frames and
-ids, frame >= 1, positive extents also in corner form, corners
-within ``MAX_ABS_COORDINATE``, real result ids, and one ground-truth or
-result row per (frame, id). Frames and ids are int64, and one outside int64
-is a data error; one at or beyond 2**53 in magnitude, where float64 rounds,
-is read again exactly. The earliest failing line is reported, as
+Each reader parses its file once into int64 frames and ids and one float
+array, a row per box and a column per field it reads, next to the line
+number of every row. A file whose non-empty lines all hold the same number
+of fields, 6 to 10, each a plain number, and whose rows all pass the row
+checks converts in one ``np.loadtxt`` call; any other file is read a line
+at a time by ``_check_row`` (``_convert``). On 10,000-row ground-truth
+files ``read_ground_truth`` took 7.1 ms for rows of one width, 51 ms with
+half the rows cut to 6 fields and 55 ms with one whitespace-only line (best
+of 27, one CPU of a 2-CPU x86-64 Xeon, numpy 2.4). ``_faults`` runs the
+row checks as array operations over the columns: finite numbers, integer
+frames and ids, frame >= 1, positive extents also in corner form, corners
+within ``MAX_ABS_COORDINATE`` and real result ids. Frames and ids are int64,
+and one outside int64 is a data error; one at or beyond 2**53 in magnitude,
+where float64 rounds, sends its file to ``_check_row``. Both routes check
+one ground-truth or result row per (frame, id) over the arrays. The earliest failing line is reported, as
 ``_check_row`` words it for one row: bytes that are not UTF-8 and rows that
-do not parse as parse errors, the rest as data errors. Every file becomes
-a ``BoxTable``, built from its arrays by ``_table``: detections keep the
-file's ids and confidences, and ground truth and results, whose confidence
-the metrics do not read, get confidence 1.0. ``write_ground_truth`` writes
-from a table's arrays, so neither direction builds a ``BoundingBox`` per
-row; ``read_detections`` turns a detection table into per-frame
-``Detection`` lists for the API's ``run_sequence``. The module imports
-neither ``tracker`` nor ``metrics``, so ``cbiou eval`` loads no tracker and
-``cbiou track`` no metrics.
+do not parse as parse errors, the rest as data errors.
+
+Every file becomes a ``BoxTable``, built from its arrays by ``_table``:
+detections keep the file's ids and confidences, and ground truth and
+results, whose confidence the metrics do not read, get confidence 1.0.
+``write_ground_truth`` writes from a table's arrays, so neither direction
+builds a ``BoundingBox`` per row; ``read_detections`` turns a detection
+table into per-frame ``Detection`` lists for the API's ``run_sequence``.
+The module imports neither ``tracker`` nor ``metrics``, so ``cbiou eval``
+loads no tracker and ``cbiou track`` no metrics.
 
 Writers emit UTF-8 with LF endings, rows sorted by (frame, id), and
 coordinates at fixed 2-decimal precision.
@@ -38,7 +40,6 @@ coordinates at fixed 2-decimal precision.
 from __future__ import annotations
 
 import math
-import operator
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -91,17 +92,26 @@ _GROUND_TRUTH = _Layout(
 _RESULTS = _Layout((), labels=True, real_ids=True)
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only:
+    ``str.splitlines`` also breaks at ``\\f``, ``\\x1c``, U+2028 and others,
+    which split one row in two and move every later line number."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _lines(path) -> list[str]:
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Count lines as splitlines does below; the bytes before exc.start decode.
-        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        # Count lines as below; the bytes before exc.start decode.
+        lineno = len(_split_lines(data[: exc.start].decode("utf-8") + "?"))
         raise MotParseError(
             f"not UTF-8 text at byte {exc.start}: {exc.reason}", path, lineno
         ) from None
-    return text.splitlines()
+    return _split_lines(text)
 
 
 def _parse_int(path, lineno: int, name: str, field: str) -> int:
@@ -166,18 +176,22 @@ def _check_row(path, lineno: int, line: str, layout: _Layout) -> tuple:
 
 
 def _convert(path, lines: list[str], layout: _Layout):
-    """Convert each non-blank line's read columns to floats.
+    """Convert each non-blank line's read columns.
 
-    Returns the (rows, columns) values, the line number of each row, and the
-    fault of the first line that does not convert (None if all do): from
-    ``_convert_at_once`` where it takes the lines, else from
-    ``_convert_by_line``. Both give the same bits for lines both take.
+    Returns the int64 frames and ids, the (rows, columns) float values, the
+    line number of each row and the fault of the first line that does not
+    convert (None if all do): from ``_convert_at_once`` where it takes the
+    lines and ``_faults`` flags no row, else from ``_convert_by_line``. Both
+    read the lines both take to the same values.
     """
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line]
     values = _convert_at_once(lines, layout, len(linenos)) if linenos else None
-    if values is None:
+    if values is None or _faults(values, layout).any():
         return _convert_by_line(path, lines, layout)
-    return values, linenos, None
+    # Rows that pass _faults hold integer frames and ids below 2**53, which
+    # float64 keeps exact.
+    frames, ids = values[:, :2].astype(np.int64).T
+    return frames, ids, values, linenos, None
 
 
 def _convert_at_once(lines: list[str], layout: _Layout, rows: int) -> np.ndarray | None:
@@ -185,8 +199,8 @@ def _convert_at_once(lines: list[str], layout: _Layout, rows: int) -> np.ndarray
     skips empty lines; None unless that call takes them all, as ``rows``
     rows of the same 6 to 10 fields.
 
-    Every field the call reads, ``_convert_by_line`` reads to the same bits.
-    The call rejects ``1_000``, non-ASCII digits, text in an ignored column,
+    Every field the call reads, ``_check_row`` reads to the same value. The
+    call rejects ``1_000``, non-ASCII digits, text in an ignored column,
     lines of uneven length and whitespace-only lines, which
     ``_convert_by_line`` then reads or rejects. ``comments=None``: with
     ``"#"`` the call would drop a ``# ...`` suffix that the row checks
@@ -206,44 +220,37 @@ def _convert_at_once(lines: list[str], layout: _Layout, rows: int) -> np.ndarray
 
 
 def _convert_by_line(path, lines: list[str], layout: _Layout):
-    """``_convert`` a line at a time. Lines that ``float`` rejects and short
-    ones go through ``_check_row``, which supplies defaults and words the
-    fault; blank ones are skipped."""
-    columns = (0, 1, 2, 3, 4, 5, *(column for _name, column, _default, _int in layout.extras))
-    pick = operator.itemgetter(*columns)
-    last, width = columns[-1], len(columns)
-    # Floats move to numpy a chunk at a time: a whole file's fields as
-    # Python floats would raise the peak memory of a read.
-    chunks, floats, linenos = [], [], []
+    """``_convert`` a line at a time through ``_check_row``, which supplies
+    defaults, reads frames and ids exactly and words the first fault; blank
+    lines are skipped."""
+    # Rows move to numpy a chunk at a time: a whole file's fields as Python
+    # numbers would raise the peak memory of a read.
+    chunks, integers, floats, linenos = [], [], [], []
     fault = None
     for lineno, line in enumerate(lines, start=1):
-        if len(floats) >= _CHUNK_FLOATS:
-            chunks.append(np.array(floats, dtype=float))
-            floats.clear()
-        fields = line.split(",")
-        if last < len(fields) <= 10:
-            try:
-                floats.extend(map(float, pick(fields)))
-                linenos.append(lineno)
-                continue
-            except ValueError:
-                # extend keeps the fields converted before the fault.
-                del floats[len(floats) - len(floats) % width :]
         if not line.strip():
             continue
+        if len(floats) >= _CHUNK_FLOATS:
+            chunks.append((np.array(integers, dtype=np.int64), np.array(floats, dtype=float)))
+            integers, floats = [], []
         try:
-            floats.extend(map(float, _check_row(path, lineno, line, layout)))
+            row = _check_row(path, lineno, line, layout)
         except MotFileError as exc:
             fault = exc
             break
+        integers.extend(row[:2])
+        floats.extend(row)
         linenos.append(lineno)
-    chunks.append(np.array(floats, dtype=float))
-    return np.concatenate(chunks).reshape(-1, width), linenos, fault
+    chunks.append((np.array(integers, dtype=np.int64), np.array(floats, dtype=float)))
+    integers, floats = (np.concatenate(arrays) for arrays in zip(*chunks))
+    frames, ids = integers.reshape(-1, 2).T
+    return frames, ids, floats.reshape(-1, 6 + len(layout.extras)), linenos, fault
 
 
 def _faults(values: np.ndarray, layout: _Layout) -> np.ndarray:
     """Rows that fail a row check, and rows whose frame or id float64 may
-    have rounded, which ``_check_row`` must read again; one bool per row."""
+    have rounded; one bool per row. A file with any such row is read again
+    by ``_check_row``."""
     frame, identity = values[:, :2].T
     integers = values[:, [0, 1, *(6 + k for k, extra in enumerate(layout.extras) if extra[3])]]
     with np.errstate(invalid="ignore"):
@@ -283,21 +290,8 @@ def _read(path, layout: _Layout, keep=None):
     duplicate check of labelled rows sees only those. Raises the
     ``MotFileError`` of the earliest failing line.
     """
-    lines = _lines(path)
-    values, linenos, fault = _convert(path, lines, layout)
-    suspect = _faults(values, layout)
-    # Unsuspected rows hold integer frames and ids that float64 keeps exact.
-    frames, ids = np.where(suspect[:, None], 0.0, values[:, :2]).astype(np.int64).T
-    checked = len(values)
-    for row in np.flatnonzero(suspect).tolist():
-        lineno = linenos[row]
-        try:
-            frames[row], ids[row] = _check_row(path, lineno, lines[lineno - 1], layout)[:2]
-        except MotFileError as exc:
-            # Every converted row comes before a line that did not convert.
-            fault, checked = exc, row
-            break
-    rows = np.arange(checked) if keep is None else np.flatnonzero(keep(values[:checked]))
+    frames, ids, values, linenos, fault = _convert(path, _lines(path), layout)
+    rows = np.arange(len(values)) if keep is None else np.flatnonzero(keep(values))
     duplicate = _first_duplicate(frames[rows], ids[rows]) if layout.labels else None
     if duplicate is not None:
         later, first = rows[duplicate[0]], rows[duplicate[1]]

@@ -418,8 +418,10 @@ def test_work_sizing_fields_past_their_bound_are_config_errors(tmp_path, monkeyp
         (b"b1 = 0.2\nmax_age = 1.5\n", "2: expected an integer for max_age, got '1.5'"),
         (b"b1 = abc\n", "1: expected a number for b1, got 'abc'"),
         (b"# cfg\nb1 = 0.2\nmax_age = \xff5\n", "3: not UTF-8 text in the value of max_age at byte 25: invalid start byte"),
+        # a form feed is whitespace at the end of a line, not a line end
+        (b"b1 = 0.2\f\nb2 = zz\n", "2: expected a number for b2, got 'zz'"),
     ],
-    ids=["int", "float", "not_utf8"],
+    ids=["int", "float", "not_utf8", "form_feed_line_end"],
 )
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_config_value_error_names_file_line_and_key(tmp_path, monkeypatch, capsys, text, message, source):

@@ -109,7 +109,23 @@ CASES = [
     ("hash_suffix", with_field(5, "10#x"), every(1, "h is not a number: '10#x'")),
     ("blank_file", b"\n \n\r\n", ACCEPTED),
     ("empty_file", b"", ACCEPTED),
+    (
+        # a line break of str.splitlines inside a row, not a line end
+        "x1c_inside_a_row",
+        GOOD_GT + b"2,1,0,0,10,10\x1c3,1,0,0,10,10\n" + with_field(5, "x", "3,1,0,0,10,10,1,1,1.0"),
+        every(2, "expected 6 to 10 comma-separated fields, got 11"),
+    ),
 ]
+# Only \n, \r\n and \r end a line; the other breaks of str.splitlines are
+# whitespace at the end of a row.
+for _break in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+    CASES.append(
+        (
+            f"row_ending_in_{ord(_break):#x}",
+            GOOD_GT + f"2,1,0,0,10,10,1,1,1.0{_break}\n".encode() + with_field(5, "x", "3,1,0,0,10,10,1,1,1.0"),
+            every(3, "h is not a number: 'x'"),
+        )
+    )
 for _column, _name in enumerate(COLUMNS):
     for _value in ("nan", "inf", "-inf"):
         _outcome = {}
@@ -221,17 +237,17 @@ def test_array_checks_flag_exactly_the_rows_the_row_check_rejects(rows):
             fields[column] = value
         lines.append(",".join(fields))
     for layout in LAYOUTS.values():
-        values, linenos, fault = mot_io._convert("f.txt", lines, layout)
-        assert fault is None
+        values = mot_io._convert_at_once(lines, layout, len(lines))
+        assert values is not None
         rejected = set()
         for lineno, line in enumerate(lines, start=1):
             try:
                 mot_io._check_row("f.txt", lineno, line, layout)
             except mot_io.MotFileError:
                 rejected.add(lineno)
-        # Rows whose frame or id float64 may round are flagged to be re-read.
-        inexact = {n for n, (f, i) in zip(linenos, values[:, :2].tolist()) if max(abs(f), abs(i)) >= 2**53}
-        flagged = {n for n, bad in zip(linenos, mot_io._faults(values, layout)) if bad}
+        # Rows whose frame or id float64 may round send the file to _check_row.
+        inexact = {n for n, (f, i) in enumerate(values[:, :2].tolist(), start=1) if max(abs(f), abs(i)) >= 2**53}
+        flagged = {n for n, bad in enumerate(mot_io._faults(values, layout), start=1) if bad}
         assert flagged == rejected | inexact
 
 
@@ -274,21 +290,79 @@ def test_both_conversions_read_valid_rows_to_the_same_bits(rows, blanks, newline
     lines = list(rows)
     for at in blanks:
         lines.insert(min(at, len(lines)), "")
-    lines = newline.join(lines).splitlines()
+    lines = mot_io._split_lines(newline.join(lines))
     for layout in LAYOUTS.values():
-        values, linenos, fault = mot_io._convert_by_line("f.txt", lines, layout)
-        assert fault is None
+        frames, ids, values, linenos, fault = mot_io._convert_by_line("f.txt", lines, layout)
+        if fault is not None:
+            assert layout.real_ids and "need a real track id" in str(fault)
+            continue
         at_once = mot_io._convert_at_once(lines, layout, len(linenos))
         assert at_once is not None
         assert (at_once.shape, at_once.tobytes()) == (values.shape, values.tobytes())
-        assert mot_io._convert("f.txt", lines, layout)[1] == linenos
+        converted = mot_io._convert("f.txt", lines, layout)
+        assert (converted[0].tolist(), converted[1].tolist(), converted[3]) == (frames.tolist(), ids.tolist(), linenos)
 
 
 def test_rows_of_one_width_convert_in_one_call(monkeypatch):
-    monkeypatch.setattr(mot_io, "_convert_by_line", None)
+    monkeypatch.setattr(mot_io, "_check_row", None)
     lines = ["1,1,0,0,10,10,1,-1,-1,-1", "", "2,1,0,0,10,10,1,-1,-1,-1"]
-    values, linenos, fault = mot_io._convert("f.txt", lines, mot_io._RESULTS)
-    assert (values.tolist(), linenos, fault) == ([[1, 1, 0, 0, 10, 10], [2, 1, 0, 0, 10, 10]], [1, 3], None)
+    frames, ids, values, linenos, fault = mot_io._convert("f.txt", lines, mot_io._RESULTS)
+    assert (frames.tolist(), ids.tolist(), linenos, fault) == ([1, 2], [1, 1], [1, 3], None)
+    assert values.tolist() == [[1, 1, 0, 0, 10, 10], [2, 1, 0, 0, 10, 10]]
+
+
+# Text the one call may read differently from float(): Unicode digits and
+# whitespace, digit separators, words, overflow, empty fields.
+SPACES = (" ", "\t", "\xa0", "\u2003", "\x1c", "\f")
+FIELD_PIECES = (
+    *SPACES, "0", "1", "7", "-", "+", ".", "e", "_", "#", "x", "inf", "nan", "1e400", "\u0663", "\uff11"
+)
+spaces = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
+pieces = st.lists(st.sampled_from(FIELD_PIECES), max_size=2).map("".join)
+
+
+def field_text(choice: int, space: str, piece: str, number: str) -> str:
+    """The number alone half the time, else between spaces or pieces, or a
+    piece alone."""
+    if choice < 5:
+        return number
+    if choice < 7:
+        return space + number + space
+    return piece + number + piece if choice < 9 else piece
+
+
+def field_line(width: int):
+    """A line of ``width`` fields."""
+    numbers = (
+        st.integers(1, 9), st.integers(-1, 9), st.floats(-50, 50), st.floats(-50, 50), st.floats(0.5, 50),
+        st.floats(0.5, 50), st.integers(0, 1), st.just(1), st.floats(0, 1), st.just(-1), st.just(0),
+    )
+    texts = st.sampled_from([str, "{:e}".format])
+    fields = [
+        st.builds(field_text, st.integers(0, 9), spaces, pieces, st.builds(lambda text, n: text(n), texts, number))
+        for number in numbers[:width]
+    ]
+    return st.tuples(*fields).map(",".join)
+
+
+field_lines = st.integers(5, 11).flatmap(lambda width: st.lists(field_line(width), min_size=1, max_size=3))
+
+
+@settings(max_examples=500)
+@given(field_lines)
+def test_the_one_call_takes_no_line_the_row_check_rejects(lines):
+    for layout in LAYOUTS.values():
+        values = mot_io._convert_at_once(lines, layout, sum(map(bool, lines)))
+        if values is None or mot_io._faults(values, layout).any():
+            continue
+        frames, ids, reference, _linenos, fault = mot_io._convert_by_line("f.txt", lines, layout)
+        assert fault is None
+        assert np.array_equal(np.column_stack((frames, ids)), values[:, :2])
+        # Integer columns compare as numbers: int("-0") has no sign.
+        assert np.array_equal(reference, values)
+        integers = {0, 1, *(6 + k for k, extra in enumerate(layout.extras) if extra[3])}
+        floats = [column for column in range(values.shape[1]) if column not in integers]
+        assert reference[:, floats].tobytes() == values[:, floats].tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 6, 7, 8192])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cbiou import experiments, scenarios, synth
-from cbiou.geometry import iou
+from cbiou.geometry import iou, similarity_matrix, to_xyxy
 from cbiou.tracker import TrackerConfig
 
 
@@ -38,6 +38,31 @@ def test_non_overlap_scenario_overlaps_only_across_a_wall_reflection():
                 gap = min(a.x, a.y, arena_w - a.x - a.w, arena_h - a.y - a.h)
                 assert gap < spec.speed_range[1]
     assert overlaps == [(2, 55, 56, 0.347)]
+
+
+def test_non_overlap_scenario_steps_stay_inside_the_round_one_buffered_reach():
+    b1 = TrackerConfig().b1
+    assert math.isclose(1 + 2 * b1, 1.6)
+    gt, _dets = synth.generate(scenarios.non_overlap_scenario())
+    tracks: dict[int, list] = {}
+    for frame, rows in sorted(gt.frames.items()):
+        for identity, box in rows:
+            tracks.setdefault(identity, []).append((frame, box))
+    starts = [(identity, f0) for identity, seq in tracks.items() for f0, _box in seq[:-1]]
+    earlier = to_xyxy(box for seq in tracks.values() for _frame, box in seq[:-1])
+    later = to_xyxy(box for seq in tracks.values() for _frame, box in seq[1:])
+
+    def reached(buffer_scale):
+        """(id, frame) of each step whose two boxes score BIoU > 0."""
+        return [
+            start
+            for start, a, b in zip(starts, earlier, later)
+            if similarity_matrix("biou", a[None], b[None], buffer_scale)[0, 0] > 0
+        ]
+
+    assert len(starts) == 5980
+    assert reached(b1) == starts
+    assert reached(0.0) == [(2, 55)]
 
 
 @pytest.mark.parametrize("spec", scenarios.irregular_scenarios(), ids=lambda spec: f"seed{spec.seed}")
